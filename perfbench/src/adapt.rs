@@ -4,13 +4,14 @@
 //! generation; a watching replica hot-swaps every generation while one
 //! connection reads from it on an open-loop schedule.
 
+use crate::client;
 use crate::client::{healthz, Conn};
 use crate::drive::{open_loop, REQUEST_TIMEOUT};
 use crate::load;
+use crate::replica::{self, Replica, SetupProbe};
 use crate::report::{Outcome, SetupInfo};
 use crate::serving::{LATENCY_WINDOWS, LATE_LIMIT_MS, OPEN_LOOP_TAIL, SETUP_SPAWNS};
 use crate::stats::{median, percentile, verdict_auc, windowed, Summary};
-use crate::{client, replica};
 use phishinghook::drift::DriftConfig;
 use phishinghook::json::Value;
 use phishinghook::retry::Clock;
@@ -42,9 +43,13 @@ const BOOT_RECORDS: usize = 160;
 const APPEND_TICK: Duration = Duration::from_millis(2);
 
 /// `/healthz` poll period while no generation is pending, and while one
-/// is (published but not yet reported live).
+/// is (published but not yet reported live). A generation is pending
+/// most of the run, so the pending period sets how many probes the
+/// replica answers besides the reads: at 5 ms about as many as reads,
+/// each far cheaper than a scored read, and they count in the replica's
+/// CPU.
 const IDLE_POLL: Duration = Duration::from_millis(20);
-const PENDING_POLL: Duration = Duration::from_millis(1);
+const PENDING_POLL: Duration = Duration::from_millis(5);
 
 /// The ingest loop's configuration: the `ingestd tail` daemon's.
 pub fn ingest_config() -> TailIngestConfig {
@@ -344,10 +349,6 @@ pub fn drift_adapt(
         consumed: Consumed::default(),
     };
 
-    let (cpu0, steal) = (
-        replica::proc_cpu_seconds("/proc/self/stat"),
-        replica::StealMeter::start(),
-    );
     journal.append_until(BOOT_RECORDS)?;
     let boot_deadline = Instant::now() + Duration::from_secs(60);
     while published_gen.load(Ordering::SeqCst) == 0 {
@@ -358,9 +359,15 @@ pub fn drift_adapt(
         std::thread::sleep(Duration::from_millis(1));
     }
 
-    let (server, setups) = replica::spawn_measured(server_bin, &publish_dir, SETUP_SPAWNS)
-        .map_err(|e| format!("replica: {e}"))?;
-    let setup = SetupInfo::read(&server, &setups)?;
+    let server = Replica::spawn(server_bin, &publish_dir).map_err(|e| format!("replica: {e}"))?;
+    // Set-up is sampled on a fixed copy of the baseline generation: the
+    // live directory gains and prunes generations during the run.
+    let probe_dir = work.join("setup-probe");
+    let baseline = publish_dir.join(format!("gen-{}.phk", published_gen.load(Ordering::SeqCst)));
+    let bytes = std::fs::read(&baseline).map_err(|e| format!("{}: {e}", baseline.display()))?;
+    ArtifactPublisher::open(&probe_dir)
+        .and_then(|mut p| p.publish(bytes))
+        .map_err(|e| format!("set-up probe artifact: {e}"))?;
 
     // Reads draw from the journal's own contracts.
     let requests: Vec<Vec<u8>> = pass
@@ -384,42 +391,62 @@ pub fn drift_adapt(
     };
     poller.poll();
 
+    // The metered interval: CPU of this process (the ingest loops, their
+    // workers and the journal writer) minus the reader's, the poller's
+    // and the set-up probe's own threads, plus the replica's (reads,
+    // watch, decode and swap).
+    let steal = replica::StealMeter::start();
+    let (cpu0, replica_cpu0) = (
+        replica::proc_cpu_seconds("/proc/self/stat"),
+        server.cpu_seconds(),
+    );
+    let probe = SetupProbe::start(
+        server_bin,
+        &probe_dir,
+        SETUP_SPAWNS,
+        Duration::from_secs_f64(seconds),
+    );
     let t0 = Instant::now();
     let end = t0 + Duration::from_secs_f64(seconds);
     let lo = || live.load(Ordering::SeqCst);
     let hi = || published_gen.load(Ordering::SeqCst);
-    let reads = std::thread::scope(|s| -> Result<_, String> {
+    let (reads, load_cpu, mut poller) = std::thread::scope(|s| -> Result<_, String> {
         let reader = s.spawn(|| {
-            open_loop(
+            let cpu0 = replica::thread_cpu_seconds();
+            let (reads, conns_cpu) = open_loop(
                 server.addr,
                 1,
                 &arrivals,
                 &pick,
                 &requests,
                 Some((&lo, &hi)),
-            )
+            );
+            (reads, conns_cpu + replica::thread_cpu_seconds() - cpu0)
         });
-        let mut last_poll = Instant::now();
-        loop {
-            let now = Instant::now();
-            if now >= end {
-                break;
-            }
-            let due = BOOT_RECORDS + (now.duration_since(t0).as_secs_f64() * JOURNAL_RATE) as usize;
-            journal.append_until(due)?;
-            let pending = published_gen.load(Ordering::SeqCst) > live.load(Ordering::SeqCst);
-            let period = if pending { PENDING_POLL } else { IDLE_POLL };
-            if now.duration_since(last_poll) >= period {
+        let polling = s.spawn(|| {
+            let cpu0 = replica::thread_cpu_seconds();
+            while Instant::now() < end {
+                let pending = published_gen.load(Ordering::SeqCst) > live.load(Ordering::SeqCst);
                 poller.poll();
-                last_poll = Instant::now();
+                std::thread::sleep(if pending { PENDING_POLL } else { IDLE_POLL });
             }
-            std::thread::sleep(APPEND_TICK.min(period));
+            let cpu = replica::thread_cpu_seconds() - cpu0;
+            (poller, cpu)
+        });
+        while Instant::now() < end {
+            let due = BOOT_RECORDS + (t0.elapsed().as_secs_f64() * JOURNAL_RATE) as usize;
+            journal.append_until(due)?;
+            std::thread::sleep(APPEND_TICK);
         }
-        let reads = reader.join().expect("reader thread");
-        Ok(reads)
+        let (reads, reader_cpu) = reader.join().expect("reader thread");
+        let (poller, poller_cpu) = polling.join().expect("poller thread");
+        Ok((reads, reader_cpu + poller_cpu, poller))
     })?;
     let (appended, consumed, episodes) = journal.close()?;
-    let cpu = replica::proc_cpu_seconds("/proc/self/stat") - cpu0;
+    let (setups, probe_cpu) = probe.finish()?;
+    let load_cpu = load_cpu + probe_cpu;
+    let ingest_cpu = replica::proc_cpu_seconds("/proc/self/stat") - cpu0 - load_cpu;
+    let replica_cpu = server.cpu_seconds() - replica_cpu0;
     let steal = steal.share();
     // Let the last published generation go live before stopping.
     let settle = Instant::now() + Duration::from_secs(3);
@@ -430,6 +457,7 @@ pub fn drift_adapt(
         std::thread::sleep(PENDING_POLL);
     }
     let rss = server.peak_rss_mb();
+    let setup = SetupInfo::read(&server, &setups)?;
     server.stop();
 
     // Adaptation latency: trip record appended → generation live.
@@ -523,8 +551,22 @@ pub fn drift_adapt(
     );
     out.metric("verdict_auc", auc, "auc");
     out.metric("server_peak_rss_mb", rss, "MB");
-    let cpu_us = cpu * 1e6 / consumed.records.max(1) as f64;
+    // Records the timed interval consumed: the boot records were
+    // consumed, and their baseline trained, before it began.
+    let per_record =
+        |cpu: f64| cpu * 1e6 / consumed.records.saturating_sub(BOOT_RECORDS).max(1) as f64;
+    let cpu_us = per_record(ingest_cpu + replica_cpu);
     out.metric("adapt_cpu_us_per_record", cpu_us, "us");
+    out.metric(
+        "adapt_ingest_cpu_us_per_record",
+        per_record(ingest_cpu),
+        "us",
+    );
+    out.metric(
+        "adapt_replica_cpu_us_per_record",
+        per_record(replica_cpu),
+        "us",
+    );
     out.metric("host_steal_share", steal, "ratio");
     out.metric(
         "ingest.watch_lag_ms_p50",
@@ -550,6 +592,9 @@ pub fn drift_adapt(
     out.note(format!(
         "reads: {} at {READ_RATE}/s on one connection; sliced figures are medians over {LATENCY_WINDOWS} consecutive slices",
         reads.len()
+    ));
+    out.note(format!(
+        "cpu: ingest side {ingest_cpu:.3} s, replica {replica_cpu:.3} s; reader, poller and set-up probe threads ({load_cpu:.3} s) left out"
     ));
     out.headline(cpu_us, auc, rss);
     Ok(out)

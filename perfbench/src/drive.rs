@@ -4,6 +4,7 @@
 //! neither inspects replies while timing; checks run afterwards.
 
 use crate::client::Conn;
+use crate::replica::thread_cpu_seconds;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -65,6 +66,9 @@ fn one(conn: &mut Option<Conn>, addr: SocketAddr, request: &[u8]) -> (u16, Vec<u
 
 /// Open loop: request `i` is due at `arrivals[i]` seconds after start and
 /// sends `requests[pick[i]]` on the first free connection of `conns`.
+/// Also returns the CPU seconds the connection threads used, so a caller
+/// can leave the load generator's own cost out of a CPU figure taken
+/// over the whole process.
 pub fn open_loop(
     addr: SocketAddr,
     conns: usize,
@@ -72,13 +76,15 @@ pub fn open_loop(
     pick: &[usize],
     requests: &[Vec<u8>],
     tag: Option<(Tagger<'_>, Tagger<'_>)>,
-) -> Vec<Exchange> {
+) -> (Vec<Exchange>, f64) {
     let next = AtomicUsize::new(0);
     let out = Mutex::new(Vec::with_capacity(arrivals.len()));
+    let cpu = Mutex::new(0.0f64);
     let start = Instant::now();
     std::thread::scope(|s| {
         for _ in 0..conns {
             s.spawn(|| {
+                let cpu0 = thread_cpu_seconds();
                 let mut conn = Conn::connect(addr, REQUEST_TIMEOUT).ok();
                 let mut mine = Vec::new();
                 loop {
@@ -109,12 +115,13 @@ pub fn open_loop(
                     });
                 }
                 out.lock().expect("load results lock").extend(mine);
+                *cpu.lock().expect("load cpu lock") += thread_cpu_seconds() - cpu0;
             });
         }
     });
     let mut out = out.into_inner().expect("load results lock");
     out.sort_by_key(|e| e.seq);
-    out
+    (out, cpu.into_inner().expect("load cpu lock"))
 }
 
 /// Closed loop for `seconds`: each of `conns` callers sends

@@ -4,43 +4,6 @@
 
 use crate::{adapt, serving};
 use phishinghook::json::Value;
-use std::path::Path;
-
-/// FNV-1a over every Rust source and manifest of the crates the replica
-/// is built from, in path order: identifies the code under test even in
-/// a checkout that is not a git repository.
-fn source_hash() -> String {
-    fn walk(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                walk(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs" || e == "toml") {
-                out.push(path);
-            }
-        }
-    }
-    let mut files = Vec::new();
-    walk(Path::new("crates"), &mut files);
-    walk(Path::new("vendor"), &mut files);
-    files.push("Cargo.toml".into());
-    files.push("Cargo.lock".into());
-    files.sort();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for f in &files {
-        for b in f
-            .to_string_lossy()
-            .bytes()
-            .chain(std::fs::read(f).unwrap_or_default())
-        {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    format!("{h:016x}")
-}
 
 /// The `HEAD` commit when the checkout is a git repository.
 fn git_rev() -> String {
@@ -75,7 +38,6 @@ pub fn record(workload: &str, seed: u64, seconds: f64, trace: bool) -> String {
         ),
         ("load_conns".into(), num(serving::load_conns() as f64)),
         ("git_rev".into(), Value::Str(git_rev())),
-        ("source_fnv".into(), Value::Str(source_hash())),
         ("screen_rate_per_s".into(), num(serving::SCREEN_RATE)),
         ("screen_ladder_per_s".into(), Value::Arr(rates)),
         ("screen_slo_ms".into(), num(serving::SCREEN_SLO_MS)),

@@ -1,10 +1,19 @@
 //! Seeded inputs: the contract mix, the backfill batches and the
 //! open-loop arrival schedule. The same seed always gives the same
 //! inputs; the program under test only ever sees the generated bytes.
+//!
+//! Contracts are deployments of the repository's synthetic corpus
+//! (`phishinghook_synth::generate_corpus`), so the family mixture is the
+//! one the served model was trained on: a month-dependent phishing
+//! mixture, a benign mixture in which EIP-1167 minimal proxies
+//! (`synth::minimal_proxy`) are 15%, and the corpus's clone duplication.
+//! The backfill batches add a large tail (see [`LARGE_EVERY`]) that the
+//! corpus does not have.
 
 use phishinghook_evm::Bytecode;
 use phishinghook_synth::{
-    generate_contract, minimal_proxy, ContractClass, Difficulty, Family, Month,
+    generate_contract, generate_corpus, ContractClass, CorpusConfig, Difficulty, Family,
+    SynthContract,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -26,12 +35,10 @@ pub struct Contract {
 /// 1.5 s on a 2-core host: too few per run to measure steadily.)
 pub const BATCH: usize = 64;
 
-/// EIP-1167 minimal proxies per batch (30%: clones dominate mainnet
-/// deployments).
-pub const PROXIES_PER_BATCH: usize = 19;
-
 /// Every this many backfill batches, one carries a contract of 16–22 KB
-/// (the large tail near the EIP-170 cap): one in 256 contracts.
+/// (the large tail below the EIP-170 cap of 24 KB): one in 256
+/// contracts. The share is an unverified assumption, not a measured
+/// mainnet figure; it keeps the largest bodies in every run.
 pub const LARGE_EVERY: usize = 4;
 
 /// Smallest and largest target size of a large-tail contract, in bytes.
@@ -40,79 +47,101 @@ pub const LARGE_BYTES: (usize, usize) = (16 * 1024, 22 * 1024);
 /// Largest `/predict_batch` body the server accepts (its default cap).
 pub const MAX_BODY: usize = 1 << 20;
 
-fn families() -> Vec<Family> {
-    Family::ALL
-        .iter()
-        .copied()
-        .filter(|f| *f != Family::MinimalProxy)
-        .collect()
-}
-
 fn label_of(family: Family) -> u8 {
     u8::from(family.class() == ContractClass::Phishing)
 }
 
-fn proxy(rng: &mut StdRng) -> Contract {
-    let mut implementation = [0u8; 20];
-    rng.fill(&mut implementation);
-    Contract {
-        code: minimal_proxy(&implementation),
-        label: label_of(Family::MinimalProxy),
+/// An endless, seeded stream of corpus deployments: small corpora, each
+/// shuffled out of its month order, one after another. Corpus seeds are
+/// derived from the stream's seed, never equal to the training corpus's
+/// but for a 2^-64 chance.
+pub struct Deployments {
+    seed: u64,
+    round: u64,
+    rng: StdRng,
+    pending: Vec<SynthContract>,
+}
+
+impl Deployments {
+    /// The stream for `seed`; `salt` separates the streams of different
+    /// inputs drawn from the same seed.
+    pub fn new(seed: u64, salt: u64) -> Deployments {
+        let seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
+        Deployments {
+            seed,
+            round: 0,
+            rng: StdRng::seed_from_u64(seed),
+            pending: Vec::new(),
+        }
+    }
+
+    /// The next deployment.
+    pub fn next_deployment(&mut self) -> SynthContract {
+        while self.pending.is_empty() {
+            let corpus_seed = self
+                .seed
+                .wrapping_add(self.round.wrapping_mul(0xD1B5_4A32_D192_ED03));
+            self.round += 1;
+            self.pending = generate_corpus(&CorpusConfig::small(corpus_seed)).contracts;
+            self.pending.shuffle(&mut self.rng);
+        }
+        self.pending.pop().expect("refilled above")
+    }
+
+    /// The next deployment, labelled by its family's ground truth.
+    pub fn next_contract(&mut self) -> Contract {
+        let d = self.next_deployment();
+        Contract {
+            code: d.bytecode,
+            label: label_of(d.family),
+        }
+    }
+
+    /// A large contract: whole bodies of the next non-proxy deployment's
+    /// family and month, concatenated until the size reaches a target
+    /// drawn from [`LARGE_BYTES`].
+    fn large(&mut self) -> Contract {
+        let d = loop {
+            let d = self.next_deployment();
+            if d.family != Family::MinimalProxy {
+                break d;
+            }
+        };
+        let target = self.rng.gen_range(LARGE_BYTES.0..=LARGE_BYTES.1);
+        let mut bytes = d.bytecode.as_bytes().to_vec();
+        while bytes.len() < target {
+            let body = generate_contract(d.family, d.month, &Difficulty::default(), &mut self.rng);
+            bytes.extend_from_slice(body.as_bytes());
+        }
+        Contract {
+            code: Bytecode::new(bytes),
+            label: label_of(d.family),
+        }
     }
 }
 
-fn family_contract(rng: &mut StdRng, family: Family) -> Bytecode {
-    let month = Month(rng.gen_range(Month::FIRST.0..=Month::LAST.0));
-    generate_contract(family, month, &Difficulty::default(), rng)
-}
-
-fn synth(rng: &mut StdRng) -> Contract {
-    let family = *families().choose(rng).expect("families");
-    Contract {
-        code: family_contract(rng, family),
-        label: label_of(family),
-    }
-}
-
-/// A large contract: whole synth bodies of one family concatenated until
-/// the size reaches a target drawn from [`LARGE_BYTES`].
-fn large(rng: &mut StdRng) -> Contract {
-    let family = *families().choose(rng).expect("families");
-    let target = rng.gen_range(LARGE_BYTES.0..=LARGE_BYTES.1);
-    let mut bytes = Vec::with_capacity(target + 2048);
-    while bytes.len() < target {
-        bytes.extend_from_slice(family_contract(rng, family).as_bytes());
-    }
-    Contract {
-        code: Bytecode::new(bytes),
-        label: label_of(family),
-    }
-}
-
-/// One batch: exactly [`PROXIES_PER_BATCH`] proxies, `n_large` large
-/// contracts and synth-family contracts for the rest, in seeded order.
-pub fn batch(rng: &mut StdRng, n_large: usize) -> Vec<Contract> {
+/// One batch: `n_large` large contracts and corpus deployments for the
+/// rest, in seeded order.
+pub fn batch(stream: &mut Deployments, n_large: usize) -> Vec<Contract> {
     let mut out: Vec<Contract> = (0..BATCH)
         .map(|i| {
-            if i < PROXIES_PER_BATCH {
-                proxy(rng)
-            } else if i < PROXIES_PER_BATCH + n_large {
-                large(rng)
+            if i < n_large {
+                stream.large()
             } else {
-                synth(rng)
+                stream.next_contract()
             }
         })
         .collect();
-    out.shuffle(rng);
+    out.shuffle(&mut stream.rng);
     out
 }
 
 /// `n` backfill batches for `seed`; every [`LARGE_EVERY`]-th carries one
 /// large contract.
 pub fn batches(seed: u64, n: usize) -> Vec<Vec<Contract>> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xBAC6_F111);
+    let mut stream = Deployments::new(seed, 0xBAC6_F111);
     (0..n)
-        .map(|i| batch(&mut rng, usize::from(i % LARGE_EVERY == 0)))
+        .map(|i| batch(&mut stream, usize::from(i % LARGE_EVERY == 0)))
         .collect()
 }
 
@@ -129,12 +158,12 @@ pub fn rounds(seed: u64, len: usize, rounds: usize) -> Vec<usize> {
         .collect()
 }
 
-/// The single-contract pool of the screening workload: the backfill mix
-/// of proxies and synth families without the large tail, which a wallet
-/// rarely screens and which the backfill workload covers.
-pub fn pool(seed: u64, batches_n: usize) -> Vec<Contract> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x05C2_EE11);
-    (0..batches_n).flat_map(|_| batch(&mut rng, 0)).collect()
+/// The single-contract pool of the screening workload: `len` corpus
+/// deployments without the large tail, which a wallet rarely screens and
+/// which the backfill workload covers.
+pub fn pool(seed: u64, len: usize) -> Vec<Contract> {
+    let mut stream = Deployments::new(seed, 0x05C2_EE11);
+    (0..len).map(|_| stream.next_contract()).collect()
 }
 
 /// The JSON body of a `/predict` request.

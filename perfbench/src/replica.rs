@@ -7,6 +7,8 @@ use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Longest a replica may take from spawn to its first `200` on
@@ -20,8 +22,11 @@ pub struct Replica {
     _stdout: BufReader<ChildStdout>,
     /// The replica's bound address.
     pub addr: SocketAddr,
-    /// Spawn to first `200` on `/healthz`.
+    /// Spawn to first `200` on `/healthz`, wall clock.
     pub setup: Duration,
+    /// CPU time the replica used, over all its threads, from spawn to
+    /// its first `200` on `/healthz`, in seconds.
+    pub setup_cpu_s: f64,
 }
 
 impl Replica {
@@ -58,6 +63,7 @@ impl Replica {
             _stdout: stdout,
             addr,
             setup: Duration::ZERO,
+            setup_cpu_s: 0.0,
         };
         loop {
             let healthy = Conn::connect(addr, Duration::from_secs(5))
@@ -65,6 +71,7 @@ impl Replica {
                 .is_ok();
             if healthy {
                 replica.setup = started.elapsed();
+                replica.setup_cpu_s = threads_cpu_seconds(replica.child.id());
                 return Ok(replica);
             }
             if started.elapsed() > BOOT_LIMIT {
@@ -124,6 +131,33 @@ pub fn proc_cpu_seconds(stat_path: &str) -> f64 {
     fields.iter().sum::<f64>() / 100.0
 }
 
+/// Run time of one task from its `schedstat` file (nanosecond
+/// resolution, excluding time its vCPU was stolen), in seconds.
+fn schedstat_seconds(path: &Path) -> f64 {
+    std::fs::read_to_string(path)
+        .ok()
+        .and_then(|s| s.split_whitespace().next()?.parse::<f64>().ok())
+        .map_or(0.0, |ns| ns / 1e9)
+}
+
+/// CPU time the calling thread has used so far, in seconds.
+pub fn thread_cpu_seconds() -> f64 {
+    schedstat_seconds(Path::new("/proc/thread-self/schedstat"))
+}
+
+/// CPU time the live threads of process `pid` have used so far, in
+/// seconds.
+fn threads_cpu_seconds(pid: u32) -> f64 {
+    std::fs::read_dir(format!("/proc/{pid}/task"))
+        .map(|tasks| {
+            tasks
+                .flatten()
+                .map(|t| schedstat_seconds(&t.path().join("schedstat")))
+                .sum()
+        })
+        .unwrap_or(0.0)
+}
+
 /// Host steal time so far, summed over CPUs, in seconds: time the
 /// hypervisor ran something else while this machine's vCPUs were ready.
 fn host_steal_seconds() -> f64 {
@@ -175,26 +209,84 @@ fn read_addr(stdout: &mut BufReader<ChildStdout>) -> std::io::Result<SocketAddr>
     }
 }
 
-/// Spawns `count` replicas one after another, keeping only the last;
-/// returns it with every spawn's setup time, in seconds.
-///
-/// # Errors
-///
-/// As [`Replica::spawn`].
-pub fn spawn_measured(
-    server_bin: &Path,
-    publish_dir: &Path,
-    count: usize,
-) -> std::io::Result<(Replica, Vec<f64>)> {
-    let mut setups = Vec::with_capacity(count);
-    let mut last = None;
-    for _ in 0..count.max(1) {
-        if let Some(previous) = last.take() {
-            Replica::stop(previous);
+/// Set-up of one replica spawn, in seconds.
+#[derive(Debug, Clone, Copy)]
+pub struct SetupSample {
+    /// CPU time from spawn to first healthy.
+    pub cpu_s: f64,
+    /// Wall time from spawn to first healthy.
+    pub wall_s: f64,
+}
+
+/// Samples replica set-up across a run: spawns `count` replicas of one
+/// publish directory, evenly spaced over a span, each stopped once
+/// healthy, on a thread of its own. Spread over the timed phase, the
+/// samples see the same host as the workload's figures; taken in one
+/// burst, their median follows whatever the host did in that second.
+pub struct SetupProbe {
+    stop: Arc<AtomicBool>,
+    thread: Option<std::thread::JoinHandle<std::io::Result<(Vec<SetupSample>, f64)>>>,
+}
+
+impl SetupProbe {
+    /// Starts sampling; the first spawn is immediate, the last due just
+    /// before `span` has passed.
+    pub fn start(
+        server_bin: &Path,
+        publish_dir: &Path,
+        count: usize,
+        span: Duration,
+    ) -> SetupProbe {
+        let (server_bin, publish_dir) = (server_bin.to_path_buf(), publish_dir.to_path_buf());
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let thread = std::thread::spawn(move || {
+            let (started, cpu0) = (Instant::now(), thread_cpu_seconds());
+            let mut setups = Vec::with_capacity(count);
+            for i in 0..count.max(1) {
+                let due = started + span.mul_f64(i as f64 / count.max(1) as f64);
+                std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                if stopped.load(Ordering::SeqCst) {
+                    break;
+                }
+                let replica = Replica::spawn(&server_bin, &publish_dir)?;
+                setups.push(SetupSample {
+                    cpu_s: replica.setup_cpu_s,
+                    wall_s: replica.setup.as_secs_f64(),
+                });
+                replica.stop();
+            }
+            Ok((setups, thread_cpu_seconds() - cpu0))
+        });
+        SetupProbe {
+            stop,
+            thread: Some(thread),
         }
-        let replica = Replica::spawn(server_bin, publish_dir)?;
-        setups.push(replica.setup.as_secs_f64());
-        last = Some(replica);
     }
-    Ok((last.expect("at least one replica"), setups))
+
+    /// Waits for the last spawn; returns every spawn's set-up and the CPU
+    /// seconds the probe's own thread used.
+    ///
+    /// # Errors
+    ///
+    /// As [`Replica::spawn`].
+    pub fn finish(mut self) -> Result<(Vec<SetupSample>, f64), String> {
+        self.thread
+            .take()
+            .expect("the probe is finished once")
+            .join()
+            .expect("set-up probe thread")
+            .map_err(|e| format!("set-up probe replica: {e}"))
+    }
+}
+
+impl Drop for SetupProbe {
+    /// A run that fails before [`SetupProbe::finish`] still waits until
+    /// the probe's last replica has been stopped.
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }

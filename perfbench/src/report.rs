@@ -2,7 +2,7 @@
 //! its unit, the checks made, and the final one-line JSON result.
 
 use crate::client::{healthz, Conn};
-use crate::replica::Replica;
+use crate::replica::{Replica, SetupSample};
 use crate::stats::median;
 use phishinghook::json::Value;
 use std::time::Duration;
@@ -10,8 +10,11 @@ use std::time::Duration;
 /// The replica's set-up time and configuration, as it reports it.
 #[derive(Debug, Clone)]
 pub struct SetupInfo {
-    /// Median spawn → first `200` on `/healthz`, seconds.
+    /// Median over spawns of the replica's CPU time from spawn to its
+    /// first `200` on `/healthz`, seconds.
     pub setup_s: f64,
+    /// Median over spawns of the wall time from spawn to first `200`.
+    pub setup_wall_s: f64,
     /// Spawns measured.
     pub spawns: usize,
     /// `max_batch` from `/healthz`.
@@ -28,13 +31,14 @@ impl SetupInfo {
     /// # Errors
     ///
     /// A replica that does not answer `/healthz`.
-    pub fn read(replica: &Replica, setups: &[f64]) -> Result<SetupInfo, String> {
+    pub fn read(replica: &Replica, setups: &[SetupSample]) -> Result<SetupInfo, String> {
         let health = Conn::connect(replica.addr, Duration::from_secs(5))
             .and_then(|mut c| healthz(&mut c))
             .map_err(|e| format!("healthz: {e}"))?;
         let num = |k: &str| health.get(k).and_then(Value::as_f64).unwrap_or(f64::NAN);
         Ok(SetupInfo {
-            setup_s: median(setups),
+            setup_s: median(&setups.iter().map(|s| s.cpu_s).collect::<Vec<_>>()),
+            setup_wall_s: median(&setups.iter().map(|s| s.wall_s).collect::<Vec<_>>()),
             spawns: setups.len(),
             max_batch: num("max_batch"),
             workers: num("workers"),
@@ -167,12 +171,8 @@ impl Outcome {
     pub fn print(&self) {
         println!("workload {}", self.workload);
         println!(
-            "  replica: model={} max_batch={} workers={} setup_s={:.6} (median of {} spawns)",
-            self.setup.model,
-            self.setup.max_batch,
-            self.setup.workers,
-            self.setup.setup_s,
-            self.setup.spawns
+            "  replica: model={} max_batch={} workers={}; set-up medians of {} spawns",
+            self.setup.model, self.setup.max_batch, self.setup.workers, self.setup.spawns
         );
         let succeeded = self.attempted - self.failed;
         println!(
@@ -180,6 +180,7 @@ impl Outcome {
             self.attempted, succeeded, self.failed, self.mismatched
         );
         println!("  setup_s = {:.6} s", self.setup.setup_s);
+        println!("  setup_wall_s = {:.6} s", self.setup.setup_wall_s);
         println!(
             "  failed_frac = {:.6} ratio",
             self.failed as f64 / self.attempted.max(1) as f64

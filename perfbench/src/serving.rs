@@ -2,17 +2,19 @@
 //! `chain_backfill`, plus what they share: the trained artifact, its
 //! publish directory and the bit-parity check of every wire verdict.
 
+use crate::client;
 use crate::drive::{closed_loop, open_loop, Exchange};
 use crate::load::{self, Contract};
+use crate::replica::{self, Replica, SetupProbe};
 use crate::report::{Outcome, SetupInfo};
 use crate::stats::{median, percentile, verdict_auc, windowed, Summary};
-use crate::{client, replica};
 use phishinghook::json::Value;
 use phishinghook::prelude::*;
 use phishinghook::{CascadeVerdict, EvalProfile};
 use phishinghook_artifact::publish::ArtifactPublisher;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Corpus seed of the served cascade: the seed `BENCH_serve.json` and
 /// `BENCH_latency.json` were measured with, so those histories and this
@@ -20,8 +22,9 @@ use std::sync::Arc;
 /// `--seed`.
 pub const TRAIN_SEED: u64 = 42;
 
-/// Replica spawns per run; `setup_s` is their median.
-pub const SETUP_SPAWNS: usize = 21;
+/// Replica spawns per run, spread over the timed phase by a
+/// [`SetupProbe`]; `setup_s` is their median.
+pub const SETUP_SPAWNS: usize = 61;
 
 /// Consecutive slices the open-loop latency figures are summarised over
 /// (see [`crate::stats::windowed`]).
@@ -140,9 +143,8 @@ pub const SCREEN_SLO_MS: f64 = 10.0;
 /// generator that cannot keep its schedule trips it.
 pub const LATE_LIMIT_MS: f64 = 10.0;
 
-/// Pool of single contracts the screening workload draws from, in
-/// backfill batches' worth (so 32 × 64 contracts).
-const SCREEN_POOL_BATCHES: usize = 32;
+/// Single contracts in the pool the screening workload draws from.
+const SCREEN_POOL: usize = 2048;
 
 /// Share of the run spent in the headline phase, each ladder rung above
 /// the headline rate, and the closed-loop saturation phase.
@@ -162,7 +164,7 @@ pub struct ScreenInputs {
 
 /// Generates the screening inputs for a run of `seconds`.
 pub fn screen_inputs(seed: u64, seconds: f64) -> ScreenInputs {
-    let pool = load::pool(seed, SCREEN_POOL_BATCHES);
+    let pool = load::pool(seed, SCREEN_POOL);
     let arrivals = load::poisson_arrivals(seed, SCREEN_RATE, seconds * HEADLINE_SHARE);
     let pick = load::picks(seed, pool.len(), arrivals.len());
     ScreenInputs {
@@ -227,9 +229,14 @@ pub fn wallet_screen(
         .iter()
         .map(|c| client::render("POST", "/predict", load::predict_body(c).as_bytes()))
         .collect();
-    let (server, setups) = replica::spawn_measured(server_bin, &prep.publish_dir, SETUP_SPAWNS)
-        .map_err(|e| format!("replica: {e}"))?;
-    let setup = SetupInfo::read(&server, &setups)?;
+    let server =
+        Replica::spawn(server_bin, &prep.publish_dir).map_err(|e| format!("replica: {e}"))?;
+    let probe = SetupProbe::start(
+        server_bin,
+        &prep.publish_dir,
+        SETUP_SPAWNS,
+        Duration::from_secs_f64(seconds),
+    );
     let conns = load_conns();
     let (cpu0, steal) = (server.cpu_seconds(), replica::StealMeter::start());
 
@@ -243,7 +250,8 @@ pub fn wallet_screen(
         &inputs.pick,
         &requests,
         None,
-    );
+    )
+    .0;
     let cpu_us = (server.cpu_seconds() - cpu0) * 1e6 / headline.len().max(1) as f64;
     let head_tally = tally_singles(&headline, |e| inputs.pick[e.seq], &expected);
     let mut total = head_tally;
@@ -260,7 +268,7 @@ pub fn wallet_screen(
             let rung_seed = seed ^ ((r as u64) << 32);
             let arrivals = load::poisson_arrivals(rung_seed, rate, seconds * RUNG_SHARE);
             let pick = load::picks(rung_seed, codes.len(), arrivals.len());
-            let ex = open_loop(server.addr, conns, &arrivals, &pick, &requests, None);
+            let ex = open_loop(server.addr, conns, &arrivals, &pick, &requests, None).0;
             let t = tally_singles(&ex, |e| pick[e.seq], &expected);
             total.attempted += t.attempted;
             total.failed += t.failed;
@@ -300,6 +308,7 @@ pub fn wallet_screen(
 
     let rss = server.peak_rss_mb();
     let steal = steal.share();
+    let setup = SetupInfo::read(&server, &probe.finish()?.0)?;
     server.stop();
 
     let summary = Summary::of(&head_lat).ok_or("too few headline requests")?;
@@ -363,7 +372,7 @@ pub const BACKFILL_BATCHES: usize = 64;
 pub const BACKFILL_CONNS: usize = 1;
 
 /// `chain_backfill`: closed-loop `/predict_batch` of [`load::BATCH`]
-/// mainnet-mix contracts per request.
+/// corpus-mix contracts per request.
 pub fn chain_backfill(
     server_bin: &Path,
     work: &Path,
@@ -390,9 +399,14 @@ pub fn chain_backfill(
             client::render("POST", "/predict_batch", body.as_bytes())
         })
         .collect();
-    let (server, setups) = replica::spawn_measured(server_bin, &prep.publish_dir, SETUP_SPAWNS)
-        .map_err(|e| format!("replica: {e}"))?;
-    let setup = SetupInfo::read(&server, &setups)?;
+    let server =
+        Replica::spawn(server_bin, &prep.publish_dir).map_err(|e| format!("replica: {e}"))?;
+    let probe = SetupProbe::start(
+        server_bin,
+        &prep.publish_dir,
+        SETUP_SPAWNS,
+        Duration::from_secs_f64(seconds),
+    );
 
     let order = load::rounds(seed, batches.len(), 64);
     let (cpu0, steal) = (server.cpu_seconds(), replica::StealMeter::start());
@@ -400,6 +414,7 @@ pub fn chain_backfill(
     let rss = server.peak_rss_mb();
     let cpu = server.cpu_seconds() - cpu0;
     let steal = steal.share();
+    let setup = SetupInfo::read(&server, &probe.finish()?.0)?;
     server.stop();
 
     let mut tally = Tally::default();

@@ -1,5 +1,5 @@
 //! Summary statistics shared by every workload: the tail-percentile rule,
-//! medians and quartiles, verdict AUC and span self-time arithmetic.
+//! medians, verdict AUC and span self-time arithmetic.
 
 /// Percentiles a latency summary may report, lowest first.
 pub const PERCENTILES: [f64; 5] = [50.0, 75.0, 90.0, 99.0, 99.9];
@@ -47,28 +47,6 @@ pub fn median(values: &[f64]) -> f64 {
     } else {
         (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
     }
-}
-
-/// The interquartile distance as a share of the median, with quartiles
-/// taken as Python's `statistics.quantiles(values, n=4)` (the default
-/// "exclusive" method) computes them.
-///
-/// # Panics
-///
-/// Panics on fewer than two values.
-pub fn quartile_spread(values: &[f64]) -> f64 {
-    assert!(values.len() >= 2, "quartiles need two values");
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let ld = sorted.len();
-    let quartile = |i: usize| {
-        // The exclusive method's exact integer arithmetic, n = 4.
-        let m = ld + 1;
-        let j = (i * m / 4).clamp(1, ld - 1);
-        let delta = (i * m) as f64 - (j * 4) as f64;
-        (sorted[j - 1] * (4.0 - delta) + sorted[j] * delta) / 4.0
-    };
-    (quartile(3) - quartile(1)) / median(values)
 }
 
 /// Latency summary of one sample set: count, median and the tail

@@ -26,7 +26,7 @@ use crate::adapt::{ingest_config, journal_cycle};
 use crate::client::{healthz, render, Conn};
 use crate::drive::open_loop;
 use crate::load::{self, Contract};
-use crate::replica::Replica;
+use crate::replica::{Replica, SetupSample};
 use crate::report::SetupInfo;
 use crate::serving::{self, screen_inputs, SCREEN_RATE};
 use crate::stats::{median, percentile, self_time_by_name, self_times_ns, Span};
@@ -362,6 +362,19 @@ fn stage_split(
         screened,
         escalated,
     }
+}
+
+/// Decodes per contract on the path a replica's queue workers run:
+/// `ModelSlot::score_many` → `CascadeDetector::score_many`, untraced, on
+/// the same batches. Nothing else decodes while it runs.
+fn program_decodes_per_contract(cascade: &Arc<CascadeDetector>, batches: &[Vec<Bytecode>]) -> f64 {
+    let slot = ModelSlot::new(Arc::clone(cascade), 0);
+    let before = decode_count();
+    let contracts: usize = batches
+        .iter()
+        .map(|codes| slot.score_many(codes).len())
+        .sum();
+    (decode_count() - before) as f64 / contracts as f64
 }
 
 /// `TokensTruncate` → `tokens_truncate`.
@@ -707,6 +720,7 @@ pub fn run(
     }
     let split = stage_split(&prep.cascade, &encoders, &chunks);
     let split_total: f64 = split.parts.iter().sum();
+    let program_decodes = program_decodes_per_contract(&prep.cascade, &chunks);
 
     // Per-pass serving figures; medians across passes.
     let mut per: std::collections::BTreeMap<&'static str, Vec<f64>> = Default::default();
@@ -812,7 +826,13 @@ pub fn run(
 
     let replica =
         Replica::spawn(server_bin, &served.publish_dir).map_err(|e| format!("replica: {e}"))?;
-    let info = SetupInfo::read(&replica, &[replica.setup.as_secs_f64()])?;
+    let info = SetupInfo::read(
+        &replica,
+        &[SetupSample {
+            cpu_s: replica.setup_cpu_s,
+            wall_s: replica.setup.as_secs_f64(),
+        }],
+    )?;
     let lags: Vec<f64> = (0..5)
         .map(|_| watch_lag_ms(&replica, &served.publish_dir, &artifact_bytes))
         .collect::<Result<_, _>>()?;
@@ -829,7 +849,8 @@ pub fn run(
         &pick,
         &single_requests,
         None,
-    );
+    )
+    .0;
     replica.stop();
     let late_ms: Vec<f64> = late.iter().map(|e| e.late_s * 1e3).collect();
 
@@ -841,7 +862,7 @@ pub fn run(
             "serve.queue.batch_size_p50" => percentile(&sizes, 50.0),
             "serve.queue.batches" => first.batches as f64,
             "serve.swap.install_us" => install_us,
-            "evm.decodes_per_contract" => first.decodes as f64 / first.contracts as f64,
+            "evm.decodes_per_contract" => program_decodes,
             "core.cascade.escalation_ratio" => split.escalated as f64 / split.screened as f64,
             "artifact.open_ms" => open_ms,
             "artifact.decode_ms" => decode_ms,
@@ -858,7 +879,7 @@ pub fn run(
         .map(|(&(name, unit), v)| (name, v, unit))
         .collect();
     let value = |n: &str| metrics.iter().find(|m| m.0 == n).map_or(f64::NAN, |m| m.1);
-    let decodes = value("evm.decodes_per_contract");
+    let replay_decodes = first.decodes as f64 / first.contracts as f64;
     let cov = value("trace.coverage");
     let mut findings = vec![
         format!(
@@ -885,10 +906,16 @@ pub fn run(
     ));
     Ok(Traced {
         metrics,
-        checks: vec![(
-            format!("evm.decodes_per_contract == 1.0 (got {decodes})"),
-            decodes == 1.0,
-        )],
+        checks: vec![
+            (
+                format!("evm.decodes_per_contract == 1.0 on the replica's scoring path (got {program_decodes})"),
+                program_decodes == 1.0,
+            ),
+            (
+                format!("one decode per contract in the traced replay (got {replay_decodes})"),
+                replay_decodes == 1.0,
+            ),
+        ],
         findings,
     })
 }
