@@ -76,7 +76,7 @@ impl Deployments {
     }
 
     /// The next deployment.
-    pub fn next_deployment(&mut self) -> SynthContract {
+    fn next_deployment(&mut self) -> SynthContract {
         while self.pending.is_empty() {
             let corpus_seed = self
                 .seed
@@ -89,7 +89,7 @@ impl Deployments {
     }
 
     /// The next deployment, labelled by its family's ground truth.
-    pub fn next_contract(&mut self) -> Contract {
+    fn next_contract(&mut self) -> Contract {
         let d = self.next_deployment();
         Contract {
             code: d.bytecode,

@@ -225,8 +225,11 @@ pub struct SetupSample {
 /// burst, their median follows whatever the host did in that second.
 pub struct SetupProbe {
     stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<std::io::Result<(Vec<SetupSample>, f64)>>>,
+    thread: Option<std::thread::JoinHandle<ProbeResult>>,
 }
+
+/// Every spawn's set-up and the probe thread's own CPU seconds.
+type ProbeResult = std::io::Result<(Vec<SetupSample>, f64)>;
 
 impl SetupProbe {
     /// Starts sampling; the first spawn is immediate, the last due just

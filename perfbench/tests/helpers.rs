@@ -1,5 +1,6 @@
 //! Tests of the benchmark's own helpers: the tail-percentile rule,
-//! tie-aware AUC, self-time arithmetic, and the seed-determinism of the arrival schedule and the contract mix.
+//! tie-aware AUC, self-time arithmetic, and the seed-determinism of the
+//! arrival schedule and the contract mix.
 
 use perfbench::load;
 use perfbench::stats::{
