@@ -61,7 +61,7 @@ fn run_harness() -> HarnessRun {
     let first = publisher
         .publish(initial.to_bytes())
         .expect("publish baseline");
-    let server = Server::start_with_generation(
+    let server = Server::start(
         Arc::clone(&initial),
         first.generation,
         "127.0.0.1:0",

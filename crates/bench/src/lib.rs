@@ -1,11 +1,11 @@
 //! Shared harness for the table/figure regeneration binaries.
 //!
 //! Every binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation section (see `DESIGN.md` §3) and accepts a `--quick` flag that
-//! scales the corpus and model budgets down to CI size. Without the flag, a
-//! laptop-scale "full" run is performed — larger than `--quick`, still far
-//! below the paper's GPU cluster budget, which is why `EXPERIMENTS.md`
-//! compares *shapes*, not absolute values.
+//! evaluation section and accepts a `--quick` flag that scales the corpus
+//! and model budgets down to CI size. Without the flag, a laptop-scale
+//! "full" run is performed — larger than `--quick`, still far below the
+//! paper's GPU cluster budget, so the outputs reproduce the paper's
+//! *shapes*, not its absolute values.
 
 pub mod json;
 

@@ -3,9 +3,9 @@
 //! [`Bytecode`] is the unit the whole pipeline operates on — what the paper's
 //! bytecode extraction module (BEM) pulls from the chain via `eth_getCode`.
 
-use bytes::Bytes;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error produced when parsing a hex string into [`Bytecode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,11 +54,11 @@ impl Error for ParseBytecodeError {}
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Bytecode(Bytes);
+pub struct Bytecode(Arc<[u8]>);
 
 impl Bytecode {
     /// Creates bytecode from raw bytes.
-    pub fn new(bytes: impl Into<Bytes>) -> Self {
+    pub fn new(bytes: impl Into<Arc<[u8]>>) -> Self {
         Bytecode(bytes.into())
     }
 
@@ -88,7 +88,7 @@ impl Bytecode {
             })?;
             out.push((hi << 4) | lo);
         }
-        Ok(Bytecode(Bytes::from(out)))
+        Ok(Bytecode(out.into()))
     }
 
     /// Returns the bytecode as a byte slice.
@@ -151,13 +151,13 @@ impl fmt::Display for Bytecode {
 
 impl From<Vec<u8>> for Bytecode {
     fn from(v: Vec<u8>) -> Self {
-        Bytecode(Bytes::from(v))
+        Bytecode(v.into())
     }
 }
 
 impl From<&[u8]> for Bytecode {
     fn from(v: &[u8]) -> Self {
-        Bytecode(Bytes::copy_from_slice(v))
+        Bytecode(v.into())
     }
 }
 

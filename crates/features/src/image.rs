@@ -8,7 +8,7 @@
 //! The paper fine-tunes an ImageNet-pretrained ViT-B/16 on 224×224 inputs;
 //! our CPU-trained small ViT uses a configurable side (32 by default), which
 //! preserves the encoding — consecutive byte triplets become pixels, row
-//! major, zero padded — at a tractable resolution (see DESIGN.md §4).
+//! major, zero padded — at a tractable resolution.
 //!
 //! The encoder is stateless and reads the raw bytes of the shared
 //! [`DisasmCache`]; it needs no disassembly of its own.

@@ -159,7 +159,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Publish generation 1 and serve it.
     let mut publisher = ArtifactPublisher::open(work_dir.join("artifacts"))?;
     let first = publisher.publish(initial.to_bytes())?;
-    let server = Server::start_with_generation(
+    let server = Server::start(
         Arc::clone(&initial),
         first.generation,
         "127.0.0.1:0",

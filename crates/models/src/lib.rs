@@ -10,11 +10,11 @@
 //! * [`EscortNet`] — multi-branch DNN with a transfer-learning phase
 //!   (frozen trunk), reproducing the VDM's failure mode on phishing.
 //!
-//! Every model is a faithful *small* configuration of its namesake (see
-//! DESIGN.md §4): the paper fine-tunes ImageNet-pretrained ViT-B/16 and
-//! HuggingFace GPT-2/T5 checkpoints on GPUs; we train the same architectures
-//! at reduced width/depth from scratch on CPU, preserving the inductive
-//! biases the comparison is about.
+//! Every model is a faithful *small* configuration of its namesake: the
+//! paper fine-tunes ImageNet-pretrained ViT-B/16 and HuggingFace GPT-2/T5
+//! checkpoints on GPUs; we train the same architectures at reduced
+//! width/depth from scratch on CPU, preserving the inductive biases the
+//! comparison is about.
 //!
 //! All six deep models — and, through the [`DenseClassifier`] adapter, the
 //! classical classifiers of `phishinghook_ml` — implement the unified

@@ -51,8 +51,7 @@ pub struct HealthSnapshot {
     pub last_error: Option<String>,
     /// Artifact reloads attempted.
     pub reload_attempts: u64,
-    /// Artifact reloads that failed (validation, decode, or engine
-    /// mismatch).
+    /// Artifact reloads that failed (validation or decode).
     pub reload_failures: u64,
     /// Scoring-worker panics absorbed.
     pub worker_panics: u64,
@@ -132,8 +131,8 @@ impl HealthState {
         self.reload_attempts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// An artifact reload failed (invalid candidate, decode error, or
-    /// engine mismatch). Extends the reload streak.
+    /// An artifact reload failed (invalid candidate or decode error).
+    /// Extends the reload streak.
     pub fn record_reload_failure(&self, message: &str) {
         self.reload_failures.fetch_add(1, Ordering::Relaxed);
         self.update(|s| {

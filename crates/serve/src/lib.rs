@@ -17,7 +17,7 @@
 //!                      │ time-boxed by PHISHINGHOOK_BATCH_WAIT_US
 //!                      ▼
 //!         warm worker pool ──► CodeScorer::score_many (one batched call)
-//!                      │           (all workers share one Arc'd detector
+//!                      │           (all workers share one Arc'd model
 //!                      ▼            decoded from one OwnedArtifact buffer)
 //!             per-request reply slots ──► http::write_response
 //! ```
@@ -30,18 +30,19 @@
 //! `PHISHINGHOOK_MAX_BATCH`, `PHISHINGHOOK_BATCH_WAIT_US`,
 //! `PHISHINGHOOK_QUEUE_CAP`, `PHISHINGHOOK_SERVE_WORKERS`.
 //!
-//! The same front also serves a two-stage **cascade**
-//! ([`server::Server::start_cascade`]): the slot then holds a
+//! The slot holds a [`ServedModel`]: a flat
+//! [`Detector`](phishinghook::Detector) or a two-stage
 //! [`CascadeDetector`](phishinghook::CascadeDetector) — cheap calibrated
-//! screen, uncertainty-band routing, deep confirmer — behind the very
-//! same queue, and `GET /healthz` reports the screened/escalated routing
-//! counters. Because both stages live in one `Arc`, a hot swap
-//! ([`swap::ModelSlot`], now generic over the scorer) replaces the whole
-//! cascade atomically: no request can pair stages from different
-//! generations.
+//! screen, uncertainty-band routing, deep confirmer. Either way the
+//! queue yields one [`CascadeVerdict`](phishinghook::CascadeVerdict) per
+//! contract (a flat model's never escalates), so every route has one
+//! reply shape and `GET /healthz` reports the routing counters for any
+//! model. A hot swap ([`swap::ModelSlot`]) replaces the whole model
+//! atomically — no request can pair cascade stages from different
+//! generations — and may change its kind.
 //!
 //! The `phishinghook-served` binary wraps [`server::Server`] around an
-//! artifact path (sniffing cascade vs. flat artifacts by section);
+//! artifact path or a publish directory;
 //! [`server::Server::start`] is the embeddable form used by the tests,
 //! benches, and the `serve_and_query` example.
 
@@ -57,4 +58,4 @@ pub use http::{Limits, Request};
 pub use queue::{MicroBatcher, QueueConfig, QueueHooks, QueueStats, SubmitError};
 pub use reload::{ArtifactWatchLoop, ReloadConfig, DEFAULT_RELOAD_RETRIES};
 pub use server::{Server, ServerConfig};
-pub use swap::ModelSlot;
+pub use swap::{ModelSlot, ServedModel};

@@ -3,13 +3,13 @@
 //!
 //! [`ArtifactWatchLoop::spawn`] starts one thread that polls the
 //! directory through [`ArtifactWatcher`] (full checksum validation before
-//! any swap), decodes each validated generation into the server's engine
-//! type (flat detector or cascade — a mismatch is a reload failure, never
-//! a panic), and hot-swaps it into the live slot. Every attempt, failure
-//! and success is recorded on the server's [`HealthState`]: a streak of
-//! failed reloads trips the breaker and `/healthz` goes `"degraded"`
-//! while the replica keeps serving its last good generation; a later
-//! clean install recovers it.
+//! any swap), decodes each validated generation — a flat detector or a
+//! cascade, whichever it holds; a decode error is a reload failure, never
+//! a panic — and hot-swaps it into the live slot. Every attempt, failure
+//! and success is recorded on the server's
+//! [`HealthState`](crate::HealthState): a streak of failed reloads trips
+//! the breaker and `/healthz` goes `"degraded"` while the replica keeps
+//! serving its last good generation; a later clean install recovers it.
 //!
 //! Retries against a persistently invalid publish are bounded
 //! (`PHISHINGHOOK_RELOAD_RETRIES`, default 5): past the bound the loop
@@ -19,8 +19,7 @@
 //! takes the replica down.
 
 use crate::server::Server;
-use crate::swap::ModelSlot;
-use phishinghook::{CascadeDetector, Detector};
+use crate::swap::{ModelSlot, ServedModel};
 use phishinghook_artifact::watch::{ArtifactWatcher, ValidArtifact, WatchConfig, WatchOutcome};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -67,39 +66,15 @@ impl ReloadConfig {
     }
 }
 
-/// The engine-typed install handle the loop swaps into (crate-internal;
-/// obtained from [`Server::slot_target`]).
-pub(crate) enum SlotTarget {
-    /// A flat single-detector server.
-    Single(Arc<ModelSlot>),
-    /// A cascade server.
-    Cascade(Arc<ModelSlot<CascadeDetector>>),
-}
-
-/// Decodes a validated artifact into the engine's scorer type and swaps
-/// it in. Any decode error — including an engine/artifact kind mismatch —
-/// is a reload failure, and a panicking decoder is absorbed, not fatal.
-fn apply(target: &SlotTarget, valid: &ValidArtifact) -> Result<(), String> {
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match target {
-        SlotTarget::Single(slot) => {
-            if valid.artifact.section("cascade").is_ok() {
-                return Err("cascade artifact offered to a flat-detector server".to_string());
-            }
-            let detector = Detector::from_artifact(&valid.artifact).map_err(|e| e.to_string())?;
-            slot.install(Arc::new(detector), valid.generation);
-            Ok(())
-        }
-        SlotTarget::Cascade(slot) => {
-            let cascade =
-                CascadeDetector::from_artifact(&valid.artifact).map_err(|e| e.to_string())?;
-            slot.install(Arc::new(cascade), valid.generation);
-            Ok(())
-        }
-    }));
-    match outcome {
-        Ok(result) => result,
-        Err(_) => Err("artifact decoder panicked".to_string()),
-    }
+/// Decodes a validated artifact — flat or cascade, whichever it holds —
+/// and swaps it in. Any decode error is a reload failure, and a
+/// panicking decoder is absorbed, not fatal.
+fn apply(slot: &ModelSlot, valid: &ValidArtifact) -> Result<(), String> {
+    let decoded = std::panic::catch_unwind(|| ServedModel::from_artifact(&valid.artifact))
+        .map_err(|_| "artifact decoder panicked".to_string())?;
+    let model = decoded.map_err(|e| e.to_string())?;
+    slot.install(Arc::new(model), valid.generation);
+    Ok(())
 }
 
 /// A running background reload loop; stopping (or dropping) it joins the
@@ -123,7 +98,7 @@ impl ArtifactWatchLoop {
         config: ReloadConfig,
     ) -> std::io::Result<ArtifactWatchLoop> {
         let dir = dir.as_ref().to_path_buf();
-        let target = server.slot_target();
+        let slot = server.slot();
         let health = server.health();
         let installed = server.generation();
         let stop = Arc::new(AtomicBool::new(false));
@@ -143,7 +118,7 @@ impl ArtifactWatchLoop {
                         WatchOutcome::Unchanged => {}
                         WatchOutcome::Installed(valid) => {
                             health.record_reload_attempt();
-                            match apply(&target, valid) {
+                            match apply(&slot, valid) {
                                 Ok(()) => health.record_reload_success(),
                                 Err(msg) => health.record_reload_failure(&format!(
                                     "generation {}: {msg}",

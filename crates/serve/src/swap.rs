@@ -1,7 +1,8 @@
 //! The artifact hot-swap seam: a generation-counted slot the queue
-//! workers score through, swappable under a live server.
+//! workers score through, swappable under a live server, and the one
+//! model type every server fronts.
 //!
-//! A [`ModelSlot`] holds the live `Arc<Detector>` plus its artifact
+//! A [`ModelSlot`] holds the live model `Arc` plus its artifact
 //! generation behind one lock. Queue workers implement their batched
 //! scoring through the slot's [`CodeScorer`] impl, which **snapshots the
 //! `Arc` once per batch**: a concurrent [`ModelSlot::install`] swaps the
@@ -9,25 +10,145 @@
 //! on the model it started with — no torn batches, no dropped requests,
 //! and bit-parity with solo scoring within each generation.
 //!
+//! [`ServedModel`] is what a server's slot holds: a flat [`Detector`] or
+//! a two-stage [`CascadeDetector`]. It is the only place in the crate
+//! that tells the two apart; everything above it sees one scorer whose
+//! output is always a [`CascadeVerdict`].
+//!
 //! The rolling-retrain loop in `phishinghook-ingest` drives this seam:
 //! republish the artifact atomically on disk, decode it, then
 //! [`Server::install`](crate::Server::install) the new generation here.
 
-use phishinghook::{CodeScorer, Detector};
+use phishinghook::{
+    ArtifactError, CascadeDetector, CascadeVerdict, CodeScorer, Detector, StageScore,
+};
+use phishinghook_artifact::OwnedArtifact;
 use phishinghook_evm::Bytecode;
+use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A swappable, generation-counted scorer slot shared by the serving
-/// queue and the retrain loop.
+/// The model a server fronts: a flat detector or a two-stage cascade.
 ///
-/// Generic over the scorer (defaulting to the flat [`Detector`]), which
-/// is what makes cascade hot swap atomic for free: a
-/// `ModelSlot<CascadeDetector>` holds *both* cascade stages behind one
-/// `Arc`, so an install replaces screen and confirmer in the same swap —
-/// no request can ever observe a stage-1 from one generation paired with
-/// a stage-2 from another.
-pub struct ModelSlot<S: CodeScorer = Detector> {
+/// Both stages of a cascade live behind one `Arc`, so installing a
+/// `ServedModel` replaces screen and confirmer in the same swap — no
+/// request can observe a stage 1 from one generation paired with a
+/// stage 2 from another. A swap may also change the kind: a replica
+/// follows a publish directory through flat and cascade generations
+/// alike.
+pub enum ServedModel {
+    /// A flat single-model detector.
+    Flat(Arc<Detector>),
+    /// A cheap calibrated screen routing uncertain contracts to a deep
+    /// confirmer.
+    Cascade(Arc<CascadeDetector>),
+}
+
+impl ServedModel {
+    /// Decodes a validated artifact: a container with a `cascade`
+    /// section is a cascade, anything else a flat detector.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Detector::from_artifact`] or
+    /// [`CascadeDetector::from_artifact`] rejects.
+    pub fn from_artifact(artifact: &OwnedArtifact) -> Result<ServedModel, ArtifactError> {
+        Ok(if artifact.section("cascade").is_ok() {
+            ServedModel::Cascade(Arc::new(CascadeDetector::from_artifact(artifact)?))
+        } else {
+            ServedModel::Flat(Arc::new(Detector::from_artifact(artifact)?))
+        })
+    }
+
+    /// The `"model"` label of replies and `/healthz`: the kind id of a
+    /// flat model, `"cascade"` for a cascade.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ServedModel::Flat(detector) => detector.kind().id(),
+            ServedModel::Cascade(_) => "cascade",
+        }
+    }
+
+    /// The kind ids of the screening stage and, for a cascade, the
+    /// confirming stage — the identity `/healthz` reports. A flat model
+    /// is its own screen.
+    pub fn stage_ids(&self) -> (&'static str, Option<&'static str>) {
+        match self {
+            ServedModel::Flat(detector) => (detector.kind().id(), None),
+            ServedModel::Cascade(cascade) => (
+                cascade.screen().kind().id(),
+                Some(cascade.confirm().kind().id()),
+            ),
+        }
+    }
+}
+
+impl From<Arc<Detector>> for ServedModel {
+    fn from(detector: Arc<Detector>) -> Self {
+        ServedModel::Flat(detector)
+    }
+}
+
+impl From<Arc<CascadeDetector>> for ServedModel {
+    fn from(cascade: Arc<CascadeDetector>) -> Self {
+        ServedModel::Cascade(cascade)
+    }
+}
+
+/// The one-line description a startup banner prints.
+impl fmt::Display for ServedModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServedModel::Flat(detector) => {
+                write!(f, "{} ({})", detector.kind().name(), detector.kind().id())
+            }
+            ServedModel::Cascade(cascade) => write!(
+                f,
+                "cascade {} → {} (band [{:.3}, {:.3}], budget {:.0}%)",
+                cascade.screen().kind().id(),
+                cascade.confirm().kind().id(),
+                cascade.band().0,
+                cascade.band().1,
+                cascade.escalate_budget() * 100.0
+            ),
+        }
+    }
+}
+
+impl CodeScorer for ServedModel {
+    type Output = CascadeVerdict;
+
+    /// A cascade answers with its own verdicts. A flat detector's raw
+    /// score becomes a never-escalated verdict whose probability is that
+    /// score bit for bit.
+    fn score_many(&self, codes: &[Bytecode]) -> Vec<CascadeVerdict> {
+        match self {
+            ServedModel::Flat(detector) => {
+                let kind = detector.kind();
+                detector
+                    .score_codes(codes)
+                    .into_iter()
+                    .map(|raw| CascadeVerdict {
+                        probability: raw,
+                        escalated: false,
+                        screen: StageScore {
+                            kind,
+                            raw,
+                            calibrated: raw,
+                        },
+                        confirm: None,
+                    })
+                    .collect()
+            }
+            ServedModel::Cascade(cascade) => cascade.score_codes(codes),
+        }
+    }
+}
+
+/// A swappable, generation-counted scorer slot shared by the serving
+/// queue and the retrain loop. Generic over the scorer; a server's slot
+/// holds a [`ServedModel`].
+pub struct ModelSlot<S: CodeScorer = ServedModel> {
     /// The live model and its generation, swapped together so a reader
     /// never pairs a new model with an old generation number.
     live: Mutex<(Arc<S>, u64)>,
@@ -53,7 +174,7 @@ impl<S: CodeScorer> ModelSlot<S> {
     }
 
     /// The live scorer.
-    pub fn detector(&self) -> Arc<S> {
+    pub fn model(&self) -> Arc<S> {
         self.snapshot().0
     }
 
@@ -85,7 +206,7 @@ impl<S: CodeScorer> CodeScorer for ModelSlot<S> {
     /// swap seam's whole contract is that this `Arc` is read exactly once
     /// per batch.
     fn score_many(&self, codes: &[Bytecode]) -> Vec<S::Output> {
-        self.detector().score_many(codes)
+        self.model().score_many(codes)
     }
 }
 
@@ -110,7 +231,7 @@ mod tests {
         let second = trained(ModelKind::RandomForest, 42);
         let slot = ModelSlot::new(Arc::clone(&first), 1);
         assert_eq!(slot.generation(), 1);
-        assert_eq!(slot.detector().kind(), first.kind());
+        assert_eq!(slot.model().kind(), first.kind());
 
         let old = slot.install(Arc::clone(&second), 2);
         assert_eq!(old, 1);

@@ -132,7 +132,7 @@ fn corrupt_publish_degrades_then_recovers_without_rollback() {
     // fast cadence and a small retry bound.
     let artifact = OwnedArtifact::open(&gen1.path).expect("open gen 1");
     let detector = Arc::new(Detector::from_artifact(&artifact).expect("decode gen 1"));
-    let server = Server::start_with_generation(
+    let server = Server::start(
         Arc::clone(&detector),
         1,
         "127.0.0.1:0",

@@ -107,6 +107,7 @@ fn served_scores_match_the_detector_bit_for_bit() {
 
     let server = Server::start(
         Arc::clone(&detector),
+        0,
         "127.0.0.1:0",
         ServerConfig {
             queue: QueueConfig {

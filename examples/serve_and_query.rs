@@ -123,7 +123,7 @@ fn main() {
         queue: QueueConfig::from_env(),
         ..ServerConfig::default()
     };
-    let server = Server::start(Arc::clone(&detector), "127.0.0.1:0", cfg).expect("start server");
+    let server = Server::start(Arc::clone(&detector), 0, "127.0.0.1:0", cfg).expect("start server");
     let addr = server.local_addr();
     println!(
         "[serve] listening on http://{addr} (max_batch={}, batch_wait={}us, workers={})",

@@ -2,14 +2,20 @@
 //! bit-matches the standalone stages, batch composition never changes a
 //! verdict, escalation rate tracks the configured budget across random
 //! corpora, the hot-swap seam never pairs stages from different
-//! generations, and the HTTP front serves cascade verdicts + routing
-//! counters end to end.
+//! generations, the HTTP front serves cascade verdicts + routing
+//! counters end to end, and a watching replica follows a publish
+//! directory across flat and cascade generations.
 
 use phishinghook::json::Value;
 use phishinghook::prelude::*;
+use phishinghook::retry::RetryPolicy;
 use phishinghook::{CascadeVerdict, EvalProfile};
+use phishinghook_artifact::watch::WatchConfig;
+use phishinghook_artifact::ArtifactPublisher;
 use phishinghook_evm::Bytecode;
-use phishinghook_serve::{MicroBatcher, ModelSlot, QueueConfig, Server, ServerConfig};
+use phishinghook_serve::{
+    ArtifactWatchLoop, MicroBatcher, ModelSlot, QueueConfig, ReloadConfig, Server, ServerConfig,
+};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -361,8 +367,13 @@ fn json_str(doc: &Value, field: &str) -> String {
 fn cascade_http_server_serves_verdicts_and_routing_counters() {
     let ctx = context(42);
     let gen_a = Arc::new(forest_logreg_cascade(&ctx, 7));
-    let server =
-        Server::start_cascade(Arc::clone(&gen_a), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let server = Server::start(
+        Arc::clone(&gen_a),
+        0,
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .unwrap();
     let addr = server.local_addr();
     let codes = fresh_codes(81, 8);
     let expected: Vec<CascadeVerdict> = gen_a.score_codes(&codes);
@@ -422,7 +433,7 @@ fn cascade_http_server_serves_verdicts_and_routing_counters() {
     // the same verdicts the clients saw.
     let expected_up =
         u64::from(expected[0].escalated) + expected.iter().filter(|v| v.escalated).count() as u64;
-    let (screened, escalated) = server.cascade_counters();
+    let (screened, escalated) = server.routing_counters();
     assert_eq!(screened, 1 + codes.len() as u64);
     assert_eq!(escalated, expected_up);
     let (_, body) = get(addr, "/healthz");
@@ -445,7 +456,7 @@ fn cascade_http_server_serves_verdicts_and_routing_counters() {
         11,
     ));
     let expected_b = gen_b.score_code(&codes[0]);
-    assert_eq!(server.install_cascade(Arc::clone(&gen_b), 2), 0);
+    assert_eq!(server.install(Arc::clone(&gen_b), 2), 0);
     assert_eq!(server.generation(), 2);
     let (status, body) = post(
         addr,
@@ -458,7 +469,7 @@ fn cascade_http_server_serves_verdicts_and_routing_counters() {
         (json_num(&reply, "probability") as f32).to_bits(),
         expected_b.probability.to_bits()
     );
-    let (screened_after, _) = server.cascade_counters();
+    let (screened_after, _) = server.routing_counters();
     assert_eq!(screened_after, screened + 1, "counters must survive swaps");
     let (_, body) = get(addr, "/healthz");
     let health = parse_json(&body);
@@ -467,4 +478,145 @@ fn cascade_http_server_serves_verdicts_and_routing_counters() {
     assert_eq!(json_num(&health, "generation"), 2.0);
 
     server.shutdown();
+}
+
+/// `/predict` and `/predict_batch` over `codes` must return `want`
+/// bit-for-bit (probability and escalated flag) under `label`.
+fn assert_served(addr: SocketAddr, label: &str, codes: &[Bytecode], want: &[CascadeVerdict]) {
+    let (status, body) = post(
+        addr,
+        "/predict",
+        &format!("{{\"bytecode\":\"{}\"}}", codes[0].to_hex()),
+    );
+    assert_eq!(status, 200, "{body}");
+    let reply = parse_json(&body);
+    assert_eq!(json_str(&reply, "model"), label);
+    assert_eq!(
+        (json_num(&reply, "probability") as f32).to_bits(),
+        want[0].probability.to_bits()
+    );
+    assert_eq!(json_bool(&reply, "escalated"), want[0].escalated);
+
+    let contracts: Vec<String> = codes
+        .iter()
+        .map(|c| format!("\"{}\"", c.to_hex()))
+        .collect();
+    let (status, body) = post(
+        addr,
+        "/predict_batch",
+        &format!("{{\"contracts\":[{}]}}", contracts.join(",")),
+    );
+    assert_eq!(status, 200, "{body}");
+    let reply = parse_json(&body);
+    assert_eq!(json_str(&reply, "model"), label);
+    let probs = reply.get("probabilities").and_then(Value::as_arr).unwrap();
+    let escalated = reply.get("escalated").and_then(Value::as_arr).unwrap();
+    for (i, v) in want.iter().enumerate() {
+        assert_eq!(
+            (probs[i].as_f64().unwrap() as f32).to_bits(),
+            v.probability.to_bits()
+        );
+        assert_eq!(escalated[i], Value::Bool(v.escalated));
+    }
+}
+
+/// A flat detector's scores as the verdicts a server answers with: the
+/// raw score bit-for-bit, never escalated.
+fn flat_verdicts(detector: &Detector, codes: &[Bytecode]) -> Vec<CascadeVerdict> {
+    detector
+        .score_codes(codes)
+        .into_iter()
+        .map(|p| CascadeVerdict {
+            probability: p,
+            escalated: false,
+            screen: StageScore {
+                kind: detector.kind(),
+                raw: p,
+                calibrated: p,
+            },
+            confirm: None,
+        })
+        .collect()
+}
+
+#[test]
+fn watching_replica_follows_flat_cascade_flat_generations() {
+    let ctx = context(42);
+    let flat_a = Arc::new(Detector::train(&ctx, ModelKind::LogisticRegression, 7));
+    let cascade = forest_logreg_cascade(&ctx, 7);
+    let flat_b = Detector::train(&ctx, ModelKind::RandomForest, 7);
+    let codes = fresh_codes(82, 8);
+
+    let dir = std::env::temp_dir().join(format!("phk-kind-swap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut publisher = ArtifactPublisher::open(&dir).expect("open publish dir");
+    let first = publisher.publish(flat_a.to_bytes()).expect("publish gen 1");
+    let server = Server::start(
+        Arc::clone(&flat_a),
+        first.generation,
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let reload = ReloadConfig {
+        watch: WatchConfig {
+            poll: Duration::from_millis(20),
+            backoff: RetryPolicy::new(Duration::from_millis(10), Duration::from_millis(80)),
+            seed: 0x5AB,
+        },
+        max_retries: 3,
+    };
+    let watch_loop = ArtifactWatchLoop::spawn(&server, &dir, reload).expect("spawn watch loop");
+
+    // Generation 1, flat: replies carry escalated = false.
+    let want_a = flat_verdicts(&flat_a, &codes);
+    assert_served(addr, "logistic_regression", &codes, &want_a);
+
+    // Generation 2, cascade; generation 3, flat again.
+    let generations: [(&str, Vec<u8>, Vec<CascadeVerdict>); 2] = [
+        ("cascade", cascade.to_bytes(), cascade.score_codes(&codes)),
+        (
+            "random_forest",
+            flat_b.to_bytes(),
+            flat_verdicts(&flat_b, &codes),
+        ),
+    ];
+    for (label, bytes, want) in &generations {
+        let published = publisher.publish(bytes.clone()).expect("publish");
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while server.generation() != published.generation {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "replica never installed generation {}",
+                published.generation
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(server.model().label(), *label);
+        assert_served(addr, label, &codes, want);
+    }
+
+    let (_, body) = get(addr, "/healthz");
+    let health = parse_json(&body);
+    assert_eq!(json_str(&health, "status"), "ok");
+    assert_eq!(json_num(&health, "generation"), 3.0);
+    assert_eq!(json_num(&health, "reload_attempts"), 2.0);
+    assert_eq!(json_num(&health, "reload_failures"), 0.0, "{body}");
+    assert_eq!(health.get("last_error"), Some(&Value::Null));
+    assert_eq!(json_str(&health, "screen_model"), "random_forest");
+    assert_eq!(health.get("confirm_model"), Some(&Value::Null));
+
+    // Every contract served in every generation was counted; only the
+    // cascade generation escalated any.
+    let cascade_up = generations[0].2.iter().filter(|v| v.escalated).count() as u64;
+    let escalated_seen = u64::from(generations[0].2[0].escalated) + cascade_up;
+    assert_eq!(
+        server.routing_counters(),
+        (3 * (1 + codes.len() as u64), escalated_seen)
+    );
+
+    watch_loop.stop();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

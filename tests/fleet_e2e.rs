@@ -121,14 +121,39 @@ impl Drop for Proc {
 }
 
 /// Workspace binaries live two levels above the test executable
-/// (`target/debug/deps/fleet_e2e-…` → `target/debug/<bin>`).
+/// (`target/debug/deps/fleet_e2e-…` → `target/debug/<bin>`). They belong
+/// to other packages, so Cargo does not build them for this test: the
+/// first call builds them with the test's own profile and target dir,
+/// which also keeps an edited daemon from running stale.
 fn bin_path(name: &str) -> PathBuf {
-    std::env::current_exe()
+    static BUILT: std::sync::Once = std::sync::Once::new();
+    let profile_dir = std::env::current_exe()
         .expect("current_exe")
         .parent()
         .and_then(Path::parent)
         .expect("target dir")
-        .join(name)
+        .to_path_buf();
+    BUILT.call_once(|| {
+        let cargo = std::env::var_os("CARGO").unwrap_or_else(|| env!("CARGO").into());
+        let mut cmd = Command::new(cargo);
+        cmd.current_dir(env!("CARGO_MANIFEST_DIR")).args([
+            "build",
+            "-q",
+            "--bins",
+            "-p",
+            "phishinghook-serve",
+            "-p",
+            "phishinghook-ingest",
+        ]);
+        cmd.arg("--target-dir")
+            .arg(profile_dir.parent().expect("target dir"));
+        if profile_dir.file_name().is_some_and(|p| p != "debug") {
+            cmd.arg("--profile").arg(profile_dir.file_name().unwrap());
+        }
+        let status = cmd.status().expect("run cargo build");
+        assert!(status.success(), "building the fleet daemons failed");
+    });
+    profile_dir.join(name)
 }
 
 fn read_response(r: &mut impl BufRead) -> std::io::Result<(u16, String)> {

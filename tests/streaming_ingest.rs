@@ -109,7 +109,7 @@ fn drift_retrain_republish_hot_swap_with_zero_dropped_requests() {
     assert_eq!(first.generation, 1);
 
     let server = Arc::new(
-        Server::start_with_generation(
+        Server::start(
             Arc::clone(&initial),
             first.generation,
             "127.0.0.1:0",
