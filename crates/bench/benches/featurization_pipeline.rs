@@ -19,7 +19,6 @@
 //! if either fast path stops beating its baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use phishinghook::evalstore::ParallelExecutor;
 use phishinghook::par::parallel_map;
 use phishinghook_bench::json::Value;
 use phishinghook_evm::{Bytecode, DisasmCache};
@@ -206,7 +205,7 @@ fn per_trial_pass(codes: &[Bytecode], plan: &[(Vec<usize>, Vec<usize>)]) -> usiz
 /// counted inside the timing — amortization has to beat it.
 fn store_pass(codes: &[Bytecode], plan: &[(Vec<usize>, Vec<usize>)]) -> usize {
     let caches: Vec<DisasmCache> = parallel_map(codes, DisasmCache::build);
-    let store = FeatureStore::build_with(&caches, &store_geometry(), &ParallelExecutor);
+    let store = FeatureStore::build(&caches, &caches, &store_geometry());
     let mut scalars = 0usize;
     for (train_idx, test_idx) in plan {
         for idx in [train_idx, test_idx] {

@@ -31,23 +31,7 @@ use crate::par::parallel_map;
 use phishinghook_artifact::ArtifactError;
 use phishinghook_evm::opcodes::op;
 use phishinghook_evm::{CacheBatch, DisasmCache};
-use phishinghook_features::store::{BatchExecutor, FeatureStore, SpillConfig, StoreConfig};
-use phishinghook_features::FeatureVec;
-
-/// [`BatchExecutor`] backed by the crate's scoped-thread worker pool, so
-/// store construction featurizes in parallel with deterministic row order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParallelExecutor;
-
-impl BatchExecutor for ParallelExecutor {
-    fn encode_batch(
-        &self,
-        caches: &[DisasmCache],
-        encode: &(dyn Fn(&DisasmCache) -> FeatureVec + Sync),
-    ) -> Vec<FeatureVec> {
-        parallel_map(caches, encode)
-    }
-}
+use phishinghook_features::store::{FeatureStore, SpillConfig, StoreConfig, StreamBudget};
 
 /// The geometry slice of an [`EvalProfile`] that shapes the feature store.
 pub fn store_config(profile: &EvalProfile) -> StoreConfig {
@@ -107,14 +91,8 @@ impl EvalContext {
         let caches = CacheBatch::from_caches(data.disasm_batch());
         // DisasmCache clones are cheap (refcounted bytecode + packed op
         // table); the fit subset is materialized once.
-        let fit: Vec<phishinghook_evm::DisasmCache> =
-            fit_idx.iter().map(|&i| caches[i].clone()).collect();
-        let store = FeatureStore::build_fitted_with(
-            caches.as_slice(),
-            &fit,
-            &store_config(profile),
-            &ParallelExecutor,
-        );
+        let fit: Vec<DisasmCache> = fit_idx.iter().map(|&i| caches[i].clone()).collect();
+        let store = FeatureStore::build(caches.as_slice(), &fit, &store_config(profile));
         Self::assemble(caches, data.labels(), store, profile)
     }
 
@@ -134,12 +112,16 @@ impl EvalContext {
         spill: &SpillConfig,
     ) -> Result<Self, ArtifactError> {
         let caches = CacheBatch::from_caches(data.disasm_batch());
-        let store = FeatureStore::build_spilled_with(
+        // One chunk of every row: the same fan-out as the resident build.
+        let budget = StreamBudget {
+            spill: spill.clone(),
+            resident_rows: caches.len(),
+        };
+        let (store, _) = FeatureStore::build_streaming(
             caches.as_slice(),
             caches.as_slice(),
             &store_config(profile),
-            &ParallelExecutor,
-            spill,
+            &budget,
         )?;
         Ok(Self::assemble(caches, data.labels(), store, profile))
     }
@@ -152,7 +134,7 @@ impl EvalContext {
     /// Panics if `labels` and the batch disagree on length.
     pub fn from_caches(caches: CacheBatch, labels: Vec<u8>, profile: &EvalProfile) -> Self {
         let store =
-            FeatureStore::build_with(caches.as_slice(), &store_config(profile), &ParallelExecutor);
+            FeatureStore::build(caches.as_slice(), caches.as_slice(), &store_config(profile));
         Self::assemble(caches, labels, store, profile)
     }
 

@@ -65,7 +65,8 @@ pub mod mem;
 pub mod metrics;
 pub mod opcode_stats;
 pub mod pam;
-pub mod par;
+/// The workspace worker pool, re-exported from `phishinghook-linalg`.
+pub use phishinghook_linalg::par;
 pub mod scalability;
 pub mod shap_analysis;
 pub mod time_resistance;

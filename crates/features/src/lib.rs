@@ -48,8 +48,8 @@ pub use freq_image::FreqImageEncoder;
 pub use histogram::HistogramEncoder;
 pub use image::R2d2Encoder;
 pub use store::{
-    BatchExecutor, Encoding, FeatureMatrix, FeatureStore, FittedEncoders, GatheredRows,
-    SequentialExecutor, SpillConfig, StoreConfig, StreamBudget, StreamReport, StreamingSpillWriter,
+    Encoding, FeatureMatrix, FeatureStore, FittedEncoders, GatheredRows, SpillConfig, StoreConfig,
+    StreamBudget, StreamReport, StreamingSpillWriter,
 };
 pub use tokens::{OpcodeTokenizer, SequenceVariant};
 

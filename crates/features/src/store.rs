@@ -27,7 +27,7 @@
 //!     DisasmCache::build(&Bytecode::from_hex("0x6080604052")?),
 //!     DisasmCache::build(&Bytecode::from_hex("0x60016002016000f3")?),
 //! ];
-//! let store = FeatureStore::build(&caches, &StoreConfig::default());
+//! let store = FeatureStore::build(&caches, &caches, &StoreConfig::default());
 //! assert_eq!(store.len(), 2);
 //! // One histogram row per contract, fixed width across the dataset.
 //! assert_eq!(store.histogram().rows(), 2);
@@ -46,6 +46,7 @@ use crate::image::R2d2Encoder;
 use crate::tokens::{OpcodeTokenizer, SequenceVariant};
 use phishinghook_artifact::{ArtifactError, ByteReader, ByteWriter};
 use phishinghook_evm::DisasmCache;
+use phishinghook_linalg::par::parallel_map;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -139,33 +140,6 @@ impl Encoding {
             Encoding::TokensWindows => "tokens_windows",
             Encoding::Escort => "escort",
         }
-    }
-}
-
-/// How a store maps an encoder over a cache batch. The features crate is
-/// dependency-free, so the parallel driver lives upstream (the core crate's
-/// worker pool implements this trait); [`SequentialExecutor`] is the
-/// built-in single-threaded fallback.
-pub trait BatchExecutor: Sync {
-    /// Applies `encode` to every cache, preserving order.
-    fn encode_batch(
-        &self,
-        caches: &[DisasmCache],
-        encode: &(dyn Fn(&DisasmCache) -> FeatureVec + Sync),
-    ) -> Vec<FeatureVec>;
-}
-
-/// Single-threaded [`BatchExecutor`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SequentialExecutor;
-
-impl BatchExecutor for SequentialExecutor {
-    fn encode_batch(
-        &self,
-        caches: &[DisasmCache],
-        encode: &(dyn Fn(&DisasmCache) -> FeatureVec + Sync),
-    ) -> Vec<FeatureVec> {
-        caches.iter().map(encode).collect()
     }
 }
 
@@ -1215,8 +1189,7 @@ impl SpillConfig {
 /// ([`FeatureStore::build_streaming`]).
 #[derive(Debug, Clone)]
 pub struct StreamBudget {
-    /// Spill destination and threshold, exactly as the batch builder
-    /// ([`FeatureStore::build_spilled_with`]) interprets them.
+    /// Spill destination and threshold (see [`SpillConfig`]).
     pub spill: SpillConfig,
     /// Hard cap on how many samples' token-window blocks may be resident
     /// at once during the build: windows are encoded in chunks of at most
@@ -1252,107 +1225,47 @@ pub struct FeatureStore {
 }
 
 impl FeatureStore {
-    /// Builds the store single-threaded; see [`FeatureStore::build_with`].
-    pub fn build(caches: &[DisasmCache], config: &StoreConfig) -> Self {
-        Self::build_with(caches, config, &SequentialExecutor)
-    }
-
-    /// Fits all six encoders on `caches` and encodes every sample once,
-    /// fanning each encoding pass through `exec`.
-    pub fn build_with(
-        caches: &[DisasmCache],
-        config: &StoreConfig,
-        exec: &dyn BatchExecutor,
-    ) -> Self {
-        Self::build_fitted_with(caches, caches, config, exec)
-    }
-
-    /// Like [`FeatureStore::build_with`], but fits the encoder lookup
-    /// tables on `fit` (a designated training subset) while still encoding
-    /// every sample in `caches`. This is the leakage-safe variant for
-    /// studies with a privileged hold-out direction — e.g. the temporal
-    /// drift experiment, where vocabularies must not see future months.
-    pub fn build_fitted_with(
-        caches: &[DisasmCache],
-        fit: &[DisasmCache],
-        config: &StoreConfig,
-        exec: &dyn BatchExecutor,
-    ) -> Self {
+    /// Fits all six encoders on `fit` and encodes every sample in
+    /// `caches` once, each encoding pass fanned across the worker pool in
+    /// input order. Pass `caches` as `fit` to fit on the whole dataset; a
+    /// designated training subset is the leakage-safe choice for studies
+    /// with a privileged hold-out direction (the temporal drift
+    /// experiment fits on its training window, so vocabularies never see
+    /// future months).
+    pub fn build(caches: &[DisasmCache], fit: &[DisasmCache], config: &StoreConfig) -> Self {
         let encoders = FittedEncoders::fit(fit, config);
-
         let pack = |encoding: Encoding| {
-            FeatureMatrix::from_vecs(exec.encode_batch(caches, &|c| encoders.encode(c, encoding)))
+            FeatureMatrix::from_vecs(parallel_map(caches, |c| encoders.encode(c, encoding)))
         };
-        let histogram = pack(Encoding::Histogram);
-        let freq_image = pack(Encoding::FreqImage);
-        let r2d2 = pack(Encoding::R2d2);
-        let bigram = pack(Encoding::Bigram);
-        let tokens_truncate = pack(Encoding::TokensTruncate);
-        let tokens_windows = pack(Encoding::TokensWindows);
-        let escort = pack(Encoding::Escort);
-
         FeatureStore {
             len: caches.len(),
-            histogram,
-            freq_image,
-            r2d2,
-            bigram,
-            tokens_truncate,
-            tokens_windows,
-            escort,
+            histogram: pack(Encoding::Histogram),
+            freq_image: pack(Encoding::FreqImage),
+            r2d2: pack(Encoding::R2d2),
+            bigram: pack(Encoding::Bigram),
+            tokens_truncate: pack(Encoding::TokensTruncate),
+            tokens_windows: pack(Encoding::TokensWindows),
+            escort: pack(Encoding::Escort),
             encoders,
         }
     }
 
-    /// Like [`FeatureStore::build_fitted_with`], but spills window blocks
-    /// (the token encodings — the largest matrices a store holds) whose
-    /// payload crosses `spill.threshold_bytes` to their on-disk columnar
-    /// form during the build. Trials gather spilled rows lazily through
-    /// [`FeatureMatrix::gather`], so corpora larger than RAM evaluate with
-    /// no layout changes anywhere above the store.
+    /// Like [`FeatureStore::build`], but **bounded-RAM**: the token-window
+    /// blocks — the largest matrices a store holds, and the only ones that
+    /// grow with contract size rather than staying O(rows × fixed width)
+    /// — are encoded in chunks of at most `budget.resident_rows` samples
+    /// and streamed to disk through a [`StreamingSpillWriter`] before the
+    /// next chunk is encoded, so peak window residency is
+    /// `budget.resident_rows` no matter how long the chain is. Trials
+    /// gather spilled rows lazily through [`FeatureMatrix::gather`], so
+    /// corpora larger than RAM evaluate with no layout changes anywhere
+    /// above the store.
     ///
-    /// # Errors
-    ///
-    /// Any spill-file I/O failure, as [`ArtifactError::Io`].
-    pub fn build_spilled_with(
-        caches: &[DisasmCache],
-        fit: &[DisasmCache],
-        config: &StoreConfig,
-        exec: &dyn BatchExecutor,
-        spill: &SpillConfig,
-    ) -> Result<Self, ArtifactError> {
-        let mut store = Self::build_fitted_with(caches, fit, config, exec);
-        std::fs::create_dir_all(&spill.dir)?;
-        for encoding in [Encoding::TokensTruncate, Encoding::TokensWindows] {
-            let matrix = store.matrix(encoding);
-            if matrix.scalar_count() * 4 < spill.threshold_bytes {
-                continue;
-            }
-            let path = spill.dir.join(format!("{}.phkspill", encoding.name()));
-            let spilled = matrix.spill_to(path)?;
-            match encoding {
-                Encoding::TokensTruncate => store.tokens_truncate = spilled,
-                Encoding::TokensWindows => store.tokens_windows = spilled,
-                _ => unreachable!(),
-            }
-        }
-        Ok(store)
-    }
-
-    /// Like [`FeatureStore::build_spilled_with`], but **bounded-RAM**: the
-    /// token-window blocks — the only matrices that grow with contract
-    /// size rather than staying O(rows × fixed width) — are encoded in
-    /// chunks of at most `budget.resident_rows` samples and streamed to
-    /// disk through a [`StreamingSpillWriter`] before the next chunk is
-    /// encoded, so peak window residency is `budget.resident_rows` no
-    /// matter how long the chain is. The batch builder, by contrast,
-    /// materializes every window block in full and only then spills.
-    ///
-    /// The resulting store is **bit-identical** to the batch-built one:
-    /// same encoder tables (fitted on `fit` up front), same matrices, and
-    /// — when a block crosses `budget.spill.threshold_bytes` — the same
-    /// spill-file bytes. Blocks under the threshold are read back resident
-    /// at the end, matching the batch builder's keep-in-RAM decision.
+    /// The resulting store is **bit-identical** to [`FeatureStore::build`]
+    /// followed by [`FeatureMatrix::spill_to`] on each token block whose
+    /// payload reaches `budget.spill.threshold_bytes`: same encoder tables
+    /// (fitted on `fit` up front), same matrices, same spill-file bytes.
+    /// Blocks under the threshold are read back resident at the end.
     ///
     /// Returns the store plus a [`StreamReport`] carrying the observed
     /// peak residency.
@@ -1364,7 +1277,6 @@ impl FeatureStore {
         caches: &[DisasmCache],
         fit: &[DisasmCache],
         config: &StoreConfig,
-        exec: &dyn BatchExecutor,
         budget: &StreamBudget,
     ) -> Result<(Self, StreamReport), ArtifactError> {
         let encoders = FittedEncoders::fit(fit, config);
@@ -1384,7 +1296,7 @@ impl FeatureStore {
                 .join(format!("{}.phkspill", encoding.name()));
             let mut writer = StreamingSpillWriter::create(&path)?;
             for chunk in caches.chunks(chunk_rows) {
-                let rows = exec.encode_batch(chunk, &|c| encoders.encode(c, encoding));
+                let rows = parallel_map(chunk, |c| encoders.encode(c, encoding));
                 report.peak_resident_rows = report.peak_resident_rows.max(rows.len());
                 report.flushes += 1;
                 for row in &rows {
@@ -1394,8 +1306,7 @@ impl FeatureStore {
                     }
                 }
             }
-            // Same keep-resident decision as the batch builder: blocks
-            // under the byte threshold stay in RAM.
+            // Blocks under the byte threshold stay in RAM.
             if (writer.total_ids() as usize).saturating_mul(4) < budget.spill.threshold_bytes {
                 writer.into_resident()
             } else {
@@ -1406,10 +1317,9 @@ impl FeatureStore {
         let tokens_windows = stream_tokens(Encoding::TokensWindows, &mut report)?;
 
         // The five fixed-width encodings are O(rows × width) — kilobytes
-        // per thousand contracts — and stay resident, as in the batch
-        // builder.
+        // per thousand contracts — and stay resident.
         let pack = |encoding: Encoding| {
-            FeatureMatrix::from_vecs(exec.encode_batch(caches, &|c| encoders.encode(c, encoding)))
+            FeatureMatrix::from_vecs(parallel_map(caches, |c| encoders.encode(c, encoding)))
         };
         let store = FeatureStore {
             len: caches.len(),
@@ -1562,11 +1472,16 @@ mod tests {
         }
     }
 
+    fn small_store() -> FeatureStore {
+        let caches = caches();
+        FeatureStore::build(&caches, &caches, &small_config())
+    }
+
     #[test]
     fn store_rows_match_individual_encoding() {
         let caches = caches();
         let cfg = small_config();
-        let store = FeatureStore::build(&caches, &cfg);
+        let store = FeatureStore::build(&caches, &caches, &cfg);
         assert_eq!(store.len(), 3);
 
         let hist = HistogramEncoder::fit(&caches);
@@ -1587,7 +1502,7 @@ mod tests {
 
     #[test]
     fn gather_preserves_index_order() {
-        let store = FeatureStore::build(&caches(), &small_config());
+        let store = small_store();
         let g = store.histogram().gather_dense(&[2, 0]);
         assert_eq!(g.len(), 2);
         assert_eq!(g[0], store.histogram().dense_row(2));
@@ -1621,20 +1536,19 @@ mod tests {
         let cfg = small_config();
         // Fit on the first sample only: the histogram vocabulary must be
         // that sample's opcodes, while all three samples are still encoded.
-        let store =
-            FeatureStore::build_fitted_with(&caches, &caches[..1], &cfg, &SequentialExecutor);
+        let store = FeatureStore::build(&caches, &caches[..1], &cfg);
         assert_eq!(store.len(), 3);
         assert_eq!(store.histogram().rows(), 3);
         let fit_only = HistogramEncoder::fit(&caches[..1]);
         assert_eq!(store.histogram_width(), fit_only.vocab_len());
-        let full = FeatureStore::build(&caches, &cfg);
+        let full = FeatureStore::build(&caches, &caches, &cfg);
         assert!(store.histogram_width() < full.histogram_width());
     }
 
     #[test]
     fn encode_new_matches_store_geometry() {
         let caches = caches();
-        let store = FeatureStore::build(&caches, &small_config());
+        let store = FeatureStore::build(&caches, &caches, &small_config());
         let rows = store.encode_new(&caches[0]);
         assert_eq!(rows[0].len(), store.histogram_width());
         assert_eq!(rows[0].as_row(), store.histogram().row(0));
@@ -1644,7 +1558,7 @@ mod tests {
     #[test]
     fn selective_encode_matches_the_full_pass() {
         let caches = caches();
-        let store = FeatureStore::build(&caches, &small_config());
+        let store = FeatureStore::build(&caches, &caches, &small_config());
         let full = store.encode_new(&caches[1]);
         for encoding in Encoding::ALL {
             // Each selective row equals the corresponding full-pass row...
@@ -1679,7 +1593,7 @@ mod tests {
 
     #[test]
     fn gather_rows_borrows_in_index_order() {
-        let store = FeatureStore::build(&caches(), &small_config());
+        let store = small_store();
         let rows = store.histogram().gather_rows(&[2, 0]);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0], store.histogram().row(2));
@@ -1702,7 +1616,7 @@ mod tests {
 
     #[test]
     fn matrix_codec_round_trips_all_layouts() {
-        let store = FeatureStore::build(&caches(), &small_config());
+        let store = small_store();
         for encoding in Encoding::ALL {
             let m = store.matrix(encoding);
             let mut w = ByteWriter::new();
@@ -1716,7 +1630,7 @@ mod tests {
 
     #[test]
     fn corrupt_matrix_payload_is_an_error() {
-        let store = FeatureStore::build(&caches(), &small_config());
+        let store = small_store();
         let mut w = ByteWriter::new();
         store.histogram().write_state(&mut w).unwrap();
         let bytes = w.into_bytes();
@@ -1737,7 +1651,7 @@ mod tests {
     fn spilled_windows_gather_identically_and_lazily() {
         let caches = caches();
         let cfg = small_config();
-        let store = FeatureStore::build(&caches, &cfg);
+        let store = FeatureStore::build(&caches, &caches, &cfg);
         let dir = temp_dir("spill_gather");
         for encoding in [Encoding::TokensTruncate, Encoding::TokensWindows] {
             let resident = store.matrix(encoding);
@@ -1777,7 +1691,7 @@ mod tests {
         // serialized form; the bytes it produces must stay identical to
         // magic + version + write_state, or spilled gathers would read
         // from the wrong offsets.
-        let store = FeatureStore::build(&caches(), &small_config());
+        let store = small_store();
         let dir = temp_dir("spill_sync");
         let matrix = store.tokens_windows();
         let path = dir.join("sync.phkspill");
@@ -1794,16 +1708,18 @@ mod tests {
     fn build_spilled_store_evaluates_like_the_resident_store() {
         let caches = caches();
         let cfg = small_config();
-        let resident = FeatureStore::build(&caches, &cfg);
+        let resident = FeatureStore::build(&caches, &caches, &cfg);
         let dir = temp_dir("spill_build");
-        let spilled = FeatureStore::build_spilled_with(
-            &caches,
-            &caches,
-            &cfg,
-            &SequentialExecutor,
-            &SpillConfig::all(&dir),
-        )
-        .unwrap();
+        let unbounded = |spill: SpillConfig| {
+            let budget = StreamBudget {
+                spill,
+                resident_rows: caches.len(),
+            };
+            FeatureStore::build_streaming(&caches, &caches, &cfg, &budget)
+                .unwrap()
+                .0
+        };
+        let spilled = unbounded(SpillConfig::all(&dir));
         assert_eq!(
             spilled.spilled_encodings(),
             vec![Encoding::TokensTruncate, Encoding::TokensWindows]
@@ -1817,17 +1733,10 @@ mod tests {
             );
         }
         // A large threshold spills nothing.
-        let none = FeatureStore::build_spilled_with(
-            &caches,
-            &caches,
-            &cfg,
-            &SequentialExecutor,
-            &SpillConfig {
-                dir: dir.clone(),
-                threshold_bytes: usize::MAX,
-            },
-        )
-        .unwrap();
+        let none = unbounded(SpillConfig {
+            dir: dir.clone(),
+            threshold_bytes: usize::MAX,
+        });
         assert!(none.spilled_encodings().is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1838,20 +1747,23 @@ mod tests {
         let cfg = small_config();
         let batch_dir = temp_dir("stream_batch");
         let stream_dir = temp_dir("stream_stream");
-        let batch = FeatureStore::build_spilled_with(
-            &caches,
-            &caches,
-            &cfg,
-            &SequentialExecutor,
-            &SpillConfig::all(&batch_dir),
-        )
-        .unwrap();
+        // The reference: the resident build, then each token block
+        // spilled whole with `spill_to`.
+        let batch = FeatureStore::build(&caches, &caches, &cfg);
+        let batch_spill_bytes = |encoding: Encoding| {
+            let path = batch_dir.join(format!("{}.phkspill", encoding.name()));
+            batch.matrix(encoding).spill_to(&path).unwrap();
+            std::fs::read(path).unwrap()
+        };
+        let batch_spills = [
+            batch_spill_bytes(Encoding::TokensTruncate),
+            batch_spill_bytes(Encoding::TokensWindows),
+        ];
         for budget_rows in [1usize, 2, 7] {
             let (streamed, report) = FeatureStore::build_streaming(
                 &caches,
                 &caches,
                 &cfg,
-                &SequentialExecutor,
                 &StreamBudget {
                     spill: SpillConfig::all(&stream_dir),
                     resident_rows: budget_rows,
@@ -1871,12 +1783,15 @@ mod tests {
                     "{encoding:?} (budget {budget_rows})"
                 );
             }
-            // The spill files themselves are byte-identical to the batch
-            // builder's.
-            for encoding in [Encoding::TokensTruncate, Encoding::TokensWindows] {
+            // The spill files themselves are byte-identical to spilling
+            // the resident build's blocks.
+            for (encoding, expected) in [Encoding::TokensTruncate, Encoding::TokensWindows]
+                .into_iter()
+                .zip(&batch_spills)
+            {
                 assert_eq!(
-                    std::fs::read(streamed.matrix(encoding).spill_path().unwrap()).unwrap(),
-                    std::fs::read(batch.matrix(encoding).spill_path().unwrap()).unwrap(),
+                    &std::fs::read(streamed.matrix(encoding).spill_path().unwrap()).unwrap(),
+                    expected,
                     "{encoding:?} spill bytes (budget {budget_rows})"
                 );
             }
@@ -1887,14 +1802,11 @@ mod tests {
                 .to_string_lossy()
                 .ends_with(".data")));
         }
-        // Under-threshold blocks come back resident, matching the batch
-        // builder's keep-in-RAM decision bit-for-bit.
-        let resident = FeatureStore::build(&caches, &cfg);
+        // Under-threshold blocks come back resident, bit-for-bit.
         let (kept, _) = FeatureStore::build_streaming(
             &caches,
             &caches,
             &cfg,
-            &SequentialExecutor,
             &StreamBudget {
                 spill: SpillConfig {
                     dir: stream_dir.clone(),
@@ -1905,8 +1817,8 @@ mod tests {
         )
         .unwrap();
         assert!(kept.spilled_encodings().is_empty());
-        assert_eq!(kept.tokens_windows(), resident.tokens_windows());
-        assert_eq!(kept.tokens_truncate(), resident.tokens_truncate());
+        assert_eq!(kept.tokens_windows(), batch.tokens_windows());
+        assert_eq!(kept.tokens_truncate(), batch.tokens_truncate());
         std::fs::remove_dir_all(&batch_dir).ok();
         std::fs::remove_dir_all(&stream_dir).ok();
     }
@@ -1944,7 +1856,7 @@ mod tests {
 
     #[test]
     fn try_accessors_return_typed_errors() {
-        let store = FeatureStore::build(&caches(), &small_config());
+        let store = small_store();
         let hist = store.histogram();
         assert!(hist.try_row(0).is_ok());
         assert!(matches!(hist.try_row(999), Err(ArtifactError::Mismatch(_))));
@@ -1975,7 +1887,7 @@ mod tests {
     #[test]
     fn fitted_encoders_round_trip_serves_identical_rows() {
         let caches = caches();
-        let store = FeatureStore::build(&caches, &small_config());
+        let store = FeatureStore::build(&caches, &caches, &small_config());
         let blob = store.encoders().export_state();
         let restored = FittedEncoders::import_state(&blob).unwrap();
         for encoding in Encoding::ALL {

@@ -6,10 +6,10 @@
 use crate::classifier::{checked_u32_count, validate_fit_inputs, Classifier};
 use crate::tree::{read_nodes, write_nodes, DecisionTree, TreeParams};
 use phishinghook_artifact::{ArtifactError, ByteReader, ByteWriter};
+use phishinghook_linalg::par::parallel_map;
 use phishinghook_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// Hyper-parameters for the forest.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,13 +83,13 @@ impl RandomForest {
     pub fn trees(&self) -> &[DecisionTree] {
         &self.trees
     }
-}
 
-impl Classifier for RandomForest {
-    fn fit(&mut self, x: &Matrix, y: &[u8]) {
-        validate_fit_inputs(x, y);
-        let n = x.rows();
-        let sample = ((n as f32 * self.params.subsample) as usize).max(1);
+    /// Grows tree `t` on its bootstrap sample. Every tree draws from its
+    /// own seed, so the forest does not depend on the order trees are fit.
+    fn grow_tree(&self, x: &Matrix, y: &[u8], t: usize) -> DecisionTree {
+        let sample = ((x.rows() as f32 * self.params.subsample) as usize).max(1);
+        let mut rng = StdRng::seed_from_u64(self.seed ^ (t as u64).wrapping_mul(0x9E37));
+        let indices: Vec<usize> = (0..sample).map(|_| rng.gen_range(0..x.rows())).collect();
         let mtry = self
             .params
             .tree
@@ -100,18 +100,17 @@ impl Classifier for RandomForest {
             max_features: Some(mtry),
             ..self.params.tree
         };
-        let seed = self.seed;
+        let mut tree = DecisionTree::new(tree_params, rng.gen());
+        tree.fit_indices(x, y, &indices);
+        tree
+    }
+}
 
-        self.trees = (0..self.params.n_trees)
-            .into_par_iter()
-            .map(|t| {
-                let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37));
-                let indices: Vec<usize> = (0..sample).map(|_| rng.gen_range(0..n)).collect();
-                let mut tree = DecisionTree::new(tree_params, rng.gen());
-                tree.fit_indices(x, y, &indices);
-                tree
-            })
-            .collect();
+impl Classifier for RandomForest {
+    fn fit(&mut self, x: &Matrix, y: &[u8]) {
+        validate_fit_inputs(x, y);
+        let tree_ids: Vec<usize> = (0..self.params.n_trees).collect();
+        self.trees = parallel_map(&tree_ids, |&t| self.grow_tree(x, y, t));
     }
 
     fn predict_proba(&self, x: &Matrix) -> Vec<f32> {
@@ -215,6 +214,20 @@ mod tests {
         let mut rf = RandomForest::new(20, 9);
         rf.fit(&x, &y);
         assert!(rf.predict_proba(&x).iter().all(|p| (0.0..=1.0).contains(p)));
+    }
+
+    #[test]
+    fn pool_fit_matches_sequential_tree_order() {
+        // More trees than any pool has workers, so multi-core hosts take
+        // the parallel branch and every chunk boundary is exercised.
+        let (x, y) = two_moons(120, 11);
+        let mut rf = RandomForest::new(70, 13);
+        rf.fit(&x, &y);
+        let sequential: Vec<DecisionTree> = (0..70).map(|t| rf.grow_tree(&x, &y, t)).collect();
+        assert_eq!(rf.trees().len(), sequential.len());
+        for (t, (pooled, alone)) in rf.trees().iter().zip(&sequential).enumerate() {
+            assert_eq!(pooled.nodes(), alone.nodes(), "tree {t}");
+        }
     }
 
     #[test]

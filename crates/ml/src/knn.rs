@@ -2,8 +2,8 @@
 
 use crate::classifier::{read_matrix, validate_fit_inputs, write_matrix, Classifier};
 use phishinghook_artifact::{ArtifactError, ByteReader, ByteWriter};
+use phishinghook_linalg::par::parallel_map;
 use phishinghook_linalg::Matrix;
-use rayon::prelude::*;
 
 /// k-NN with Euclidean distance and majority vote (ties break towards the
 /// positive class, mirroring `predict_proba >= 0.5`).
@@ -78,10 +78,8 @@ impl Classifier for KnnClassifier {
 
     fn predict_proba(&self, x: &Matrix) -> Vec<f32> {
         assert!(!self.y.is_empty(), "predict before fit");
-        (0..x.rows())
-            .into_par_iter()
-            .map(|r| self.vote(x.row(r)))
-            .collect()
+        let rows: Vec<usize> = (0..x.rows()).collect();
+        parallel_map(&rows, |&r| self.vote(x.row(r)))
     }
 
     fn export_state(&self) -> Vec<u8> {
@@ -144,6 +142,24 @@ mod tests {
         knn.fit(&x, &[1, 1, 0, 0]);
         let p = knn.predict_proba(&Matrix::from_rows(&[vec![0.05]]));
         assert!((p[0] - 2.0 / 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn pool_predictions_match_row_order() {
+        // More query rows than any pool has workers, so multi-core hosts
+        // take the parallel branch and every chunk boundary is exercised.
+        let train: Vec<Vec<f32>> = (0..40)
+            .map(|i| vec![(i % 7) as f32, (i / 7) as f32 * 0.5])
+            .collect();
+        let labels: Vec<u8> = (0..40).map(|i| u8::from(i % 3 == 0)).collect();
+        let mut knn = KnnClassifier::new(5);
+        knn.fit(&Matrix::from_rows(&train), &labels);
+        let queries: Vec<Vec<f32>> = (0..97)
+            .map(|i| vec![(i % 11) as f32 * 0.6, (i % 5) as f32 * 0.7])
+            .collect();
+        let q = Matrix::from_rows(&queries);
+        let sequential: Vec<f32> = (0..q.rows()).map(|r| knn.vote(q.row(r))).collect();
+        assert_eq!(knn.predict_proba(&q), sequential);
     }
 
     #[test]

@@ -11,9 +11,7 @@ use phishinghook::prelude::*;
 use phishinghook::EvalProfile;
 use phishinghook_artifact::publish::ArtifactPublisher;
 use phishinghook_evm::DisasmCache;
-use phishinghook_features::{
-    Encoding, FeatureStore, SequentialExecutor, SpillConfig, StoreConfig, StreamBudget,
-};
+use phishinghook_features::{Encoding, FeatureStore, SpillConfig, StoreConfig, StreamBudget};
 use phishinghook_ingest::{baseline_detector, DriftScenario, IngestConfig, OnlinePipeline};
 use phishinghook_serve::{Server, ServerConfig};
 use proptest::prelude::*;
@@ -257,19 +255,14 @@ proptest! {
         std::fs::remove_dir_all(&batch_dir).ok();
         std::fs::remove_dir_all(&stream_dir).ok();
 
-        let batch = FeatureStore::build_spilled_with(
-            &caches,
-            &caches,
-            &cfg,
-            &SequentialExecutor,
-            &SpillConfig { dir: batch_dir.clone(), threshold_bytes: threshold },
-        )
-        .unwrap();
+        // The reference: the resident build, with each token block whose
+        // payload reaches the threshold spilled whole by `spill_to`.
+        let batch = FeatureStore::build(&caches, &caches, &cfg);
+        std::fs::create_dir_all(&batch_dir).unwrap();
         let (streamed, stream_report) = FeatureStore::build_streaming(
             &caches,
             &caches,
             &cfg,
-            &SequentialExecutor,
             &StreamBudget {
                 spill: SpillConfig { dir: stream_dir.clone(), threshold_bytes: threshold },
                 resident_rows,
@@ -291,12 +284,21 @@ proptest! {
                 "encoding {:?}", encoding
             );
         }
-        // Identical spill decisions, and byte-identical spill files.
-        prop_assert_eq!(streamed.spilled_encodings(), batch.spilled_encodings());
+        // The spill decision: both token blocks at a zero threshold, none
+        // at an unreachable one.
+        let expected_spills = if threshold == 0 {
+            vec![Encoding::TokensTruncate, Encoding::TokensWindows]
+        } else {
+            Vec::new()
+        };
+        prop_assert_eq!(streamed.spilled_encodings(), expected_spills);
+        // Byte-identical spill files.
         for encoding in streamed.spilled_encodings() {
+            let reference = batch_dir.join(format!("{}.phkspill", encoding.name()));
+            batch.matrix(encoding).spill_to(&reference).unwrap();
             prop_assert_eq!(
                 std::fs::read(streamed.matrix(encoding).spill_path().unwrap()).unwrap(),
-                std::fs::read(batch.matrix(encoding).spill_path().unwrap()).unwrap(),
+                std::fs::read(&reference).unwrap(),
                 "spill bytes {:?}", encoding
             );
         }
