@@ -9,10 +9,21 @@
 //! (`phishinghook-serve`) became a second consumer; the bench crate
 //! re-exports it and keeps only its domain-typed helpers.
 //!
-//! The parser is total: any malformed input, trailing garbage, or
-//! pathological nesting returns `None` — it never panics and its work is
-//! bounded by the input length, which is what lets the serving tier run it
-//! on untrusted request bodies (behind the HTTP layer's length caps).
+//! The parser is total and linear: any malformed input, trailing garbage,
+//! or pathological nesting returns `None` — it never panics, and it looks
+//! at each input byte a bounded number of times (a string's unescaped runs
+//! are copied whole), which is what lets the serving tier run it on
+//! untrusted request bodies behind the HTTP layer's length caps. The
+//! `parse_time_is_linear_in_the_body` guard in `tests/json_codec.rs` pins
+//! the linear bound on megabyte-sized documents.
+//!
+//! It accepts RFC 8259 JSON and nothing looser: numbers follow
+//! `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, a `\u` escape takes
+//! exactly four hex digits, a UTF-16 surrogate pair decodes to one scalar
+//! (a lone surrogate to U+FFFD), and raw control characters inside strings
+//! are rejected.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,26 +88,13 @@ impl Value {
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(n) => {
                 if n.is_finite() {
-                    out.push_str(&format!("{n}"));
+                    // Writing into a `String` cannot fail.
+                    let _ = write!(out, "{n}");
                 } else {
                     out.push_str("null");
                 }
             }
-            Value::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Value::Str(s) => write_escaped(s, out),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -113,7 +111,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    Value::Str(k.clone()).render_into(out);
+                    write_escaped(k, out);
                     out.push(':');
                     v.render_into(out);
                 }
@@ -121,6 +119,33 @@ impl Value {
             }
         }
     }
+}
+
+/// Appends `s` as a quoted JSON string: `"`, `\` and control characters
+/// are escaped, everything else is copied in runs.
+fn write_escaped(s: &str, out: &mut String) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Maximum container nesting depth the parser accepts. The recursive
@@ -229,6 +254,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote, backslash or control byte in
+        // one step. `b` holds a `&str` and every stop byte is ASCII, so the
+        // run is whole UTF-8 scalars and each byte is validated once.
+        let run = *pos;
+        while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\' | 0..=0x1f) {
+            *pos += 1;
+        }
+        out.push_str(std::str::from_utf8(&b[run..*pos]).ok()?);
         match *b.get(*pos)? {
             b'"' => {
                 *pos += 1;
@@ -246,36 +279,73 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
                     b'b' => out.push('\u{8}'),
                     b'f' => out.push('\u{c}'),
                     b'u' => {
-                        let hex = b.get(*pos + 1..*pos + 5)?;
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let mut code = hex4(b, *pos + 1)?;
                         *pos += 4;
+                        // A high surrogate followed by an escaped low one is
+                        // a pair; any other surrogate decodes to U+FFFD.
+                        if (0xd800..0xdc00).contains(&code)
+                            && b.get(*pos + 1..*pos + 3) == Some(&b"\\u"[..])
+                        {
+                            if let Some(low @ 0xdc00..=0xdfff) = hex4(b, *pos + 3) {
+                                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                *pos += 6;
+                            }
+                        }
+                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }
                     _ => return None,
                 }
                 *pos += 1;
             }
-            _ => {
-                // Consume one UTF-8 scalar.
-                let s = std::str::from_utf8(&b[*pos..]).ok()?;
-                let c = s.chars().next()?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            // A raw control character.
+            _ => return None,
         }
     }
 }
 
+/// The four hex digits of a `\u` escape starting at `at`.
+fn hex4(b: &[u8], at: usize) -> Option<u32> {
+    b.get(at..at + 4)?
+        .iter()
+        .try_fold(0, |code, &d| Some(code << 4 | (d as char).to_digit(16)?))
+}
+
+/// Advances past a run of ASCII digits and returns how many there were.
+fn digits(b: &[u8], pos: &mut usize) -> usize {
+    let start = *pos;
+    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+        *pos += 1;
+    }
+    *pos - start
+}
+
 fn parse_number(b: &[u8], pos: &mut usize) -> Option<Value> {
+    // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
     let start = *pos;
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *pos += 1;
+    match *b.get(*pos)? {
+        b'0' => *pos += 1,
+        b'1'..=b'9' => {
+            digits(b, pos);
+        }
+        _ => return None,
     }
-    if *pos == start {
-        return None;
+    if b.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if digits(b, pos) == 0 {
+            return None;
+        }
+    }
+    if matches!(b.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(b.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(b, pos) == 0 {
+            return None;
+        }
     }
     std::str::from_utf8(&b[start..*pos])
         .ok()?
@@ -315,6 +385,89 @@ mod tests {
             let rendered = Value::Num(p as f64).render();
             let back = parse(&rendered).unwrap().as_f64().unwrap() as f32;
             assert_eq!(back.to_bits(), p.to_bits(), "{p} via {rendered}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u004a""#), Some(Value::Str("J".into())));
+        assert_eq!(parse(r#""\u00E9x""#), Some(Value::Str("\u{e9}x".into())));
+        for bad in [
+            r#""\u+04a""#,
+            r#""\u-04a""#,
+            r#""\u 04a""#,
+            r#""\u04a""#,
+            r#""\u04g1""#,
+            r#""\u""#,
+        ] {
+            assert_eq!(parse(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_are_replaced() {
+        let s = |text: &str| Some(Value::Str(text.into()));
+        assert_eq!(parse(r#""\ud83d\ude00""#), s("\u{1F600}"));
+        assert_eq!(parse(r#""a\uD83D\uDE00b""#), s("a\u{1F600}b"));
+        // Lone high, lone low, a reversed pair, and a high surrogate
+        // followed by a plain character or a non-surrogate escape.
+        assert_eq!(parse(r#""\ud83d""#), s("\u{fffd}"));
+        assert_eq!(parse(r#""\ude00x""#), s("\u{fffd}x"));
+        assert_eq!(parse(r#""\ude00\ud83d""#), s("\u{fffd}\u{fffd}"));
+        assert_eq!(parse(r#""\ud83dA""#), s("\u{fffd}A"));
+        assert_eq!(parse(r#""\ud83d\u0041""#), s("\u{fffd}A"));
+        assert_eq!(parse(r#""\ud83d\u004""#), None);
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_rejected() {
+        for c in (0u8..0x20).map(char::from) {
+            assert_eq!(parse(&format!("\"a{c}b\"")), None, "{:#x}", c as u32);
+            assert_eq!(parse(&format!("{{\"k{c}\":1}}")), None, "{:#x}", c as u32);
+        }
+        // DEL and everything above it is plain text; escaped controls parse.
+        assert_eq!(parse("\"\u{7f}\""), Some(Value::Str("\u{7f}".into())));
+        assert_eq!(parse(r#""\u0001\n""#), Some(Value::Str("\u{1}\n".into())));
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for (text, value) in [
+            ("0", 0.0f64),
+            ("-0", -0.0),
+            ("7", 7.0),
+            ("-12", -12.0),
+            ("0.5", 0.5),
+            ("10.25", 10.25),
+            ("1e5", 1e5),
+            ("1E+5", 1e5),
+            ("-2.5e-3", -2.5e-3),
+            ("0e0", 0.0),
+        ] {
+            let parsed = parse(text).and_then(|v| v.as_f64());
+            assert_eq!(parsed.map(f64::to_bits), Some(value.to_bits()), "{text}");
+        }
+        for bad in [
+            "+1",
+            ".5",
+            "5.",
+            "01",
+            "-01",
+            "1.e5",
+            "1e",
+            "1e+",
+            "-",
+            "--1",
+            "1.5.2",
+            "0x10",
+            "1_000",
+            "inf",
+            "NaN",
+            "[01]",
+            "[1.]",
+            "{\"a\":+1}",
+        ] {
+            assert_eq!(parse(bad), None, "{bad}");
         }
     }
 
