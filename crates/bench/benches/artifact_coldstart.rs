@@ -1,17 +1,16 @@
-//! Criterion bench: the persistence layer's cold-start story. A saved
-//! detector artifact must make "time to first score in a fresh process"
+//! Bench: the persistence layer's cold-start story. A saved detector
+//! artifact must make "time to first score in a fresh process"
 //! dramatically cheaper than retraining from raw bytecode — that gap is
 //! the whole point of the train-once / serve-many artifact.
 //!
-//! Besides the criterion timings, the bench writes a machine-readable
-//! baseline — `BENCH_artifact.json` (artifact size, save/load time, time
-//! to first score from the artifact vs. retraining) — and asserts the
+//! The bench writes `BENCH_artifact.json` (artifact size, save/load time,
+//! time to first score from the artifact vs. retraining) and asserts the
 //! acceptance bar: cold start from the artifact is at least 5× faster
 //! than retraining on the quick profile. `PHISHINGHOOK_BENCH_SMOKE=1`
 //! shrinks the corpus to CI size; the assertion holds in both modes.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use phishinghook::prelude::*;
+use phishinghook_bench::harness::{best_of, pick, write_baseline};
 use phishinghook_bench::json::Value;
 use phishinghook_evm::Bytecode;
 use phishinghook_synth::{generate_contract, Difficulty, Family};
@@ -19,60 +18,18 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-fn smoke_mode() -> bool {
-    std::env::var_os("PHISHINGHOOK_BENCH_SMOKE").is_some()
-}
-
-fn corpus_seed_size() -> u64 {
-    if smoke_mode() {
-        24
-    } else {
-        42
-    }
-}
-
-fn timing_samples() -> usize {
-    if smoke_mode() {
-        5
-    } else {
-        10
-    }
-}
-
 /// The acceptance bar: first score from a saved artifact beats
 /// retrain-from-scratch by at least this factor.
 const MIN_COLD_SPEEDUP: f64 = 5.0;
-
-fn dataset() -> Dataset {
-    let corpus = generate_corpus(&CorpusConfig::small(corpus_seed_size()));
-    let chain = SimulatedChain::from_corpus(&corpus);
-    extract_dataset(&chain, &BemConfig::default()).0
-}
 
 fn fresh_contract() -> Bytecode {
     let mut rng = StdRng::seed_from_u64(0xC01D);
     generate_contract(Family::ALL[0], Month(6), &Difficulty::default(), &mut rng)
 }
 
-/// The warm path a vendor pays once: decode + featurize + train.
-fn retrain_first_score(data: &Dataset, contract: &Bytecode) -> (f64, f32) {
-    let t0 = Instant::now();
-    let ctx = EvalContext::new(data, &EvalProfile::quick());
-    let detector = Detector::train(&ctx, ModelKind::RandomForest, 7);
-    let score = detector.score_code(contract);
-    (t0.elapsed().as_secs_f64() * 1e3, score)
-}
-
-/// The cold path every serving process pays instead: read + parse + score.
-fn coldstart_first_score(path: &std::path::Path, contract: &Bytecode) -> (f64, f32) {
-    let t0 = Instant::now();
-    let detector = Detector::load(path).expect("load artifact");
-    let score = detector.score_code(contract);
-    (t0.elapsed().as_secs_f64() * 1e3, score)
-}
-
-fn write_baseline(c: &mut Criterion) {
-    let data = dataset();
+fn main() {
+    let corpus = generate_corpus(&CorpusConfig::small(pick(42, 24)));
+    let data = extract_dataset(&SimulatedChain::from_corpus(&corpus), &BemConfig::default()).0;
     let contract = fresh_contract();
     let dir = std::env::temp_dir().join(format!("phk_coldstart_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -86,69 +43,57 @@ fn write_baseline(c: &mut Criterion) {
     let save_ms = t_save.elapsed().as_secs_f64() * 1e3;
     let artifact_bytes = std::fs::metadata(&path).expect("stat").len();
 
-    // Best-of-N timings for both paths.
-    let (mut retrain_ms, mut cold_ms) = (f64::INFINITY, f64::INFINITY);
-    let (mut warm_score, mut cold_score) = (0.0f32, 0.0f32);
-    let mut load_ms = f64::INFINITY;
-    for _ in 0..timing_samples() {
-        let (ms, score) = retrain_first_score(&data, &contract);
-        retrain_ms = retrain_ms.min(ms);
-        warm_score = score;
-        let t_load = Instant::now();
-        let _ = Detector::load(&path).expect("load artifact");
-        load_ms = load_ms.min(t_load.elapsed().as_secs_f64() * 1e3);
-        let (ms, score) = coldstart_first_score(&path, &contract);
-        cold_ms = cold_ms.min(ms);
-        cold_score = score;
-    }
+    // The warm path a vendor pays once (decode + featurize + train) against
+    // the cold path every serving process pays instead (read + parse +
+    // score), with the bare load timed between them.
+    let [(retrain_s, warm_score), (load_s, _), (cold_s, cold_score)] = best_of(
+        0,
+        pick(10, 5),
+        [
+            &mut || {
+                let ctx = EvalContext::new(&data, &EvalProfile::quick());
+                Detector::train(&ctx, ModelKind::RandomForest, 7).score_code(&contract)
+            },
+            &mut || {
+                Detector::load(&path).expect("load artifact");
+                0.0
+            },
+            &mut || {
+                let cold = Detector::load(&path).expect("load artifact");
+                cold.score_code(&contract)
+            },
+        ],
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    let (retrain_ms, load_ms, cold_ms) = (retrain_s * 1e3, load_s * 1e3, cold_s * 1e3);
     assert_eq!(
         warm_score.to_bits(),
         cold_score.to_bits(),
         "cold-start score must be bit-identical to the training process"
     );
     let speedup = retrain_ms / cold_ms;
+    println!(
+        "artifact_coldstart: artifact {artifact_bytes} B, first score {cold_ms:.2} ms cold vs \
+         {retrain_ms:.2} ms retrain ({speedup:.1}x)"
+    );
     assert!(
         speedup >= MIN_COLD_SPEEDUP,
         "cold-start regression: artifact first-score {cold_ms:.2} ms is only {speedup:.1}x \
          faster than retraining ({retrain_ms:.2} ms); bar is {MIN_COLD_SPEEDUP}x"
     );
 
-    let doc = Value::Obj(vec![
-        ("bench".into(), Value::Str("artifact_coldstart".into())),
-        ("model".into(), Value::Str(detector.kind().id().into())),
-        (
-            "trained_on".into(),
-            Value::Num(detector.trained_on() as f64),
-        ),
-        ("artifact_bytes".into(), Value::Num(artifact_bytes as f64)),
-        ("save_ms".into(), Value::Num(save_ms)),
-        ("load_ms".into(), Value::Num(load_ms)),
-        ("first_score_from_artifact_ms".into(), Value::Num(cold_ms)),
-        ("first_score_via_retrain_ms".into(), Value::Num(retrain_ms)),
-        ("coldstart_speedup".into(), Value::Num(speedup)),
-    ]);
-    if !smoke_mode() {
-        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_artifact.json");
-        std::fs::write(out, doc.render()).expect("write BENCH_artifact.json");
-    }
-    println!(
-        "  baseline: artifact {artifact_bytes} B, first score {cold_ms:.2} ms cold vs \
-         {retrain_ms:.2} ms retrain ({speedup:.1}x) -> BENCH_artifact.json"
+    write_baseline(
+        "BENCH_artifact.json",
+        "artifact_coldstart",
+        vec![
+            ("model", Value::Str(detector.kind().id().into())),
+            ("trained_on", Value::Num(detector.trained_on() as f64)),
+            ("artifact_bytes", Value::Num(artifact_bytes as f64)),
+            ("save_ms", Value::Num(save_ms)),
+            ("load_ms", Value::Num(load_ms)),
+            ("first_score_from_artifact_ms", Value::Num(cold_ms)),
+            ("first_score_via_retrain_ms", Value::Num(retrain_ms)),
+            ("coldstart_speedup", Value::Num(speedup)),
+        ],
     );
-
-    let mut group = c.benchmark_group("artifact_coldstart");
-    group.bench_function("load_and_first_score", |b| {
-        b.iter(|| coldstart_first_score(&path, &contract))
-    });
-    group.bench_function("save", |b| b.iter(|| detector.save(&path).unwrap()));
-    group.finish();
-
-    std::fs::remove_dir_all(&dir).ok();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = write_baseline
-}
-criterion_main!(benches);

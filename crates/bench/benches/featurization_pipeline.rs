@@ -1,4 +1,4 @@
-//! Criterion bench: the fused single-pass featurization pipeline vs the
+//! Bench: the fused single-pass featurization pipeline vs the
 //! naive per-encoder path, plus the decode-once feature store vs per-trial
 //! re-extraction.
 //!
@@ -11,15 +11,14 @@
 //! pre-featurized row slices, against the old per-trial
 //! re-decode-and-re-encode loop.
 //!
-//! Besides the criterion timings, the bench writes machine-readable
-//! baselines — `BENCH_pipeline.json` (fused vs naive) and
-//! `BENCH_evalstore.json` (store vs per-trial) — so future PRs can
-//! regression-check both layers. Setting `PHISHINGHOOK_BENCH_SMOKE=1`
-//! shrinks the corpus and sample counts to CI size and the run fails fast
-//! if either fast path stops beating its baseline.
+//! The bench writes two baselines — `BENCH_pipeline.json` (fused vs
+//! naive) and `BENCH_evalstore.json` (store vs per-trial) — and fails if
+//! either fast path stops beating its baseline. Setting
+//! `PHISHINGHOOK_BENCH_SMOKE=1` shrinks the corpus and sample counts to CI
+//! size.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use phishinghook::par::parallel_map;
+use phishinghook_bench::harness::{best_of, pick, write_baseline};
 use phishinghook_bench::json::Value;
 use phishinghook_evm::{Bytecode, DisasmCache};
 use phishinghook_features::store::{FeatureStore, StoreConfig};
@@ -30,30 +29,9 @@ use phishinghook_features::{
 use phishinghook_synth::{generate_contract, Difficulty, Family, Month};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 /// Simulated (model, fold) trials for the store-vs-per-trial comparison.
 const TRIAL_FOLDS: usize = 5;
-
-fn smoke_mode() -> bool {
-    std::env::var_os("PHISHINGHOOK_BENCH_SMOKE").is_some()
-}
-
-fn contract_count() -> usize {
-    if smoke_mode() {
-        48
-    } else {
-        96
-    }
-}
-
-fn timing_samples() -> usize {
-    if smoke_mode() {
-        3
-    } else {
-        10
-    }
-}
 
 fn contracts(n: usize) -> Vec<Bytecode> {
     let mut rng = StdRng::seed_from_u64(5);
@@ -231,118 +209,76 @@ fn store_pass(codes: &[Bytecode], plan: &[(Vec<usize>, Vec<usize>)]) -> usize {
     scalars
 }
 
-fn best_of(samples: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut out = 0;
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        out = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    (best, out)
-}
+fn main() {
+    let codes = contracts(pick(96, 48));
+    let samples = pick(10, 3);
+    let enc = Encoders::fit(&DisasmCache::build_batch(&codes));
 
-fn write_baseline(codes: &[Bytecode], enc: &Encoders) {
     let total_bytes: usize = codes.iter().map(Bytecode::len).sum();
-    let (naive_ms, naive_scalars) = best_of(timing_samples(), || naive_pass(enc, codes));
-    let (fused_ms, fused_scalars) = best_of(timing_samples(), || fused_pass(enc, codes));
+    let [(naive_s, naive_scalars), (fused_s, fused_scalars)] = best_of(
+        1,
+        samples,
+        [&mut || naive_pass(&enc, &codes), &mut || {
+            fused_pass(&enc, &codes)
+        }],
+    );
+    let (naive_ms, fused_ms) = (naive_s * 1e3, fused_s * 1e3);
     assert_eq!(
         naive_scalars, fused_scalars,
         "fused path must produce identical output volume"
+    );
+    println!(
+        "featurization_pipeline: naive {naive_ms:.2} ms vs fused {fused_ms:.2} ms ({:.2}x)",
+        naive_ms / fused_ms
     );
     assert!(
         fused_ms < naive_ms,
         "fused regression: fused {fused_ms:.2} ms vs naive {naive_ms:.2} ms"
     );
-    let doc = Value::Obj(vec![
-        ("bench".into(), Value::Str("featurization_pipeline".into())),
-        ("contracts".into(), Value::Num(codes.len() as f64)),
-        ("total_bytes".into(), Value::Num(total_bytes as f64)),
-        ("encoders".into(), Value::Num(6.0)),
-        (
-            "workers".into(),
-            Value::Num(phishinghook::par::pool_size(codes.len()) as f64),
-        ),
-        ("naive_ms".into(), Value::Num(naive_ms)),
-        ("fused_ms".into(), Value::Num(fused_ms)),
-        ("speedup".into(), Value::Num(naive_ms / fused_ms)),
-        ("scalars_per_pass".into(), Value::Num(fused_scalars as f64)),
-    ]);
-    // Benches run with the package as cwd; anchor the baseline at the
-    // workspace root. Smoke runs assert but never overwrite the committed
-    // baselines (their corpus is smaller).
-    if !smoke_mode() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-        std::fs::write(path, doc.render()).expect("write BENCH_pipeline.json");
-    }
-    println!(
-        "  baseline: naive {naive_ms:.2} ms vs fused {fused_ms:.2} ms \
-         ({:.2}x) -> BENCH_pipeline.json",
-        naive_ms / fused_ms
+    write_baseline(
+        "BENCH_pipeline.json",
+        "featurization_pipeline",
+        vec![
+            ("contracts", Value::Num(codes.len() as f64)),
+            ("total_bytes", Value::Num(total_bytes as f64)),
+            ("encoders", Value::Num(6.0)),
+            ("naive_ms", Value::Num(naive_ms)),
+            ("fused_ms", Value::Num(fused_ms)),
+            ("speedup", Value::Num(naive_ms / fused_ms)),
+            ("scalars_per_pass", Value::Num(fused_scalars as f64)),
+        ],
     );
-}
 
-fn write_evalstore_baseline(codes: &[Bytecode]) {
     let plan = trial_splits(codes.len(), TRIAL_FOLDS);
-    let (per_trial_ms, per_trial_scalars) =
-        best_of(timing_samples(), || per_trial_pass(codes, &plan));
-    let (store_ms, store_scalars) = best_of(timing_samples(), || store_pass(codes, &plan));
+    let [(per_trial_s, per_trial_scalars), (store_s, store_scalars)] = best_of(
+        1,
+        samples,
+        [&mut || per_trial_pass(&codes, &plan), &mut || {
+            store_pass(&codes, &plan)
+        }],
+    );
+    let (per_trial_ms, store_ms) = (per_trial_s * 1e3, store_s * 1e3);
     assert!(per_trial_scalars > 0 && store_scalars > 0);
+    println!(
+        "evalstore: per-trial {per_trial_ms:.2} ms vs store {store_ms:.2} ms over {} trials \
+         ({:.2}x)",
+        plan.len(),
+        per_trial_ms / store_ms
+    );
     assert!(
         store_ms < per_trial_ms,
         "store regression: store {store_ms:.2} ms vs per-trial {per_trial_ms:.2} ms"
     );
-    let doc = Value::Obj(vec![
-        ("bench".into(), Value::Str("evalstore".into())),
-        ("contracts".into(), Value::Num(codes.len() as f64)),
-        ("trials".into(), Value::Num(plan.len() as f64)),
-        (
-            "workers".into(),
-            Value::Num(phishinghook::par::pool_size(codes.len()) as f64),
-        ),
-        ("per_trial_ms".into(), Value::Num(per_trial_ms)),
-        ("store_ms".into(), Value::Num(store_ms)),
-        ("speedup".into(), Value::Num(per_trial_ms / store_ms)),
-        (
-            "store_scalars_gathered".into(),
-            Value::Num(store_scalars as f64),
-        ),
-    ]);
-    if !smoke_mode() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_evalstore.json");
-        std::fs::write(path, doc.render()).expect("write BENCH_evalstore.json");
-    }
-    println!(
-        "  baseline: per-trial {per_trial_ms:.2} ms vs store {store_ms:.2} ms over {} trials \
-         ({:.2}x) -> BENCH_evalstore.json",
-        plan.len(),
-        per_trial_ms / store_ms
+    write_baseline(
+        "BENCH_evalstore.json",
+        "featurization_pipeline",
+        vec![
+            ("contracts", Value::Num(codes.len() as f64)),
+            ("trials", Value::Num(plan.len() as f64)),
+            ("per_trial_ms", Value::Num(per_trial_ms)),
+            ("store_ms", Value::Num(store_ms)),
+            ("speedup", Value::Num(per_trial_ms / store_ms)),
+            ("store_scalars_gathered", Value::Num(store_scalars as f64)),
+        ],
     );
 }
-
-fn bench_pipeline(c: &mut Criterion) {
-    let codes = contracts(contract_count());
-    let caches = DisasmCache::build_batch(&codes);
-    let enc = Encoders::fit(&caches);
-    drop(caches);
-
-    let mut group = c.benchmark_group("featurization_pipeline");
-    group.bench_function("naive_per_encoder", |b| b.iter(|| naive_pass(&enc, &codes)));
-    group.bench_function("fused_single_pass", |b| b.iter(|| fused_pass(&enc, &codes)));
-    let plan = trial_splits(codes.len(), TRIAL_FOLDS);
-    group.bench_function("per_trial_reextraction", |b| {
-        b.iter(|| per_trial_pass(&codes, &plan))
-    });
-    group.bench_function("evalstore_gather", |b| b.iter(|| store_pass(&codes, &plan)));
-    group.finish();
-
-    write_baseline(&codes, &enc);
-    write_evalstore_baseline(&codes);
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_pipeline
-}
-criterion_main!(benches);

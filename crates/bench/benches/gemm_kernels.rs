@@ -1,8 +1,8 @@
-//! Criterion bench: the GEMM micro-kernel tiers. PR 6 put runtime-detected
-//! SIMD inner loops (AVX-512F/AVX2/NEON, scalar reference kept bit-exact)
-//! and row-sharded multi-threading under `phishinghook_linalg::gemm`; this
-//! bench times scalar vs SIMD vs SIMD+threads on a serving-shaped product
-//! (one `PREDICT_BATCH`-ish dense layer) and a training-shaped one (large
+//! Bench: the GEMM micro-kernel tiers. `phishinghook_linalg::gemm` runs
+//! runtime-detected SIMD inner loops (AVX-512F/AVX2/NEON, scalar reference
+//! kept bit-exact) and row-sharded multi-threading; this bench times
+//! scalar vs SIMD vs SIMD+threads on a serving-shaped product (one
+//! `PREDICT_BATCH`-ish dense layer) and a training-shaped one (large
 //! enough to clear the row-sharding thresholds), and enforces the speedup
 //! floors: SIMD ≥ 2× scalar on the serving shape and SIMD+threads ≥ 3×
 //! scalar on the training shape on the full run (≥ 1.3× / 1.5× under
@@ -11,46 +11,15 @@
 //! on scalar-only hardware (or under `PHISHINGHOOK_FORCE_SCALAR=1`) the
 //! bench still runs and records, but skips the asserts with a message.
 //!
-//! Besides the criterion timings, the full run writes `BENCH_gemm.json`
-//! with GFLOP/s per tier and the two speedups.
+//! The full run writes `BENCH_gemm.json` with GFLOP/s per tier and the
+//! two speedups.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use phishinghook_bench::harness::{best_of, obj, pick, write_baseline};
 use phishinghook_bench::json::Value;
 use phishinghook_linalg::gemm::{active_simd_name, matmul_into_dispatch};
-use phishinghook_linalg::par;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
-
-fn smoke_mode() -> bool {
-    std::env::var_os("PHISHINGHOOK_BENCH_SMOKE").is_some()
-}
-
-fn timing_samples() -> usize {
-    if smoke_mode() {
-        7
-    } else {
-        15
-    }
-}
-
-/// Floor on SIMD-vs-scalar for the serving shape.
-fn serving_floor() -> f64 {
-    if smoke_mode() {
-        1.3
-    } else {
-        2.0
-    }
-}
-
-/// Floor on SIMD+threads-vs-scalar for the training shape.
-fn training_floor() -> f64 {
-    if smoke_mode() {
-        1.5
-    } else {
-        3.0
-    }
-}
+use std::cell::RefCell;
 
 /// One dense layer of a `PREDICT_BATCH`-sized serving batch.
 const SERVING: (usize, usize, usize) = (64, 64, 64);
@@ -58,84 +27,73 @@ const SERVING: (usize, usize, usize) = (64, 64, 64);
 const TRAINING: (usize, usize, usize) = (512, 256, 256);
 
 struct Shape {
-    name: &'static str,
     m: usize,
     k: usize,
     n: usize,
     reps: usize,
     a: Vec<f32>,
     b: Vec<f32>,
-    out: Vec<f32>,
+    out: RefCell<Vec<f32>>,
 }
 
 impl Shape {
-    fn new(name: &'static str, (m, k, n): (usize, usize, usize), reps: usize) -> Self {
+    fn new((m, k, n): (usize, usize, usize), reps: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(0x6E44);
         let mut rand_vec =
             |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-1.0f32..=1.0)).collect() };
         let a = rand_vec(m * k);
         let b = rand_vec(k * n);
         Shape {
-            name,
             m,
             k,
             n,
             reps,
             a,
             b,
-            out: vec![0.0; m * n],
+            out: RefCell::new(vec![0.0; m * n]),
         }
     }
 
-    fn run(&mut self, simd: bool, max_threads: usize) {
-        matmul_into_dispatch(
-            simd,
-            max_threads,
-            self.m,
-            self.k,
-            self.n,
-            &self.a,
-            &self.b,
-            &mut self.out,
-        );
+    /// `reps` products into the output buffer all tiers share; allocated
+    /// once up front, so no tier times a differently placed buffer.
+    fn run(&self, simd: bool, max_threads: usize) -> f32 {
+        let (m, k, n) = (self.m, self.k, self.n);
+        let mut out = self.out.borrow_mut();
+        for _ in 0..self.reps {
+            matmul_into_dispatch(simd, max_threads, m, k, n, &self.a, &self.b, &mut out);
+        }
+        out[0]
     }
 
-    /// Interleaved best-of-N over the three tiers so frequency scaling
-    /// hits them equally. Returns (scalar_s, simd_s, simd_mt_s) per rep.
-    fn time_tiers(&mut self, samples: usize) -> (f64, f64, f64) {
-        // Warmup (and bit-parity spot check while we are at it).
-        self.run(false, 1);
-        let reference = self.out.clone();
-        self.run(true, 1);
+    fn product_bits(&self, simd: bool, max_threads: usize) -> Vec<u32> {
+        self.run(simd, max_threads);
+        self.out.borrow().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Checks both fast tiers bit-identical to scalar (which doubles as
+    /// warmup), then times the three tiers interleaved. Returns
+    /// (scalar_s, simd_s, simd_mt_s) per rep.
+    fn time_tiers(&self, samples: usize) -> (f64, f64, f64) {
+        let reference = self.product_bits(false, 1);
         assert_eq!(
-            self.out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            self.product_bits(true, 1),
+            reference,
             "SIMD result must be bit-identical to scalar"
         );
-        self.run(true, 0);
         assert_eq!(
-            self.out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            self.product_bits(true, 0),
+            reference,
             "threaded result must be bit-identical to scalar"
         );
-        let (mut scalar, mut simd, mut simd_mt) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for _ in 0..samples {
-            let t0 = Instant::now();
-            for _ in 0..self.reps {
-                self.run(false, 1);
-            }
-            scalar = scalar.min(t0.elapsed().as_secs_f64());
-            let t1 = Instant::now();
-            for _ in 0..self.reps {
-                self.run(true, 1);
-            }
-            simd = simd.min(t1.elapsed().as_secs_f64());
-            let t2 = Instant::now();
-            for _ in 0..self.reps {
-                self.run(true, 0);
-            }
-            simd_mt = simd_mt.min(t2.elapsed().as_secs_f64());
-        }
+        let [(scalar, _), (simd, _), (simd_mt, _)] = best_of(
+            0,
+            samples,
+            [
+                &mut || self.run(false, 1),
+                &mut || self.run(true, 1),
+                &mut || self.run(true, 0),
+            ],
+        );
         let r = self.reps as f64;
         (scalar / r, simd / r, simd_mt / r)
     }
@@ -143,98 +101,63 @@ impl Shape {
     fn gflops(&self, secs: f64) -> f64 {
         2.0 * (self.m * self.k * self.n) as f64 / secs / 1e9
     }
+
+    fn report(&self, scalar: f64, simd: f64, simd_mt: f64) -> Value {
+        obj(vec![
+            ("m", Value::Num(self.m as f64)),
+            ("k", Value::Num(self.k as f64)),
+            ("n", Value::Num(self.n as f64)),
+            ("scalar_gflops", Value::Num(self.gflops(scalar))),
+            ("simd_gflops", Value::Num(self.gflops(simd))),
+            ("simd_mt_gflops", Value::Num(self.gflops(simd_mt))),
+            ("simd_speedup", Value::Num(scalar / simd)),
+            ("simd_mt_speedup", Value::Num(scalar / simd_mt)),
+        ])
+    }
 }
 
-fn shape_report(shape: &Shape, scalar: f64, simd: f64, simd_mt: f64) -> Value {
-    Value::Obj(vec![
-        ("m".into(), Value::Num(shape.m as f64)),
-        ("k".into(), Value::Num(shape.k as f64)),
-        ("n".into(), Value::Num(shape.n as f64)),
-        ("scalar_gflops".into(), Value::Num(shape.gflops(scalar))),
-        ("simd_gflops".into(), Value::Num(shape.gflops(simd))),
-        ("simd_mt_gflops".into(), Value::Num(shape.gflops(simd_mt))),
-        ("simd_speedup".into(), Value::Num(scalar / simd)),
-        ("simd_mt_speedup".into(), Value::Num(scalar / simd_mt)),
-    ])
-}
-
-fn write_baseline() {
-    let samples = timing_samples();
-    let mut serving = Shape::new("serving", SERVING, if smoke_mode() { 20 } else { 50 });
-    let mut training = Shape::new("training", TRAINING, if smoke_mode() { 1 } else { 2 });
+fn main() {
+    let samples = pick(15, 7);
+    let serving = Shape::new(SERVING, pick(50, 20));
+    let training = Shape::new(TRAINING, pick(2, 1));
     let (sv_scalar, sv_simd, sv_mt) = serving.time_tiers(samples);
     let (tr_scalar, tr_simd, tr_mt) = training.time_tiers(samples);
 
     let serving_speedup = sv_scalar / sv_simd;
     let training_speedup = tr_scalar / tr_mt;
     let simd = active_simd_name();
-    if simd == "scalar" {
-        // Scalar-only hardware (or PHISHINGHOOK_FORCE_SCALAR): there is no
-        // SIMD tier to hold to a floor; record the timings and move on.
-        println!("  gemm floors skipped: runtime dispatch selected the scalar tier");
-    } else {
-        assert!(
-            serving_speedup >= serving_floor(),
-            "SIMD ({simd}) serving-shape regression: {serving_speedup:.2}x scalar \
-             (floor {:.1}x)",
-            serving_floor()
-        );
-        assert!(
-            training_speedup >= training_floor(),
-            "SIMD+threads ({simd}) training-shape regression: {training_speedup:.2}x scalar \
-             (floor {:.1}x)",
-            training_floor()
-        );
-    }
-
-    let doc = Value::Obj(vec![
-        ("bench".into(), Value::Str("gemm_kernels".into())),
-        ("simd".into(), Value::Str(simd.into())),
-        (
-            "pool_threads".into(),
-            Value::Num(par::pool_size(usize::MAX) as f64),
-        ),
-        (
-            "serving".into(),
-            shape_report(&serving, sv_scalar, sv_simd, sv_mt),
-        ),
-        (
-            "training".into(),
-            shape_report(&training, tr_scalar, tr_simd, tr_mt),
-        ),
-    ]);
-    // Smoke runs assert but never overwrite the committed baseline.
-    if !smoke_mode() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
-        std::fs::write(path, doc.render()).expect("write BENCH_gemm.json");
-    }
     println!(
-        "  baseline [{simd}]: serving {:.1} -> {:.1} GFLOP/s ({serving_speedup:.2}x), \
-         training {:.1} -> {:.1} GFLOP/s ({training_speedup:.2}x) -> BENCH_gemm.json",
+        "gemm_kernels [{simd}]: serving {:.1} -> {:.1} GFLOP/s ({serving_speedup:.2}x), \
+         training {:.1} -> {:.1} GFLOP/s ({training_speedup:.2}x)",
         serving.gflops(sv_scalar),
         serving.gflops(sv_simd),
         training.gflops(tr_scalar),
         training.gflops(tr_mt),
     );
-    let _ = (serving.name, training.name);
-}
+    if simd == "scalar" {
+        // Scalar-only hardware (or PHISHINGHOOK_FORCE_SCALAR): there is no
+        // SIMD tier to hold to a floor; record the timings and move on.
+        println!("  gemm floors skipped: runtime dispatch selected the scalar tier");
+    } else {
+        let (serving_floor, training_floor) = (pick(2.0, 1.3), pick(3.0, 1.5));
+        assert!(
+            serving_speedup >= serving_floor,
+            "SIMD ({simd}) serving-shape regression: {serving_speedup:.2}x scalar \
+             (floor {serving_floor:.1}x)"
+        );
+        assert!(
+            training_speedup >= training_floor,
+            "SIMD+threads ({simd}) training-shape regression: {training_speedup:.2}x scalar \
+             (floor {training_floor:.1}x)"
+        );
+    }
 
-fn bench_gemm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gemm_kernels");
-    let mut serving = Shape::new("serving", SERVING, 1);
-    group.bench_function("serving_scalar", |bch| bch.iter(|| serving.run(false, 1)));
-    group.bench_function("serving_simd", |bch| bch.iter(|| serving.run(true, 1)));
-    let mut training = Shape::new("training", TRAINING, 1);
-    group.bench_function("training_scalar", |bch| bch.iter(|| training.run(false, 1)));
-    group.bench_function("training_simd_mt", |bch| bch.iter(|| training.run(true, 0)));
-    group.finish();
-
-    write_baseline();
+    write_baseline(
+        "BENCH_gemm.json",
+        "gemm_kernels",
+        vec![
+            ("serving", serving.report(sv_scalar, sv_simd, sv_mt)),
+            ("training", training.report(tr_scalar, tr_simd, tr_mt)),
+        ],
+    );
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_gemm
-}
-criterion_main!(benches);

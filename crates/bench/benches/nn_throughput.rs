@@ -1,19 +1,19 @@
-//! Criterion bench: the batched NN compute path. The shared trainer used to
-//! build a fresh tape and run a full forward/backward **per sample**; it
-//! now records one arena-reused tape per mini-batch over a `(B, d)` GEMM.
+//! Bench: the batched NN compute path. The shared trainer used to build
+//! a fresh tape and run a full forward/backward **per sample**; it now
+//! records one arena-reused tape per mini-batch over a `(B, d)` GEMM.
 //! This bench times both loops — the retired per-sample loop is kept in
 //! `phishinghook_models::trainer::train_binary_per_sample` precisely as
 //! this baseline — on the ESCORT-shaped dense network at quick-profile
 //! sizes, plus batched vs. row-wise inference.
 //!
-//! Besides the criterion timings, the bench writes `BENCH_nn.json`
-//! (train/predict samples-per-sec, per-sample vs. batched) and enforces
-//! the speedup floors: batched training must be ≥3× per-sample and
-//! batched inference ≥5× row-wise on the full run (≥1.5× / ≥2× under
-//! `PHISHINGHOOK_BENCH_SMOKE=1`, the single-core CI noise band) — a
-//! batched-path regression fails the build.
+//! The bench writes `BENCH_nn.json` (train/predict samples-per-sec,
+//! per-sample vs. batched) and enforces the speedup floors: batched
+//! training must be ≥3× per-sample and batched inference ≥5× row-wise on
+//! the full run (≥1.5× / ≥2× under `PHISHINGHOOK_BENCH_SMOKE=1`, the
+//! single-core CI noise band) — a batched-path regression fails the
+//! build.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use phishinghook_bench::harness::{best_of, pick, write_baseline};
 use phishinghook_bench::json::Value;
 use phishinghook_models::trainer::{
     batch_input, predict_binary, predict_binary_batch, train_binary, train_binary_per_sample,
@@ -22,51 +22,6 @@ use phishinghook_models::trainer::{
 use phishinghook_nn::{Linear, ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
-
-fn smoke_mode() -> bool {
-    std::env::var_os("PHISHINGHOOK_BENCH_SMOKE").is_some()
-}
-
-fn sample_count() -> usize {
-    if smoke_mode() {
-        128
-    } else {
-        256
-    }
-}
-
-fn timing_samples() -> usize {
-    if smoke_mode() {
-        5
-    } else {
-        10
-    }
-}
-
-/// The asserted floor on batched train-epoch throughput. The quick-profile
-/// target is ≥3×; smoke runs keep a wide margin for noisy shared CI boxes
-/// while still catching any structural regression (falling back to
-/// per-sample tapes costs the full multiple).
-fn train_floor() -> f64 {
-    if smoke_mode() {
-        1.5
-    } else {
-        3.0
-    }
-}
-
-/// The asserted floor on batched-vs-rowwise inference throughput, added
-/// with the SIMD GEMM tiers (PR 6): measured ≈12× on the 1-core AVX-512
-/// CI box (≈8.7× pre-SIMD), floored well below to absorb shared-box
-/// noise while still catching a fall back to row-wise tapes.
-fn predict_floor() -> f64 {
-    if smoke_mode() {
-        2.0
-    } else {
-        5.0
-    }
-}
 
 /// ESCORT-trunk-shaped MLP at quick-profile width: 64 → 64 → 32 → 1.
 const INPUT_DIM: usize = 64;
@@ -169,26 +124,23 @@ fn train_batched(xs: &[Vec<f32>], ys: &[u8]) -> f32 {
     )
 }
 
-/// Interleaved best-of-N timing so frequency scaling hits both paths
-/// equally. Returns (per_sample_secs, batched_secs).
-fn timed_train_pair(samples: usize, xs: &[Vec<f32>], ys: &[u8]) -> (f64, f64) {
-    let mut per_sample = f64::INFINITY;
-    let mut batched = f64::INFINITY;
-    // Warmup both paths.
-    train_per_sample(xs, ys);
-    train_batched(xs, ys);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        train_per_sample(xs, ys);
-        per_sample = per_sample.min(t0.elapsed().as_secs_f64());
-        let t1 = Instant::now();
-        train_batched(xs, ys);
-        batched = batched.min(t1.elapsed().as_secs_f64());
-    }
-    (per_sample, batched)
-}
+fn main() {
+    let (xs, ys) = synthetic_task(pick(256, 128));
+    let samples = pick(10, 5);
+    let cfg = train_cfg();
+    let [(per_sample_s, _), (batched_s, _)] = best_of(
+        1,
+        samples,
+        [&mut || train_per_sample(&xs, &ys), &mut || {
+            train_batched(&xs, &ys)
+        }],
+    );
+    let epoch_samples = (xs.len() * cfg.epochs) as f64;
+    let per_sample_tps = epoch_samples / per_sample_s;
+    let batched_tps = epoch_samples / batched_s;
+    let train_speedup = per_sample_s / batched_s;
 
-fn timed_predict_pair(samples: usize, mlp: &Mlp, xs: &[Vec<f32>]) -> (f64, f64) {
+    let mlp = Mlp::new(1);
     let rowwise_fn = |t: &mut Tape, s: &ParamStore, x: &Vec<f32>| {
         let xv = t.input(Tensor::from_vec(&[1, INPUT_DIM], x.clone()));
         mlp.logit(t, s, xv)
@@ -197,103 +149,60 @@ fn timed_predict_pair(samples: usize, mlp: &Mlp, xs: &[Vec<f32>]) -> (f64, f64) 
         let xv = batch_input(t, batch);
         mlp.logit(t, s, xv)
     };
-    let rowwise = predict_binary(&mlp.store, xs, rowwise_fn);
-    let batched = predict_binary_batch(&mlp.store, xs, PREDICT_BATCH, batched_fn);
+    let [(row_s, rowwise), (bat_s, batched)] = best_of(
+        1,
+        samples,
+        [
+            &mut || predict_binary(&mlp.store, &xs, rowwise_fn),
+            &mut || predict_binary_batch(&mlp.store, &xs, PREDICT_BATCH, batched_fn),
+        ],
+    );
     assert_eq!(
         rowwise.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
         batched.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
         "batched inference must be bit-identical to row-wise"
     );
-    let mut row_t = f64::INFINITY;
-    let mut bat_t = f64::INFINITY;
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        let _ = predict_binary(&mlp.store, xs, rowwise_fn);
-        row_t = row_t.min(t0.elapsed().as_secs_f64());
-        let t1 = Instant::now();
-        let _ = predict_binary_batch(&mlp.store, xs, PREDICT_BATCH, batched_fn);
-        bat_t = bat_t.min(t1.elapsed().as_secs_f64());
-    }
-    (row_t, bat_t)
-}
-
-fn write_baseline(xs: &[Vec<f32>], ys: &[u8]) {
-    let cfg = train_cfg();
-    let (per_sample_s, batched_s) = timed_train_pair(timing_samples(), xs, ys);
-    let epoch_samples = (xs.len() * cfg.epochs) as f64;
-    let per_sample_tps = epoch_samples / per_sample_s;
-    let batched_tps = epoch_samples / batched_s;
-    let train_speedup = per_sample_s / batched_s;
-
-    let mlp = Mlp::new(1);
-    let (row_s, bat_s) = timed_predict_pair(timing_samples(), &mlp, xs);
     let predict_speedup = row_s / bat_s;
 
-    assert!(
-        train_speedup >= train_floor(),
-        "batched-training regression: {train_speedup:.2}x per-sample \
-         (floor {:.1}x)",
-        train_floor()
-    );
-    assert!(
-        predict_speedup >= predict_floor(),
-        "batched-inference regression: {predict_speedup:.2}x row-wise \
-         (floor {:.1}x)",
-        predict_floor()
-    );
-
-    let doc = Value::Obj(vec![
-        ("bench".into(), Value::Str("nn_throughput".into())),
-        ("network".into(), Value::Str("mlp_64_64_32_1".into())),
-        ("samples".into(), Value::Num(xs.len() as f64)),
-        ("epochs".into(), Value::Num(cfg.epochs as f64)),
-        ("batch_size".into(), Value::Num(cfg.batch_size as f64)),
-        (
-            "per_sample_train_samples_per_sec".into(),
-            Value::Num(per_sample_tps),
-        ),
-        (
-            "batched_train_samples_per_sec".into(),
-            Value::Num(batched_tps),
-        ),
-        ("train_speedup".into(), Value::Num(train_speedup)),
-        (
-            "rowwise_predict_samples_per_sec".into(),
-            Value::Num(xs.len() as f64 / row_s),
-        ),
-        (
-            "batched_predict_samples_per_sec".into(),
-            Value::Num(xs.len() as f64 / bat_s),
-        ),
-        ("predict_speedup".into(), Value::Num(predict_speedup)),
-    ]);
-    // Smoke runs assert but never overwrite the committed baseline.
-    if !smoke_mode() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_nn.json");
-        std::fs::write(path, doc.render()).expect("write BENCH_nn.json");
-    }
     println!(
-        "  baseline: train {per_sample_tps:.0} -> {batched_tps:.0} samples/s \
-         ({train_speedup:.2}x), predict {predict_speedup:.2}x -> BENCH_nn.json"
+        "nn_throughput: train {per_sample_tps:.0} -> {batched_tps:.0} samples/s \
+         ({train_speedup:.2}x), predict {predict_speedup:.2}x"
+    );
+    let (train_floor, predict_floor) = (pick(3.0, 1.5), pick(5.0, 2.0));
+    assert!(
+        train_speedup >= train_floor,
+        "batched-training regression: {train_speedup:.2}x per-sample \
+         (floor {train_floor:.1}x)"
+    );
+    assert!(
+        predict_speedup >= predict_floor,
+        "batched-inference regression: {predict_speedup:.2}x row-wise \
+         (floor {predict_floor:.1}x)"
+    );
+
+    write_baseline(
+        "BENCH_nn.json",
+        "nn_throughput",
+        vec![
+            ("network", Value::Str("mlp_64_64_32_1".into())),
+            ("samples", Value::Num(xs.len() as f64)),
+            ("epochs", Value::Num(cfg.epochs as f64)),
+            ("batch_size", Value::Num(cfg.batch_size as f64)),
+            (
+                "per_sample_train_samples_per_sec",
+                Value::Num(per_sample_tps),
+            ),
+            ("batched_train_samples_per_sec", Value::Num(batched_tps)),
+            ("train_speedup", Value::Num(train_speedup)),
+            (
+                "rowwise_predict_samples_per_sec",
+                Value::Num(xs.len() as f64 / row_s),
+            ),
+            (
+                "batched_predict_samples_per_sec",
+                Value::Num(xs.len() as f64 / bat_s),
+            ),
+            ("predict_speedup", Value::Num(predict_speedup)),
+        ],
     );
 }
-
-fn bench_nn(c: &mut Criterion) {
-    let (xs, ys) = synthetic_task(sample_count());
-
-    let mut group = c.benchmark_group("nn_throughput");
-    group.bench_function("train_per_sample_tapes", |b| {
-        b.iter(|| train_per_sample(&xs, &ys))
-    });
-    group.bench_function("train_batched_tape", |b| b.iter(|| train_batched(&xs, &ys)));
-    group.finish();
-
-    write_baseline(&xs, &ys);
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_nn
-}
-criterion_main!(benches);

@@ -6,7 +6,11 @@
 //! "full" run is performed — larger than `--quick`, still far below the
 //! paper's GPU cluster budget, so the outputs reproduce the paper's
 //! *shapes*, not its absolute values.
+//!
+//! [`harness`] is the shared timing and baseline-writing layer of the
+//! `benches/` mains.
 
+pub mod harness;
 pub mod json;
 
 use phishinghook::prelude::*;
