@@ -1,8 +1,8 @@
 //! An owning, shareable artifact container for serving processes.
 //!
-//! [`ArtifactReader`](crate::ArtifactReader) borrows the caller's byte
-//! buffer, which is the right shape for a one-shot load but forces every
-//! holder to thread the buffer's lifetime around. A serving process wants
+//! [`ArtifactReader`] borrows the caller's byte buffer, which is the right
+//! shape for a one-shot load but forces every holder to thread the
+//! buffer's lifetime around. A serving process wants
 //! the opposite: read the artifact file **once**, park the bytes behind an
 //! [`Arc`], and let any number of pool workers slice sections out of the
 //! same allocation for as long as they like. [`OwnedArtifact`] is that

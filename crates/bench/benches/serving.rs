@@ -8,7 +8,7 @@
 //! * **escort** — a deep (ESCORT) detector scoring *pre-decoded* contracts
 //!   via `score_cache` per contract vs. one `score_batch` call. With the
 //!   decode cost out of the way, the delta is the batched NN inference
-//!   path (`predict_proba_batch`'s `(B, d)` GEMM + arena-reused tape), so
+//!   path (`predict_proba`'s `(B, d)` GEMM + arena-reused tape), so
 //!   this variant carries a raised bar.
 //! * **queue** — a fleet of K synthetic clients submits the fresh
 //!   contracts one at a time through an in-process [`MicroBatcher`] over

@@ -24,23 +24,22 @@
 //!
 //! Calibration is the load-bearing piece. The two stages emit scores on
 //! different scales (a forest's vote fraction vs. a deep model's learned
-//! probability), so each stage gets its own monotone
-//! [`Calibrator`](phishinghook_ml::Calibrator) fitted on a held-out slice
-//! of the training context — after calibration both stages speak one
-//! probability language, a [`CascadeVerdict::probability`] is
-//! threshold-comparable no matter which stage produced it, and the
-//! uncertainty band `[lo, hi]` is *chosen automatically* from a target
-//! escalation budget: [`pick_band`] takes the calibrated holdout
-//! probabilities and returns the narrowest band that escalates the
-//! requested fraction of them.
+//! probability), so each stage gets its own monotone [`Calibrator`] fitted
+//! on a held-out slice of the training context — after calibration both stages
+//! speak one probability language, a [`CascadeVerdict::probability`] is
+//! threshold-comparable no matter which stage produced it, and the uncertainty
+//! band `[lo, hi]` is *chosen automatically* from a target escalation budget:
+//! [`pick_band`] takes the calibrated holdout probabilities and returns the
+//! narrowest band that escalates the requested fraction of them.
 //!
 //! Scoring preserves every invariant of the flat path: each contract is
 //! decoded exactly once (stage 2 reuses stage 1's [`DisasmCache`]s, and
-//! when both stages share an [`Encoding`] it reuses the encoded rows
-//! outright), and because the underlying models' batched inference is
-//! bit-identical to row-wise inference, a verdict never depends on its
-//! batch-mates — which is what lets the serving tier's micro-batching
-//! queue coalesce cascade requests exactly like detector requests.
+//! when both stages share an
+//! [`Encoding`](phishinghook_features::Encoding) it reuses the encoded rows
+//! outright), and because a model's score never depends on the rows scored
+//! with it, a verdict never depends on its batch-mates — which is what
+//! lets the serving tier's micro-batching queue coalesce cascade requests
+//! exactly like detector requests.
 
 use crate::detector::{CodeScorer, Detector, PHISHING_THRESHOLD};
 use crate::evalstore::EvalContext;

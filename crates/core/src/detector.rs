@@ -6,24 +6,22 @@
 //! `eth_getCode` and must warn *before* the user signs. [`Detector::train`]
 //! closes that gap: it runs the exact trait-dispatched training path of
 //! [`evaluate_trial`](crate::mem::evaluate_trial) but keeps the fitted
-//! [`Model`] together with the context's
-//! [`FittedEncoders`](phishinghook_features::FittedEncoders) (the lookup
+//! [`Model`] together with the context's [`FittedEncoders`] (the lookup
 //! tables alone — kilobytes, not the training-set matrices), producing an
 //! artifact that scores new contracts indefinitely:
 //!
 //! * [`Detector::score_cache`] / [`Detector::score_batch`] — score decoded
 //!   contracts; batches featurize across the worker pool and hit the model
-//!   with one amortized `predict_proba_batch` call;
+//!   with one [`Model::predict_proba`] call;
 //! * [`Detector::score_code`] / [`Detector::score_codes`] — decode **exactly
 //!   once** per contract, then score;
 //! * [`Detector::score_address`] — the full wallet-guard loop: `eth_getCode`
 //!   → decode → encode → probability.
 //!
-//! A single-model detector featurizes under exactly the one
-//! [`Encoding`](phishinghook_features::Encoding) its model consumes (a
-//! histogram detector never pays for token windows); a [`ModelZoo`] holds
-//! several trained kinds and shares each distinct encoding across them, so
-//! one pass over a contract yields every model's [`Verdict`].
+//! A single-model detector featurizes under exactly the one [`Encoding`]
+//! its model consumes (a histogram detector never pays for token windows); a
+//! [`ModelZoo`] holds several trained kinds and shares each distinct encoding
+//! across them, so one pass over a contract yields every model's [`Verdict`].
 //!
 //! # Examples
 //!
@@ -355,7 +353,7 @@ impl Detector {
 
     /// Phishing probabilities for a batch of already-decoded contracts, in
     /// input order: encoding fans across the worker pool, then the model
-    /// sees one amortized `predict_proba_batch` call.
+    /// sees one `predict_proba` call.
     pub fn score_batch(&self, caches: &[DisasmCache]) -> Vec<f32> {
         if caches.is_empty() {
             return Vec::new();
@@ -363,7 +361,7 @@ impl Detector {
         let encoded: Vec<FeatureVec> =
             parallel_map(caches, |c| self.encoders.encode(c, self.encoding));
         let rows: Vec<FeatureRow<'_>> = encoded.iter().map(FeatureVec::as_row).collect();
-        self.model.predict_proba_batch(&rows)
+        self.model.predict_proba(&rows)
     }
 
     /// Encodes decoded contracts (by reference, so a cascade can gather an
@@ -380,7 +378,7 @@ impl Detector {
         if rows.is_empty() {
             return Vec::new();
         }
-        self.model.predict_proba_batch(rows)
+        self.model.predict_proba(rows)
     }
 
     /// Scores raw bytecode: decodes it exactly once, then scores.
@@ -405,7 +403,7 @@ impl Detector {
             self.encoders.encode(&DisasmCache::build(c), self.encoding)
         });
         let rows: Vec<FeatureRow<'_>> = encoded.iter().map(FeatureVec::as_row).collect();
-        self.model.predict_proba_batch(&rows)
+        self.model.predict_proba(&rows)
     }
 
     /// The wallet-guard loop: fetch the deployed bytecode over the
@@ -643,8 +641,8 @@ impl ModelZoo {
 
     /// Per-contract verdicts for a batch of decoded contracts, in input
     /// order. Each distinct encoding is featurized once per contract
-    /// (across the worker pool) and every model sees one
-    /// `predict_proba_batch` call.
+    /// (across the worker pool) and every model sees one `predict_proba`
+    /// call.
     pub fn score_batch(&self, caches: &[DisasmCache]) -> Vec<Vec<Verdict>> {
         if caches.is_empty() {
             return Vec::new();
@@ -660,7 +658,7 @@ impl ModelZoo {
             let vecs = encoded[encoding.index()]
                 .get_or_insert_with(|| parallel_map(caches, |c| self.encoders.encode(c, encoding)));
             let rows: Vec<FeatureRow<'_>> = vecs.iter().map(FeatureVec::as_row).collect();
-            for (i, p) in model.predict_proba_batch(&rows).into_iter().enumerate() {
+            for (i, p) in model.predict_proba(&rows).into_iter().enumerate() {
                 out[i].push(Verdict {
                     kind: *kind,
                     probability: p,
@@ -687,8 +685,9 @@ impl ModelZoo {
 /// shared by a worker pool" without caring which it holds. The contract
 /// that makes coalescing safe is **bit-identity**: a contract's output
 /// must not depend on its batch-mates (`score_many(&[a, b])[0] ==
-/// score_many(&[a])[0]`, guaranteed by `predict_proba_batch` and asserted
-/// in `tests/detector_serving.rs` / `tests/batched_parity.rs`).
+/// score_many(&[a])[0]`, guaranteed by the [`Model::predict_proba`]
+/// contract and asserted in `tests/detector_serving.rs` /
+/// `tests/batched_parity.rs`).
 pub trait CodeScorer: Send + Sync {
     /// Per-contract output.
     type Output: Send + 'static;

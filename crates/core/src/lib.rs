@@ -15,15 +15,16 @@
 //!   [`phishinghook_evm::disasm`]);
 //! * **MEM** ([`mem`]) — training/evaluation of all sixteen models with
 //!   10-fold × 3-run cross-validation and timing, dispatched through the
-//!   unified [`Model`](phishinghook_models::Model) trait;
+//!   unified [`Model`] trait;
 //! * **PAM** ([`pam`]) — Shapiro–Wilk / Kruskal–Wallis / Dunn post hoc
 //!   statistics;
 //!
 //! plus the serving layer ([`detector`]) — persistent trained
 //! [`Detector`]s and [`ModelZoo`]s scoring fresh contracts straight off
 //! `eth_getCode` — and the paper's dedicated experiments: [`scalability`]
-//! (Fig. 5–7), [`time_resistance`] (Fig. 8), [`shap_analysis`] (Fig. 9),
-//! [`opcode_stats`] (Fig. 3) and the Optuna-style [`hypersearch`] (§IV-C).
+//! (Fig. 5–7), [`time_resistance`] (Fig. 8),
+//! [`shap_analysis`](mod@shap_analysis) (Fig. 9), [`opcode_stats`]
+//! (Fig. 3) and the Optuna-style [`hypersearch`] (§IV-C).
 //!
 //! # Quickstart
 //!

@@ -3,21 +3,19 @@
 //! cross-validation protocol and the training/inference timing used by the
 //! cost analysis (Fig. 7).
 //!
-//! The module is built on the decode-once
-//! [`EvalContext`](crate::evalstore::EvalContext): a dataset is disassembled
-//! and featurized exactly once, every (model, run, fold) trial gathers
-//! pre-featurized row slices from the shared
+//! The module is built on the decode-once [`EvalContext`]: a dataset is
+//! disassembled and featurized exactly once, every (model, run, fold)
+//! trial gathers pre-featurized row slices from the shared
 //! [`FeatureStore`](phishinghook_features::FeatureStore), and the trial
 //! matrix itself is sharded across the worker pool with per-trial seeds
 //! fixed up front — parallel results are bit-identical to the sequential
 //! trial order.
 //!
-//! All sixteen kinds dispatch through the unified
-//! [`Model`](phishinghook_models::Model) trait: [`ModelKind::build`] is the
-//! single factory and [`ModelKind::encoding`] names the one
-//! [`Encoding`](phishinghook_features::Encoding) a kind consumes, so a
-//! trial is always *gather rows → build → fit → predict_proba* regardless
-//! of category. The same factory powers the persistent serving layer
+//! All sixteen kinds dispatch through the unified [`Model`] trait:
+//! [`ModelKind::build`] is the single factory and [`ModelKind::encoding`]
+//! names the one [`Encoding`] a kind consumes, so a trial is always
+//! *gather rows → build → fit → predict_proba* regardless of category.
+//! The same factory powers the persistent serving layer
 //! ([`Detector`](crate::detector::Detector)).
 
 use crate::dataset::Dataset;
@@ -457,10 +455,7 @@ pub fn evaluate_trial_with(
     let gathered = ctx.store().matrix(kind.encoding()).gather(test_idx);
     let rows_test = gathered.rows();
     let t1 = Instant::now();
-    // Batched inference path; bit-identical to row-wise `predict_proba`
-    // for every kind (asserted by tests/batched_parity.rs), so metrics are
-    // unaffected while the deep models amortize one tape per mini-batch.
-    let probs = model.predict_proba_batch(&rows_test);
+    let probs = model.predict_proba(&rows_test);
     let infer_seconds = t1.elapsed().as_secs_f64();
     outcome_from_probs(&probs, &y_test, train_seconds, infer_seconds)
 }

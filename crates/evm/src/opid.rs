@@ -8,8 +8,8 @@
 //! heap-allocated mnemonic strings, which is what makes the single-pass
 //! featurization pipeline allocation-free on its hot path.
 //!
-//! The string-ish [`Mnemonic`](crate::disasm::Mnemonic) type remains the
-//! *display layer*: convert with [`OpId::mnemonic`] only when rendering.
+//! The string-ish [`Mnemonic`] type remains the *display layer*: convert
+//! with [`OpId::mnemonic`] only when rendering.
 //!
 //! # Examples
 //!

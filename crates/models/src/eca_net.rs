@@ -8,9 +8,7 @@
 //! classifier, mirroring the "modified EfficientNet-B0 backbone" of the
 //! original at reduced width/depth.
 
-use crate::trainer::{
-    predict_binary, predict_binary_batch, train_binary, TrainConfig, PREDICT_BATCH,
-};
+use crate::trainer::{predict_binary_batch, train_binary, TrainConfig, PREDICT_BATCH};
 use phishinghook_nn::{Linear, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -227,69 +225,42 @@ impl EcaEfficientNet {
         }
     }
 
-    fn logit(&self, t: &mut Tape, s: &ParamStore, image: &[f32]) -> Var {
+    /// The one forward pass, shared by training and prediction: a `(B, 1)`
+    /// logit column for `B` images. The `(c, h, w)` convolution ops are
+    /// per-image, so each image records its own subgraph and the logits
+    /// are stacked.
+    fn logits(&self, t: &mut Tape, s: &ParamStore, batch: &[&Vec<f32>]) -> Var {
         let side = self.config.side;
-        let x = t.input(Tensor::from_vec(&[3, side, side], image.to_vec()));
-        let h = self.stem.forward(t, s, x);
-        let h = self.stem_norm.forward(t, s, h);
-        let h = t.silu(h);
-        let h = self.block1.forward(t, s, h);
-        let h = self.block2.forward(t, s, h);
-        let pooled = t.global_avg_pool(h);
-        self.head.forward(t, s, pooled)
+        let logits: Vec<Var> = batch
+            .iter()
+            .map(|image| {
+                let x = t.input(Tensor::from_vec(&[3, side, side], image.to_vec()));
+                let h = self.stem.forward(t, s, x);
+                let h = self.stem_norm.forward(t, s, h);
+                let h = t.silu(h);
+                let h = self.block1.forward(t, s, h);
+                let h = self.block2.forward(t, s, h);
+                let pooled = t.global_avg_pool(h);
+                self.head.forward(t, s, pooled)
+            })
+            .collect();
+        t.stack_rows(&logits)
     }
 
     /// Trains on channel-first image vectors.
     pub fn fit(&mut self, images: &[Vec<f32>], y: &[u8]) {
-        let side = self.config.side;
-        let (stem, stem_norm, block1, block2, head) = (
-            self.stem,
-            self.stem_norm,
-            self.block1,
-            self.block2,
-            self.head,
-        );
         let cfg = self.config.train;
         let mut store = std::mem::take(&mut self.store);
-        // The (c, h, w) convolution ops are per-image, so each sample is
-        // its own subgraph; the batch shares one tape and one backward.
-        train_binary(
-            &mut store,
-            images,
-            y,
-            &cfg,
-            &[],
-            |t, s, batch: &[&Vec<f32>]| {
-                let logits: Vec<Var> = batch
-                    .iter()
-                    .map(|img| {
-                        let x = t.input(Tensor::from_vec(&[3, side, side], (*img).clone()));
-                        let h = stem.forward(t, s, x);
-                        let h = stem_norm.forward(t, s, h);
-                        let h = t.silu(h);
-                        let h = block1.forward(t, s, h);
-                        let h = block2.forward(t, s, h);
-                        let pooled = t.global_avg_pool(h);
-                        head.forward(t, s, pooled)
-                    })
-                    .collect();
-                t.stack_rows(&logits)
-            },
-        );
+        train_binary(&mut store, images, y, &cfg, &[], |t, s, batch| {
+            self.logits(t, s, batch)
+        });
         self.store = store;
     }
 
     /// Phishing probability per image.
     pub fn predict_proba(&self, images: &[Vec<f32>]) -> Vec<f32> {
-        predict_binary(&self.store, images, |t, s, img| self.logit(t, s, img))
-    }
-
-    /// Batched phishing probabilities over one arena-reused tape,
-    /// bit-identical to [`EcaEfficientNet::predict_proba`].
-    pub fn predict_proba_batch(&self, images: &[Vec<f32>]) -> Vec<f32> {
         predict_binary_batch(&self.store, images, PREDICT_BATCH, |t, s, batch| {
-            let logits: Vec<Var> = batch.iter().map(|img| self.logit(t, s, img)).collect();
-            t.stack_rows(&logits)
+            self.logits(t, s, batch)
         })
     }
 

@@ -10,10 +10,8 @@
 //! social-engineering signals; this reproduction keeps that two-phase
 //! protocol so the failure mode is reproduced honestly, not hard-coded.
 
-use crate::trainer::{
-    batch_input, predict_binary, predict_binary_batch, train_binary, TrainConfig, PREDICT_BATCH,
-};
-use phishinghook_nn::{Linear, ParamId, ParamStore, Tape, Tensor, Var};
+use crate::trainer::{batch_input, predict_binary_batch, train_binary, TrainConfig, PREDICT_BATCH};
+use phishinghook_nn::{Linear, ParamId, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -100,31 +98,17 @@ impl EscortNet {
         }
     }
 
-    fn features(trunk1: Linear, trunk2: Linear, t: &mut Tape, s: &ParamStore, x: &[f32]) -> Var {
-        let xv = t.input(Tensor::from_vec(&[1, x.len()], x.to_vec()));
-        let h = trunk1.forward(t, s, xv);
+    /// The one forward pass, shared by both training phases and
+    /// prediction: the whole batch rides one `(B, d)` activation through
+    /// the trunk, so each weight matrix is read once per batch, and `head`
+    /// turns the trunk features into a `(B, 1)` logit column.
+    fn logits(&self, head: Linear, t: &mut Tape, s: &ParamStore, batch: &[&Vec<f32>]) -> Var {
+        let xv = batch_input(t, batch);
+        let h = self.trunk1.forward(t, s, xv);
         let h = t.relu(h);
-        let h = trunk2.forward(t, s, h);
-        t.relu(h)
-    }
-
-    /// The genuinely batched trunk: the whole mini-batch rides one `(B, d)`
-    /// activation through the dense layers, so each weight matrix is read
-    /// once per batch instead of once per sample. Row `i` of the output is
-    /// bit-identical to [`EscortNet::features`] on sample `i` alone (the
-    /// GEMM kernel's fixed per-row accumulation order).
-    fn features_batch(
-        trunk1: Linear,
-        trunk2: Linear,
-        t: &mut Tape,
-        s: &ParamStore,
-        xs: &[&Vec<f32>],
-    ) -> Var {
-        let xv = batch_input(t, xs);
-        let h = trunk1.forward(t, s, xv);
-        let h = t.relu(h);
-        let h = trunk2.forward(t, s, h);
-        t.relu(h)
+        let h = self.trunk2.forward(t, s, h);
+        let f = t.relu(h);
+        head.forward(t, s, f)
     }
 
     /// Phase 1: multi-label pre-training of trunk + vulnerability branches.
@@ -136,9 +120,8 @@ impl EscortNet {
     pub fn pretrain(&mut self, xs: &[Vec<f32>], vuln_labels: &[Vec<u8>]) {
         assert_eq!(xs.len(), vuln_labels.len(), "sample/label mismatch");
         // Train each branch in turn (trunk shared and unfrozen).
-        let (trunk1, trunk2) = (self.trunk1, self.trunk2);
         let cfg = self.config.train;
-        for (b, head) in self.vuln_heads.clone().into_iter().enumerate() {
+        for (b, &head) in self.vuln_heads.iter().enumerate() {
             let labels: Vec<u8> = vuln_labels
                 .iter()
                 .map(|row| {
@@ -147,17 +130,9 @@ impl EscortNet {
                 })
                 .collect();
             let mut store = std::mem::take(&mut self.store);
-            train_binary(
-                &mut store,
-                xs,
-                &labels,
-                &cfg,
-                &[],
-                |t, s, batch: &[&Vec<f32>]| {
-                    let f = Self::features_batch(trunk1, trunk2, t, s, batch);
-                    head.forward(t, s, f)
-                },
-            );
+            train_binary(&mut store, xs, &labels, &cfg, &[], |t, s, batch| {
+                self.logits(head, t, s, batch)
+            });
             self.store = store;
         }
     }
@@ -167,8 +142,6 @@ impl EscortNet {
     pub fn fit_transfer(&mut self, xs: &[Vec<f32>], y: &[u8]) {
         let head = Linear::new(&mut self.store, self.config.trunk2, 1, &mut self.rng);
         self.phishing_head = Some(head);
-        let (trunk1, trunk2) = (self.trunk1, self.trunk2);
-        let frozen = self.trunk_params.clone();
         let cfg = self.config.train;
         let mut store = std::mem::take(&mut self.store);
         train_binary(
@@ -176,11 +149,8 @@ impl EscortNet {
             xs,
             y,
             &cfg,
-            &frozen,
-            |t, s, batch: &[&Vec<f32>]| {
-                let f = Self::features_batch(trunk1, trunk2, t, s, batch);
-                head.forward(t, s, f)
-            },
+            &self.trunk_params,
+            |t, s, batch| self.logits(head, t, s, batch),
         );
         self.store = store;
     }
@@ -192,25 +162,8 @@ impl EscortNet {
     /// Panics if called before [`EscortNet::fit_transfer`].
     pub fn predict_proba(&self, xs: &[Vec<f32>]) -> Vec<f32> {
         let head = self.phishing_head.expect("predict before fit_transfer");
-        let (trunk1, trunk2) = (self.trunk1, self.trunk2);
-        predict_binary(&self.store, xs, |t, s, x: &Vec<f32>| {
-            let f = Self::features(trunk1, trunk2, t, s, x);
-            head.forward(t, s, f)
-        })
-    }
-
-    /// Batched phishing probabilities: `(B, d)` mini-batches through one
-    /// arena-reused tape, bit-identical to [`EscortNet::predict_proba`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`EscortNet::fit_transfer`].
-    pub fn predict_proba_batch(&self, xs: &[Vec<f32>]) -> Vec<f32> {
-        let head = self.phishing_head.expect("predict before fit_transfer");
-        let (trunk1, trunk2) = (self.trunk1, self.trunk2);
         predict_binary_batch(&self.store, xs, PREDICT_BATCH, |t, s, batch| {
-            let f = Self::features_batch(trunk1, trunk2, t, s, batch);
-            head.forward(t, s, f)
+            self.logits(head, t, s, batch)
         })
     }
 
@@ -228,17 +181,19 @@ impl EscortNet {
         w.into_bytes()
     }
 
-    /// Restores state exported from a same-configured model. When the
-    /// exporter had been through [`EscortNet::fit_transfer`], the phishing
-    /// branch is attached here first (same structural path as training),
-    /// then every tensor — trunk, vulnerability branches, transfer head —
-    /// is overwritten with the exported values.
+    /// Restores state exported from a same-configured model that has been
+    /// through [`EscortNet::fit_transfer`]. The phishing branch is attached
+    /// here first (same structural path as training), then every tensor —
+    /// trunk, vulnerability branches, transfer head — is overwritten with
+    /// the exported values.
     ///
     /// # Errors
     ///
-    /// [`ArtifactError::Mismatch`] on a structural disagreement (e.g. the
-    /// artifact has no transfer head but this model does), plus tensor
-    /// shape/count mismatches from the parameter store.
+    /// [`ArtifactError::Mismatch`] when the state carries no phishing head
+    /// (exported before `fit_transfer`: such a model could never predict),
+    /// plus tensor shape/count mismatches from the parameter store.
+    ///
+    /// [`ArtifactError::Mismatch`]: phishinghook_artifact::ArtifactError::Mismatch
     pub fn import_state(
         &mut self,
         bytes: &[u8],
@@ -248,12 +203,12 @@ impl EscortNet {
         let has_head = r.take_u8()? != 0;
         let tensors = r.take_bytes()?.to_vec();
         r.expect_exhausted("escort state")?;
-        if !has_head && self.phishing_head.is_some() {
+        if !has_head {
             return Err(ArtifactError::Mismatch(
-                "artifact carries no phishing head but the model has one".into(),
+                "escort state carries no phishing head (exported before fit_transfer)".into(),
             ));
         }
-        if has_head && self.phishing_head.is_none() {
+        if self.phishing_head.is_none() {
             let head = Linear::new(&mut self.store, self.config.trunk2, 1, &mut self.rng);
             self.phishing_head = Some(head);
         }
@@ -323,6 +278,21 @@ mod tests {
             .filter(|(p, &l)| (**p >= 0.5) == (l == 1))
             .count();
         assert!(acc >= 27, "accuracy {acc}/30");
+    }
+
+    #[test]
+    fn head_less_state_is_rejected() {
+        // Pretrained only: the exported state has no phishing head, and a
+        // model restored from it could never predict.
+        let mut pretrained = EscortNet::new(toy());
+        let xs: Vec<Vec<f32>> = (0..8).map(|i| vec![(i % 4) as f32; 6]).collect();
+        let vuln: Vec<Vec<u8>> = (0..8).map(|i| vec![(i % 2) as u8, 0]).collect();
+        pretrained.pretrain(&xs, &vuln);
+        let mut fresh = EscortNet::new(toy());
+        assert!(matches!(
+            fresh.import_state(&pretrained.export_state()),
+            Err(phishinghook_artifact::ArtifactError::Mismatch(_))
+        ));
     }
 
     #[test]

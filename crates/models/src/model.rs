@@ -1,12 +1,7 @@
 //! The unified model protocol: every detector — classical or deep — behind
 //! one object-safe trait over borrowed [`FeatureRow`] views.
 //!
-//! Before this module the evaluation engine juggled three incompatible
-//! input shapes (`Vec<f32>` images/embeddings, `Vec<u32>` id sequences,
-//! `Vec<Vec<u32>>` token windows) and two training protocols (the
-//! [`Classifier`] matrix interface and per-model `fit`/`predict_proba`
-//! inherent methods). [`Model`] collapses all of that: a model consumes a
-//! slice of [`FeatureRow`]s gathered straight out of a
+//! A model consumes a slice of [`FeatureRow`]s gathered straight out of a
 //! [`FeatureStore`](phishinghook_features::FeatureStore) column store (or
 //! freshly encoded by the serving path) and returns phishing probabilities.
 //! Dispatch is dynamic, so the whole sixteen-model zoo fits behind
@@ -56,18 +51,13 @@ pub trait Model: Send + Sync {
     fn fit(&mut self, rows: &[FeatureRow<'_>], labels: &[u8]);
 
     /// Probability of class 1 for each row.
+    ///
+    /// Row `i`'s score does not depend on the other rows: scoring a slice
+    /// at once and scoring each row alone give bit-identical results. The
+    /// deep models score in mini-batches over one arena-reused tape and the
+    /// classical ones over one design matrix, so callers pass whole
+    /// batches; the serving `CodeScorer` relies on this contract.
     fn predict_proba(&self, rows: &[FeatureRow<'_>]) -> Vec<f32>;
-
-    /// Batched probability of class 1 for each row — the amortized serving
-    /// and evaluation entry point. The default delegates to
-    /// [`Model::predict_proba`] (the classical classifiers already consume
-    /// a whole design matrix per call); the six deep models override it
-    /// with one-tape-per-mini-batch inference whose results are
-    /// **bit-identical** to the row-wise path, so routing a caller through
-    /// this method never changes a score.
-    fn predict_proba_batch(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
-        self.predict_proba(rows)
-    }
 
     /// Total trainable scalar parameters. Classical (non-gradient) models
     /// report 0: tree and neighbor counts are not comparable to network
@@ -222,10 +212,6 @@ impl Model for ViT {
         ViT::predict_proba(self, &dense_rows(rows))
     }
 
-    fn predict_proba_batch(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
-        ViT::predict_proba_batch(self, &dense_rows(rows))
-    }
-
     fn parameter_count(&self) -> usize {
         ViT::parameter_count(self)
     }
@@ -246,10 +232,6 @@ impl Model for EcaEfficientNet {
 
     fn predict_proba(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
         EcaEfficientNet::predict_proba(self, &dense_rows(rows))
-    }
-
-    fn predict_proba_batch(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
-        EcaEfficientNet::predict_proba_batch(self, &dense_rows(rows))
     }
 
     fn parameter_count(&self) -> usize {
@@ -274,10 +256,6 @@ impl Model for ScsGuard {
         ScsGuard::predict_proba(self, &id_rows(rows))
     }
 
-    fn predict_proba_batch(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
-        ScsGuard::predict_proba_batch(self, &id_rows(rows))
-    }
-
     fn parameter_count(&self) -> usize {
         ScsGuard::parameter_count(self)
     }
@@ -298,10 +276,6 @@ impl Model for Gpt2Classifier {
 
     fn predict_proba(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
         Gpt2Classifier::predict_proba(self, &window_rows(rows))
-    }
-
-    fn predict_proba_batch(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
-        Gpt2Classifier::predict_proba_batch(self, &window_rows(rows))
     }
 
     fn parameter_count(&self) -> usize {
@@ -326,10 +300,6 @@ impl Model for T5Classifier {
         T5Classifier::predict_proba(self, &window_rows(rows))
     }
 
-    fn predict_proba_batch(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
-        T5Classifier::predict_proba_batch(self, &window_rows(rows))
-    }
-
     fn parameter_count(&self) -> usize {
         T5Classifier::parameter_count(self)
     }
@@ -350,10 +320,6 @@ impl Model for EscortNet {
 
     fn predict_proba(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
         EscortNet::predict_proba(self, &dense_rows(rows))
-    }
-
-    fn predict_proba_batch(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
-        EscortNet::predict_proba_batch(self, &dense_rows(rows))
     }
 
     fn parameter_count(&self) -> usize {

@@ -7,9 +7,7 @@
 //! layer that models sequential patterns in the data. Finally, a fully
 //! connected linear layer generates the logits." (§IV-B)
 
-use crate::trainer::{
-    predict_binary, predict_binary_batch, train_binary, TrainConfig, PREDICT_BATCH,
-};
+use crate::trainer::{predict_binary_batch, train_binary, TrainConfig, PREDICT_BATCH};
 use phishinghook_nn::{Gru, Linear, MultiHeadAttention, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -95,72 +93,44 @@ impl ScsGuard {
         }
     }
 
-    fn logit(&self, tape: &mut Tape, store: &ParamStore, ids: &[u32]) -> Var {
-        let table = tape.param(store, self.embed);
-        self.logit_with(tape, store, table, ids)
+    /// The one forward pass, shared by training and prediction: a `(B, 1)`
+    /// logit column for `B` sequences. The GRU recurrence is inherently
+    /// sequential, so each sequence records its own subgraph over an
+    /// embedding-table leaf recorded once per batch; the per-sequence
+    /// logits are stacked.
+    fn logits(&self, t: &mut Tape, s: &ParamStore, batch: &[&Vec<u32>]) -> Var {
+        let table = t.param(s, self.embed);
+        let logits: Vec<Var> = batch
+            .iter()
+            .map(|ids| {
+                let e = t.embedding(table, ids);
+                let a = self.attn.forward(t, s, e, false);
+                let x = t.add(e, a); // residual attention
+                let h = self.gru.forward(t, s, x);
+                self.head.forward(t, s, h)
+            })
+            .collect();
+        t.stack_rows(&logits)
     }
 
-    /// [`ScsGuard::logit`] over a pre-recorded embedding-table leaf, so a
-    /// batched tape copies the table once per mini-batch instead of once
-    /// per sequence.
-    fn logit_with(&self, tape: &mut Tape, store: &ParamStore, table: Var, ids: &[u32]) -> Var {
-        let e = tape.embedding(table, ids);
-        let a = self.attn.forward(tape, store, e, false);
-        let x = tape.add(e, a); // residual attention
-        let h = self.gru.forward(tape, store, x);
-        self.head.forward(tape, store, h)
-    }
-
-    /// Trains on bigram id sequences with 0/1 labels. The GRU recurrence is
-    /// inherently sequential, so each sample records its own subgraph; the
-    /// batch shares one tape and the per-sample logits are stacked into the
-    /// `(B, 1)` column for a single backward pass.
+    /// Trains on bigram id sequences with 0/1 labels.
     ///
     /// # Panics
     ///
     /// Panics on empty or mismatched inputs.
     pub fn fit(&mut self, xs: &[Vec<u32>], y: &[u8]) {
-        let (embed, attn, gru, head) = (self.embed, self.attn.clone(), self.gru.clone(), self.head);
-        train_binary(
-            &mut self.store,
-            xs,
-            y,
-            &self.config.train,
-            &[],
-            |t, s, batch: &[&Vec<u32>]| {
-                // One embedding-table leaf per batch, shared by every
-                // sequence subgraph.
-                let table = t.param(s, embed);
-                let logits: Vec<Var> = batch
-                    .iter()
-                    .map(|ids| {
-                        let e = t.embedding(table, ids);
-                        let a = attn.forward(t, s, e, false);
-                        let x = t.add(e, a);
-                        let hsz = gru.forward(t, s, x);
-                        head.forward(t, s, hsz)
-                    })
-                    .collect();
-                t.stack_rows(&logits)
-            },
-        );
+        let cfg = self.config.train;
+        let mut store = std::mem::take(&mut self.store);
+        train_binary(&mut store, xs, y, &cfg, &[], |t, s, batch| {
+            self.logits(t, s, batch)
+        });
+        self.store = store;
     }
 
     /// Phishing probability per sequence.
     pub fn predict_proba(&self, xs: &[Vec<u32>]) -> Vec<f32> {
-        predict_binary(&self.store, xs, |t, s, ids| self.logit(t, s, ids))
-    }
-
-    /// Batched phishing probabilities over one arena-reused tape,
-    /// bit-identical to [`ScsGuard::predict_proba`].
-    pub fn predict_proba_batch(&self, xs: &[Vec<u32>]) -> Vec<f32> {
         predict_binary_batch(&self.store, xs, PREDICT_BATCH, |t, s, batch| {
-            let table = t.param(s, self.embed);
-            let logits: Vec<Var> = batch
-                .iter()
-                .map(|ids| self.logit_with(t, s, table, ids))
-                .collect();
-            t.stack_rows(&logits)
+            self.logits(t, s, batch)
         })
     }
 

@@ -8,7 +8,8 @@
 //! [`crate::Gpt2Classifier`].
 
 use crate::trainer::{
-    aggregate_window_probs, predict_binary_batch, train_binary, TrainConfig, PREDICT_BATCH,
+    aggregate_window_probs, label_windows, predict_binary_batch, train_binary, TrainConfig,
+    PREDICT_BATCH,
 };
 use phishinghook_nn::{
     LayerNorm, Linear, MultiHeadAttention, ParamId, ParamStore, Tape, Tensor, TransformerBlock, Var,
@@ -115,136 +116,61 @@ impl T5Classifier {
         }
     }
 
-    fn window_logit(&self, t: &mut Tape, s: &ParamStore, window: &[u32]) -> Var {
+    /// The one forward pass, shared by training and prediction: a `(B, 1)`
+    /// logit column for `B` windows. The embedding table, positional rows
+    /// and decoder query are recorded once per batch and shared by every
+    /// window's subgraph.
+    fn logits<W: AsRef<[u32]>>(&self, t: &mut Tape, s: &ParamStore, batch: &[&W]) -> Var {
+        let (context, dim) = (self.config.context, self.config.dim);
         let table = t.param(s, self.token_embed);
         let pos_full = t.param(s, self.pos_embed);
         let q = t.param(s, self.dec_query);
-        self.window_logit_with(t, s, table, pos_full, q, window)
-    }
-
-    /// [`T5Classifier::window_logit`] over pre-recorded embedding-table,
-    /// positional and decoder-query leaves, so a batched tape copies each
-    /// once per mini-batch instead of once per window.
-    fn window_logit_with(
-        &self,
-        t: &mut Tape,
-        s: &ParamStore,
-        table: Var,
-        pos_full: Var,
-        q: Var,
-        window: &[u32],
-    ) -> Var {
-        let ids: Vec<u32> = window.iter().copied().take(self.config.context).collect();
-        let e = t.embedding(table, &ids);
-        let pos = if ids.len() == self.config.context {
-            pos_full
-        } else {
-            let data = t.value(pos_full).data()[..ids.len() * self.config.dim].to_vec();
-            t.input(Tensor::from_vec(&[ids.len(), self.config.dim], data))
-        };
-        let mut x = t.add(e, pos);
-        for block in &self.encoder {
-            x = block.forward(t, s, x, false);
-        }
-        // Single decoding step: learned query cross-attends over the memory.
-        let ctx = self.cross_attn.forward_cross(t, s, q, x);
-        let ctx = t.add(q, ctx);
-        let ctx = self.dec_norm.forward(t, s, ctx);
-        self.head.forward(t, s, ctx)
+        let logits: Vec<Var> = batch
+            .iter()
+            .map(|window| {
+                let window = window.as_ref();
+                let ids = &window[..window.len().min(context)];
+                let e = t.embedding(table, ids);
+                let pos = if ids.len() == context {
+                    pos_full
+                } else {
+                    let data = t.value(pos_full).data()[..ids.len() * dim].to_vec();
+                    t.input(Tensor::from_vec(&[ids.len(), dim], data))
+                };
+                let mut x = t.add(e, pos);
+                for block in &self.encoder {
+                    x = block.forward(t, s, x, false);
+                }
+                // Single decoding step: learned query cross-attends over the
+                // memory.
+                let ctx = self.cross_attn.forward_cross(t, s, q, x);
+                let ctx = t.add(q, ctx);
+                let ctx = self.dec_norm.forward(t, s, ctx);
+                self.head.forward(t, s, ctx)
+            })
+            .collect();
+        t.stack_rows(&logits)
     }
 
     /// Trains on per-contract window lists with 0/1 labels (every window
     /// inherits its contract's label, capped at `max_train_windows`).
     pub fn fit(&mut self, xs: &[Vec<Vec<u32>>], y: &[u8]) {
-        let mut flat: Vec<Vec<u32>> = Vec::new();
-        let mut flat_y: Vec<u8> = Vec::new();
-        for (windows, &label) in xs.iter().zip(y) {
-            for w in windows.iter().take(self.config.max_train_windows) {
-                flat.push(w.clone());
-                flat_y.push(label);
-            }
-        }
-        let (token_embed, pos_embed, dec_query) =
-            (self.token_embed, self.pos_embed, self.dec_query);
-        let encoder = self.encoder.clone();
-        let cross = self.cross_attn.clone();
-        let (norm, head) = (self.dec_norm, self.head);
-        let (context, dim) = (self.config.context, self.config.dim);
+        let (windows, labels) = label_windows(xs, y, self.config.max_train_windows);
         let cfg = self.config.train;
         let mut store = std::mem::take(&mut self.store);
-        // Batching is over the window dimension, as in the GPT-2 trainer.
-        train_binary(
-            &mut store,
-            &flat,
-            &flat_y,
-            &cfg,
-            &[],
-            |t, s, batch: &[&Vec<u32>]| {
-                // One embedding/positional/query leaf per batch, shared by
-                // every window subgraph.
-                let table = t.param(s, token_embed);
-                let pos_full = t.param(s, pos_embed);
-                let q = t.param(s, dec_query);
-                let logits: Vec<Var> = batch
-                    .iter()
-                    .map(|window| {
-                        let ids: Vec<u32> = window.iter().copied().take(context).collect();
-                        let e = t.embedding(table, &ids);
-                        let pos = if ids.len() == context {
-                            pos_full
-                        } else {
-                            let data = t.value(pos_full).data()[..ids.len() * dim].to_vec();
-                            t.input(Tensor::from_vec(&[ids.len(), dim], data))
-                        };
-                        let mut x = t.add(e, pos);
-                        for block in &encoder {
-                            x = block.forward(t, s, x, false);
-                        }
-                        let ctx = cross.forward_cross(t, s, q, x);
-                        let ctx = t.add(q, ctx);
-                        let ctx = norm.forward(t, s, ctx);
-                        head.forward(t, s, ctx)
-                    })
-                    .collect();
-                t.stack_rows(&logits)
-            },
-        );
+        train_binary(&mut store, &windows, &labels, &cfg, &[], |t, s, batch| {
+            self.logits(t, s, batch)
+        });
         self.store = store;
     }
 
-    /// Phishing probability per contract (mean over windows).
+    /// Phishing probability per contract (mean over windows), scored in
+    /// window mini-batches of [`PREDICT_BATCH`]; a contract's score does
+    /// not depend on the other contracts in `xs`.
     pub fn predict_proba(&self, xs: &[Vec<Vec<u32>>]) -> Vec<f32> {
-        xs.iter()
-            .map(|windows| {
-                if windows.is_empty() {
-                    return 0.5;
-                }
-                let mut sum = 0.0f32;
-                for w in windows {
-                    let mut tape = Tape::new();
-                    let z = self.window_logit(&mut tape, &self.store, w);
-                    let v = tape.value(z).data()[0];
-                    sum += 1.0 / (1.0 + (-v).exp());
-                }
-                sum / windows.len() as f32
-            })
-            .collect()
-    }
-
-    /// Batched contract probabilities over flattened windows (one
-    /// arena-reused tape, window mini-batches), bit-identical to
-    /// [`T5Classifier::predict_proba`].
-    pub fn predict_proba_batch(&self, xs: &[Vec<Vec<u32>>]) -> Vec<f32> {
-        let flat: Vec<&Vec<u32>> = xs.iter().flatten().collect();
-        let probs = predict_binary_batch(&self.store, &flat, PREDICT_BATCH, |t, s, batch| {
-            let table = t.param(s, self.token_embed);
-            let pos_full = t.param(s, self.pos_embed);
-            let q = t.param(s, self.dec_query);
-            let logits: Vec<Var> = batch
-                .iter()
-                .map(|w| self.window_logit_with(t, s, table, pos_full, q, w))
-                .collect();
-            t.stack_rows(&logits)
+        let windows: Vec<&Vec<u32>> = xs.iter().flatten().collect();
+        let probs = predict_binary_batch(&self.store, &windows, PREDICT_BATCH, |t, s, batch| {
+            self.logits(t, s, batch)
         });
         aggregate_window_probs(xs, &probs)
     }

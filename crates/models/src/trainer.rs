@@ -2,29 +2,26 @@
 //! data-parallel **shards** of each batch across the worker pool, Adam
 //! updates, optional frozen parameters.
 //!
-//! Each mini-batch is cut into fixed-width shards of [`TRAIN_SHARD`]
-//! samples. Every shard records its forward on its own arena-reused
-//! [`Tape`] (the model's `logit_fn` consumes the shard at once — a
-//! `(B, d)` matmul for the dense models, a per-sample subgraph stacked
-//! with [`Tape::stack_rows`] for the sequence and vision models), reduces
-//! with [`Tape::bce_with_logits_batch_scaled`] using the *full* batch size
-//! as denominator, and differentiates into a private
-//! [`GradBuffer`](phishinghook_nn::GradBuffer) — so shard losses and
-//! gradients sum to exactly the whole-batch mean loss and its gradient.
-//! Shards run on scoped worker threads, but the reduction is a
+//! Each deep model has one private batched forward (`logits`) that both
+//! [`train_binary`] and [`predict_binary_batch`] call. Each mini-batch is
+//! cut into fixed-width shards of [`TRAIN_SHARD`] samples. Every shard
+//! records its forward on its own arena-reused [`Tape`] (the model's
+//! `logit_fn` consumes the shard at once — a `(B, d)` matmul for the dense
+//! models, a per-sample subgraph stacked with [`Tape::stack_rows`] for the
+//! sequence and vision models), reduces with
+//! [`Tape::bce_with_logits_batch_scaled`] using the *full* batch size as
+//! denominator, and differentiates into a private [`GradBuffer`] — so
+//! shard losses and gradients sum to exactly the whole-batch mean loss and its
+//! gradient. Shards run on scoped worker threads, but the reduction is a
 //! **fixed-order fold**: the caller's thread adds the shard buffers into
 //! the store in shard-index order before the single Adam step. Because the
 //! shard width is a constant (never derived from the worker count), the
 //! fitted parameters are bit-identical at every pool size — including the
 //! sequential fallback — and reproducible per seed.
 //!
-//! **Accumulation-order note:** sharded reduction accumulates parameter
-//! gradients shard by shard, a fixed but *different* order than both the
-//! retired per-sample-tape loop and the PR-5 whole-batch tape. Runs are
-//! bit-reproducible per seed (and per worker count); they are not
-//! bit-comparable to pre-sharding checkpoints.
-//! [`train_binary_per_sample`] keeps the oldest loop alive as the measured
-//! baseline of the `nn_throughput` bench.
+//! [`train_binary_per_sample`] and [`predict_binary`] are row-wise
+//! baselines: no model uses them; the `nn_throughput` bench measures the
+//! batched loop and predictor against them.
 
 use phishinghook_linalg::par;
 use phishinghook_nn::{GradBuffer, ParamId, ParamStore, Tape, Tensor, Var};
@@ -221,11 +218,10 @@ pub fn train_binary_sharded<S: Sync>(
     epoch_loss
 }
 
-/// The retired per-sample-tape loop: a fresh [`Tape`] and a full
+/// Row-wise training baseline: a fresh [`Tape`] and a full
 /// forward/backward per sample, gradients summed across the chunk, one
-/// Adam step per mini-batch. Kept as the measured baseline the
-/// `nn_throughput` bench compares [`train_binary`] against — not used by
-/// any model.
+/// Adam step per mini-batch. Its only use is as the baseline the
+/// `nn_throughput` bench compares [`train_binary`] against.
 pub fn train_binary_per_sample<S>(
     store: &mut ParamStore,
     samples: &[S],
@@ -280,12 +276,25 @@ pub fn batch_input(tape: &mut Tape, batch: &[&Vec<f32>]) -> Var {
     tape.input(Tensor::from_vec(&[batch.len(), d], data))
 }
 
+/// Flattens per-contract window lists into training samples: each of a
+/// contract's first `cap` windows carries the contract's label (chunked
+/// fine-tuning). Shared by the GPT-2 and T5 trainers.
+pub(crate) fn label_windows<'a>(
+    xs: &'a [Vec<Vec<u32>>],
+    y: &[u8],
+    cap: usize,
+) -> (Vec<&'a Vec<u32>>, Vec<u8>) {
+    xs.iter()
+        .zip(y)
+        .flat_map(|(windows, &label)| windows.iter().take(cap).map(move |w| (w, label)))
+        .unzip()
+}
+
 /// Averages flat per-window probabilities back to per-contract scores:
 /// `probs` holds one probability per window of `xs`, flattened in contract
 /// order, and each contract's score is the mean of its windows' entries in
 /// window order (a contract with no windows scores the 0.5 prior). Shared
-/// by the GPT-2 and T5 batched predictors so the window-to-contract
-/// aggregation contract lives in exactly one place.
+/// by the GPT-2 and T5 predictors.
 ///
 /// # Panics
 ///
@@ -307,8 +316,9 @@ pub fn aggregate_window_probs(xs: &[Vec<Vec<u32>>], probs: &[f32]) -> Vec<f32> {
     out
 }
 
-/// Computes `σ(logit)` per sample through a forward-only tape — the
-/// row-wise reference path the batched predictor must match bit-for-bit.
+/// Row-wise prediction baseline: `σ(logit)` per sample, one fresh tape
+/// each. Its only use is as the baseline the `nn_throughput` bench
+/// compares [`predict_binary_batch`] against.
 pub fn predict_binary<S>(
     store: &ParamStore,
     samples: &[S],
@@ -325,12 +335,12 @@ pub fn predict_binary<S>(
         .collect()
 }
 
-/// Batched inference: chunks `samples` into `batch_size` groups, records
-/// each group on one arena-reused tape through the batched `logit_fn`
-/// (`(B, 1)` logits out), and applies the sigmoid per row. Because every
-/// kernel fixes its per-row accumulation order, the result is bit-identical
-/// to [`predict_binary`] with the matching per-sample closure, for any
-/// batch size.
+/// Batched inference, the predict path of every deep model: chunks
+/// `samples` into `batch_size` groups, records each group on one
+/// arena-reused tape through the batched `logit_fn` (`(B, 1)` logits out),
+/// and applies the sigmoid per row. Because every kernel fixes its per-row
+/// accumulation order, a sample's probability is bit-identical for any
+/// batch size and any batch companions.
 ///
 /// # Panics
 ///

@@ -6,9 +6,7 @@
 //! blocks, classification head on the class token — at CPU scale
 //! (32×32 images, patch 8, small width), trained from scratch.
 
-use crate::trainer::{
-    predict_binary, predict_binary_batch, train_binary, TrainConfig, PREDICT_BATCH,
-};
+use crate::trainer::{predict_binary_batch, train_binary, TrainConfig, PREDICT_BATCH};
 use phishinghook_nn::{
     LayerNorm, Linear, ParamId, ParamStore, Tape, Tensor, TransformerBlock, Var,
 };
@@ -111,100 +109,67 @@ impl ViT {
 
     /// Rearranges a channel-first image vector into `(n_patches, 3·p·p)`.
     fn patchify(&self, image: &[f32]) -> Tensor {
-        patchify(self.config.side, self.config.patch, image)
-    }
-
-    fn logit(&self, tape: &mut Tape, store: &ParamStore, image: &[f32]) -> Var {
-        let cls = tape.param(store, self.cls_token);
-        let pos = tape.param(store, self.pos_embed);
-        self.logit_with(tape, store, cls, pos, image)
-    }
-
-    /// [`ViT::logit`] over pre-recorded class-token and positional leaves,
-    /// so a batched tape copies each once per mini-batch instead of once
-    /// per image.
-    fn logit_with(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        cls: Var,
-        pos: Var,
-        image: &[f32],
-    ) -> Var {
-        let patches = tape.input(self.patchify(image));
-        let tokens = self.patch_proj.forward(tape, store, patches);
-        let seq = tape.concat_rows(cls, tokens);
-        let mut x = tape.add(seq, pos);
-        for block in &self.blocks {
-            x = block.forward(tape, store, x, false);
+        let (side, patch) = (self.config.side, self.config.patch);
+        let grid = side / patch;
+        let pixels = side * side;
+        assert_eq!(image.len(), 3 * pixels, "image length mismatch");
+        let mut out = Vec::with_capacity(grid * grid * 3 * patch * patch);
+        for gy in 0..grid {
+            for gx in 0..grid {
+                for c in 0..3 {
+                    for py in 0..patch {
+                        for px in 0..patch {
+                            let y = gy * patch + py;
+                            let x = gx * patch + px;
+                            out.push(image[c * pixels + y * side + x]);
+                        }
+                    }
+                }
+            }
         }
-        let x = self.final_norm.forward(tape, store, x);
-        let cls_out = tape.row_at(x, 0);
-        self.head.forward(tape, store, cls_out)
+        Tensor::from_vec(&[grid * grid, 3 * patch * patch], out)
+    }
+
+    /// The one forward pass, shared by training and prediction: a `(B, 1)`
+    /// logit column for `B` images. Each image's token sequence is its own
+    /// subgraph (attention is quadratic in sequence length, so samples are
+    /// not concatenated) over class-token and positional leaves recorded
+    /// once per batch; the class logits are stacked.
+    fn logits(&self, t: &mut Tape, s: &ParamStore, batch: &[&Vec<f32>]) -> Var {
+        let cls = t.param(s, self.cls_token);
+        let pos = t.param(s, self.pos_embed);
+        let logits: Vec<Var> = batch
+            .iter()
+            .map(|image| {
+                let patches = t.input(self.patchify(image));
+                let tokens = self.patch_proj.forward(t, s, patches);
+                let seq = t.concat_rows(cls, tokens);
+                let mut x = t.add(seq, pos);
+                for block in &self.blocks {
+                    x = block.forward(t, s, x, false);
+                }
+                let x = self.final_norm.forward(t, s, x);
+                let cls_out = t.row_at(x, 0);
+                self.head.forward(t, s, cls_out)
+            })
+            .collect();
+        t.stack_rows(&logits)
     }
 
     /// Trains on channel-first image vectors (`3 · side²` floats each).
-    /// Each image's token sequence is its own subgraph (attention is
-    /// quadratic in sequence length, so samples are not concatenated); the
-    /// mini-batch shares one tape and stacks its class logits for a single
-    /// backward pass.
     pub fn fit(&mut self, images: &[Vec<f32>], y: &[u8]) {
-        // Copy the layer handles so the closure does not borrow `self`.
-        let (side, patch) = (self.config.side, self.config.patch);
-        let patchify = move |img: &[f32]| patchify(side, patch, img);
-        let (proj, cls_id, pos_id) = (self.patch_proj, self.cls_token, self.pos_embed);
-        let blocks = self.blocks.clone();
-        let (norm, head) = (self.final_norm, self.head);
         let cfg = self.config.train;
         let mut store = std::mem::take(&mut self.store);
-        train_binary(
-            &mut store,
-            images,
-            y,
-            &cfg,
-            &[],
-            |t, s, batch: &[&Vec<f32>]| {
-                // One class-token/positional leaf per batch, shared by
-                // every image subgraph.
-                let cls = t.param(s, cls_id);
-                let pos = t.param(s, pos_id);
-                let logits: Vec<Var> = batch
-                    .iter()
-                    .map(|img| {
-                        let patches = t.input(patchify(img));
-                        let tokens = proj.forward(t, s, patches);
-                        let seq = t.concat_rows(cls, tokens);
-                        let mut x = t.add(seq, pos);
-                        for block in &blocks {
-                            x = block.forward(t, s, x, false);
-                        }
-                        let x = norm.forward(t, s, x);
-                        let cls_out = t.row_at(x, 0);
-                        head.forward(t, s, cls_out)
-                    })
-                    .collect();
-                t.stack_rows(&logits)
-            },
-        );
+        train_binary(&mut store, images, y, &cfg, &[], |t, s, batch| {
+            self.logits(t, s, batch)
+        });
         self.store = store;
     }
 
     /// Phishing probability per image.
     pub fn predict_proba(&self, images: &[Vec<f32>]) -> Vec<f32> {
-        predict_binary(&self.store, images, |t, s, img| self.logit(t, s, img))
-    }
-
-    /// Batched phishing probabilities over one arena-reused tape,
-    /// bit-identical to [`ViT::predict_proba`].
-    pub fn predict_proba_batch(&self, images: &[Vec<f32>]) -> Vec<f32> {
         predict_binary_batch(&self.store, images, PREDICT_BATCH, |t, s, batch| {
-            let cls = t.param(s, self.cls_token);
-            let pos = t.param(s, self.pos_embed);
-            let logits: Vec<Var> = batch
-                .iter()
-                .map(|img| self.logit_with(t, s, cls, pos, img))
-                .collect();
-            t.stack_rows(&logits)
+            self.logits(t, s, batch)
         })
     }
 
@@ -230,29 +195,6 @@ impl ViT {
     ) -> Result<(), phishinghook_artifact::ArtifactError> {
         self.store.import_tensors(bytes)
     }
-}
-
-/// Rearranges a channel-first `3 × side × side` image into patch rows of
-/// width `3 · patch²`.
-fn patchify(side: usize, patch: usize, image: &[f32]) -> Tensor {
-    let grid = side / patch;
-    let pixels = side * side;
-    assert_eq!(image.len(), 3 * pixels, "image length mismatch");
-    let mut out = Vec::with_capacity(grid * grid * 3 * patch * patch);
-    for gy in 0..grid {
-        for gx in 0..grid {
-            for c in 0..3 {
-                for py in 0..patch {
-                    for px in 0..patch {
-                        let y = gy * patch + py;
-                        let x = gx * patch + px;
-                        out.push(image[c * pixels + y * side + x]);
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(&[grid * grid, 3 * patch * patch], out)
 }
 
 #[cfg(test)]

@@ -4,13 +4,12 @@
 //! [`Tape::backward`], which accumulates parameter gradients into the
 //! [`ParamStore`]; [`Tape::reset`] then recycles the node arena *and*
 //! every value buffer, so a tape reused across batches stops allocating
-//! once shapes stabilize. Dense algebra runs on the blocked
-//! [`gemm`](phishinghook_linalg::gemm) kernels, whose fixed per-row
-//! accumulation order makes a batched `(B, d)` forward bit-identical to
-//! `B` row-wise passes. The op set is exactly what the paper's six deep
-//! models need: dense algebra, attention (matmul/transpose/softmax),
-//! normalization, embeddings, small convolutions, the ECA
-//! channel-attention pieces, and the batched loss head
+//! once shapes stabilize. Dense algebra runs on the blocked [`gemm`]
+//! kernels, whose fixed per-row accumulation order makes a batched
+//! `(B, d)` forward bit-identical to `B` row-wise passes. The op set is
+//! exactly what the paper's six deep models need: dense algebra,
+//! attention (matmul/transpose/softmax), normalization, embeddings, small
+//! convolutions, the ECA channel-attention pieces, and the batched loss head
 //! ([`Tape::stack_rows`] + [`Tape::bce_with_logits_batch`]).
 //!
 //! Gradient correctness is validated against central finite differences in
@@ -253,11 +252,10 @@ impl Tape {
 
     // -- dense algebra ----------------------------------------------------
 
-    /// 2-D matrix product through the blocked
-    /// [`gemm`](phishinghook_linalg::gemm) kernel. Per output element the
-    /// accumulation order is fixed (increasing `k`), so a row's result is
-    /// bit-identical whether it is multiplied alone or inside a batch —
-    /// the foundation of the batched-vs-rowwise parity guarantee.
+    /// 2-D matrix product through the blocked [`gemm`] kernel. Per output
+    /// element the accumulation order is fixed (increasing `k`), so a row's
+    /// result is bit-identical whether it is multiplied alone or inside a batch
+    /// — the foundation of the batched-vs-rowwise parity guarantee.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let (m, k) = self.nodes[a.0].value.dims2();
         let (k2, n) = self.nodes[b.0].value.dims2();

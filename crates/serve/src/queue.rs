@@ -8,7 +8,7 @@
 //! [`Arc`]`<`[`CodeScorer`]`>` — drains up to
 //! [`QueueConfig::max_batch`] jobs per wake and scores them in **one**
 //! `score_many` call (`Detector::score_codes` /
-//! `ModelZoo::score_codes` → `predict_proba_batch` underneath). Scores
+//! `ModelZoo::score_codes` → `Model::predict_proba` underneath). Scores
 //! are delivered back through each job's private reply slot, in input
 //! order within the batch.
 //!
@@ -63,7 +63,7 @@ fn env_knob(name: &str, default: u64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueConfig {
     /// Most jobs a worker drains per wake — the coalescing ceiling and
-    /// the batch size `predict_proba_batch` sees under saturation.
+    /// the batch size `predict_proba` sees under saturation.
     pub max_batch: usize,
     /// How long a worker holding fewer than `max_batch` jobs waits for
     /// batch-mates before scoring. Zero disables the wait entirely.
