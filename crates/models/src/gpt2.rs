@@ -6,13 +6,17 @@
 //! processed in sliding-window chunks. Both are supported here: `fit` trains
 //! on every window (each carrying its contract's label, as chunked
 //! fine-tuning does) and `predict_proba` averages window probabilities.
+//!
+//! Training records the forward on the autodiff tape; prediction runs the
+//! bit-identical tape-free forward of `phishinghook-nn` over every window
+//! of a [`PREDICT_BATCH`] chunk at once.
 
 use crate::trainer::{
-    aggregate_window_probs, label_windows, predict_binary_batch, train_binary, TrainConfig,
-    PREDICT_BATCH,
+    aggregate_window_probs, label_windows, sigmoid, train_binary, TrainConfig, PREDICT_BATCH,
 };
 use phishinghook_nn::{
-    LayerNorm, Linear, ParamId, ParamStore, Tape, Tensor, TransformerBlock, Var,
+    mean_pool, BlockInference, LayerNorm, Linear, ParamId, ParamStore, Tape, Tensor,
+    TransformerBlock, Var,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -114,10 +118,9 @@ impl Gpt2Classifier {
         }
     }
 
-    /// The one forward pass, shared by training and prediction: a `(B, 1)`
-    /// logit column for `B` windows. The embedding table and positional
-    /// rows are recorded once per batch and shared by every window's
-    /// causal-attention subgraph.
+    /// The training forward: a `(B, 1)` logit column for `B` windows. The
+    /// embedding table and positional rows are recorded once per batch and
+    /// shared by every window's causal-attention subgraph.
     fn logits<W: AsRef<[u32]>>(&self, t: &mut Tape, s: &ParamStore, batch: &[&W]) -> Var {
         let (context, dim) = (self.config.context, self.config.dim);
         let table = t.param(s, self.token_embed);
@@ -147,6 +150,38 @@ impl Gpt2Classifier {
         t.stack_rows(&logits)
     }
 
+    /// The prediction forward, bit-identical to [`Gpt2Classifier::logits`]
+    /// with no tape: one logit per window, with all windows' rows stacked
+    /// into one `(Σl, dim)` matrix through every block.
+    fn infer_logits(&self, blocks: &[BlockInference], batch: &[&Vec<u32>]) -> Vec<f32> {
+        let (context, dim) = (self.config.context, self.config.dim);
+        let table = self.store.value(self.token_embed);
+        let vocab = table.dims2().0;
+        let pos = self.store.value(self.pos_embed).data();
+        let lens: Vec<usize> = batch.iter().map(|w| w.len().min(context)).collect();
+        let mut x = Vec::with_capacity(lens.iter().sum::<usize>() * dim);
+        for (window, &l) in batch.iter().zip(&lens) {
+            for (i, &id) in window[..l].iter().enumerate() {
+                let id = (id as usize).min(vocab - 1);
+                let e = &table.data()[id * dim..(id + 1) * dim];
+                x.extend(
+                    e.iter()
+                        .zip(&pos[i * dim..(i + 1) * dim])
+                        .map(|(e, p)| e + p),
+                );
+            }
+        }
+        for block in blocks {
+            block.forward(&mut x, &lens, true);
+        }
+        let mut normed = vec![0.0; x.len()];
+        self.final_norm.forward_rows(&self.store, &x, &mut normed);
+        let pooled = mean_pool(&normed, &lens, dim);
+        let mut logits = vec![0.0; batch.len()];
+        self.head.forward_rows(&self.store, &pooled, &mut logits);
+        logits
+    }
+
     /// Trains on per-contract window lists with 0/1 labels. Every window
     /// inherits its contract's label (standard chunked fine-tuning), capped
     /// at `max_train_windows` windows per contract.
@@ -161,14 +196,22 @@ impl Gpt2Classifier {
     }
 
     /// Phishing probability per contract: the mean of its windows'
-    /// probabilities. All windows are scored in mini-batches of
-    /// [`PREDICT_BATCH`], so a contract's score does not depend on the
-    /// other contracts in `xs`.
+    /// probabilities. All windows are scored in chunks of
+    /// [`PREDICT_BATCH`] by the tape-free forward; every window's logit is
+    /// independent of its chunk-mates, so a contract's score does not
+    /// depend on the other contracts in `xs`.
     pub fn predict_proba(&self, xs: &[Vec<Vec<u32>>]) -> Vec<f32> {
         let windows: Vec<&Vec<u32>> = xs.iter().flatten().collect();
-        let probs = predict_binary_batch(&self.store, &windows, PREDICT_BATCH, |t, s, batch| {
-            self.logits(t, s, batch)
-        });
+        let blocks: Vec<BlockInference> = self
+            .blocks
+            .iter()
+            .map(|b| b.inference(&self.store))
+            .collect();
+        let probs: Vec<f32> = windows
+            .chunks(PREDICT_BATCH)
+            .flat_map(|chunk| self.infer_logits(&blocks, chunk))
+            .map(sigmoid)
+            .collect();
         aggregate_window_probs(xs, &probs)
     }
 
@@ -240,6 +283,52 @@ mod tests {
         let p = model.predict_proba(&[vec![vec![1; 8], vec![2; 8], vec![3; 4]]]);
         assert_eq!(p.len(), 1);
         assert!((0.0..=1.0).contains(&p[0]));
+    }
+
+    /// The tape-free `predict_proba` equals the tape `logits` scored
+    /// through `predict_binary_batch`, bit for bit, on a trained model and
+    /// β contracts whose windows straddle the `PREDICT_BATCH` boundary,
+    /// short final windows included.
+    #[test]
+    fn tape_free_predict_matches_tape_logits() {
+        use crate::trainer::predict_binary_batch;
+        let cfg = Gpt2Config {
+            heads: 4,
+            depth: 2,
+            train: TrainConfig {
+                epochs: 2,
+                ..toy().train
+            },
+            ..toy()
+        };
+        let xs: Vec<Vec<Vec<u32>>> = (0..70u32)
+            .map(|i| {
+                (0..1 + i % 3)
+                    .map(|w| {
+                        let len = if w == i % 3 {
+                            1 + (i as usize * 5) % 9
+                        } else {
+                            8
+                        };
+                        (0..len as u32)
+                            .map(|k| (i * 7 + w * 3 + k * 11) % 40)
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        assert!(xs.iter().map(Vec::len).sum::<usize>() > 2 * PREDICT_BATCH);
+        let ys: Vec<u8> = (0..70).map(|i| (i % 2) as u8).collect();
+        let mut model = Gpt2Classifier::new(cfg);
+        model.fit(&xs, &ys);
+        let windows: Vec<&Vec<u32>> = xs.iter().flatten().collect();
+        let tape = predict_binary_batch(&model.store, &windows, PREDICT_BATCH, |t, s, batch| {
+            model.logits(t, s, batch)
+        });
+        let want = aggregate_window_probs(&xs, &tape);
+        let got = model.predict_proba(&xs);
+        let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -316,6 +316,12 @@ pub fn aggregate_window_probs(xs: &[Vec<Vec<u32>>], probs: &[f32]) -> Vec<f32> {
     out
 }
 
+/// The logistic sigmoid every deep model's predict path applies to its
+/// logits.
+pub(crate) fn sigmoid(logit: f32) -> f32 {
+    1.0 / (1.0 + (-logit).exp())
+}
+
 /// Row-wise prediction baseline: `σ(logit)` per sample, one fresh tape
 /// each. Its only use is as the baseline the `nn_throughput` bench
 /// compares [`predict_binary_batch`] against.
@@ -329,8 +335,7 @@ pub fn predict_binary<S>(
         .map(|s| {
             let mut tape = Tape::new();
             let z = logit_fn(&mut tape, store, s);
-            let v = tape.value(z).data()[0];
-            1.0 / (1.0 + (-v).exp())
+            sigmoid(tape.value(z).data()[0])
         })
         .collect()
 }
@@ -366,12 +371,7 @@ pub fn predict_binary_batch<S>(
             chunk.len(),
             "batched logit_fn must return one logit per sample"
         );
-        out.extend(
-            tape.value(z)
-                .data()
-                .iter()
-                .map(|&v| 1.0 / (1.0 + (-v).exp())),
-        );
+        out.extend(tape.value(z).data().iter().map(|&v| sigmoid(v)));
     }
     out
 }

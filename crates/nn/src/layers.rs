@@ -1,9 +1,17 @@
 //! Reusable layers built on the tape: dense, layer-norm, multi-head
 //! attention, transformer blocks and a GRU.
+//!
+//! The transformer layers also have a tape-free inference forward
+//! ([`TransformerBlock::inference`]) over many sequences stacked into one
+//! `(Σl, d)` row matrix. It runs the same GEMM and row kernels as the
+//! tape, so its output is bit-identical to [`TransformerBlock::forward`]
+//! on each sequence alone.
 
+use crate::kernels;
 use crate::params::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
+use phishinghook_linalg::gemm;
 use rand::Rng;
 
 /// Dense layer `y = x W + b` over `(l, in)` inputs.
@@ -28,6 +36,21 @@ impl Linear {
         let b = t.param(store, self.b);
         let h = t.matmul(x, w);
         t.add_bias(h, b)
+    }
+
+    /// Tape-free [`Linear::forward`] over the `in`-wide rows of `x` into
+    /// the `out`-wide rows of `out`.
+    pub fn forward_rows(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
+        let (input, output) = store.value(self.w).dims2();
+        gemm::matmul_into(
+            x.len() / input,
+            input,
+            output,
+            x,
+            store.value(self.w).data(),
+            out,
+        );
+        kernels::add_bias_rows(out, store.value(self.b).data());
     }
 
     /// The layer's parameter handles `[weight, bias]` (for freezing).
@@ -58,6 +81,16 @@ impl LayerNorm {
         let beta = t.param(store, self.beta);
         t.layer_norm(x, gamma, beta)
     }
+
+    /// Tape-free [`LayerNorm::forward`] over the rows of `x` into `out`.
+    pub fn forward_rows(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
+        let gamma = store.value(self.gamma).data();
+        let beta = store.value(self.beta).data();
+        let d = gamma.len();
+        for (row, o) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+            kernels::layer_norm_row(row, gamma, beta, o, None);
+        }
+    }
 }
 
 /// Multi-head self-attention over `(l, d)` sequences.
@@ -78,7 +111,7 @@ impl MultiHeadAttention {
     ///
     /// Panics unless `d % heads == 0`.
     pub fn new<R: Rng>(store: &mut ParamStore, d: usize, heads: usize, rng: &mut R) -> Self {
-        assert_eq!(d % heads, 0, "model width must divide head count");
+        assert_eq!(d % heads, 0, "head count must divide model width");
         let head_dim = d / heads;
         let mk = |store: &mut ParamStore, rng: &mut R| -> Vec<ParamId> {
             (0..heads)
@@ -203,6 +236,145 @@ impl TransformerBlock {
         let h = self.fc2.forward(t, store, h);
         t.add(x, h)
     }
+
+    /// Prepares the block for tape-free inference with `store`'s current
+    /// weights: the per-head Q, K and V matrices are fused into one
+    /// `(d, 3d)` matrix, so all heads' projections run as one GEMM.
+    pub fn inference<'a>(&'a self, store: &'a ParamStore) -> BlockInference<'a> {
+        let attn = &self.attn;
+        let d = attn.heads * attn.head_dim;
+        let mut qkv = Vec::with_capacity(d * 3 * d);
+        for r in 0..d {
+            for id in attn.wq.iter().chain(&attn.wk).chain(&attn.wv) {
+                let w = store.value(*id).data();
+                qkv.extend_from_slice(&w[r * attn.head_dim..(r + 1) * attn.head_dim]);
+            }
+        }
+        BlockInference {
+            block: self,
+            store,
+            qkv,
+        }
+    }
+}
+
+/// A [`TransformerBlock`] bound to its weights for tape-free inference
+/// (see [`TransformerBlock::inference`]).
+#[derive(Debug)]
+pub struct BlockInference<'a> {
+    block: &'a TransformerBlock,
+    store: &'a ParamStore,
+    /// Row `r` holds row `r` of every head's Q, then K, then V weights.
+    qkv: Vec<f32>,
+}
+
+impl BlockInference<'_> {
+    /// Applies the block in place to `x`: the rows of several sequences,
+    /// `lens[s]` rows for sequence `s`, stacked into one `(Σlens, d)`
+    /// matrix. Attention stays within each sequence; every other op runs
+    /// once over all rows. Each sequence's output is bit-identical to
+    /// [`TransformerBlock::forward`] on that sequence alone.
+    ///
+    /// With `causal`, a row attends only to itself and earlier rows. The
+    /// tape adds a `-1e9` mask to the later scores instead, whose softmax
+    /// weights are exactly `0.0` in `f32`, so skipping them changes no bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not hold `Σlens` rows of width `d`.
+    pub fn forward(&self, x: &mut [f32], lens: &[usize], causal: bool) {
+        let (block, store) = (self.block, self.store);
+        let (heads, hd) = (block.attn.heads, block.attn.head_dim);
+        let d = heads * hd;
+        let rows: usize = lens.iter().sum();
+        assert_eq!(x.len(), rows * d, "stacked rows do not match lens");
+        let scale = 1.0 / (hd as f32).sqrt();
+
+        let mut h = vec![0.0f32; rows * d];
+        block.ln1.forward_rows(store, x, &mut h);
+        let mut qkv = vec![0.0f32; rows * 3 * d];
+        gemm::matmul_into(rows, d, 3 * d, &h, &self.qkv, &mut qkv);
+
+        // Attention per (sequence, head); each head's output lands in its
+        // `hd` columns of `h`, the layout the tape's `concat_cols` builds.
+        // Every score and output element accumulates over the same index
+        // in the same increasing order as the tape's GEMMs.
+        let max_len = lens.iter().copied().max().unwrap_or(0);
+        let mut scores = vec![0.0f32; max_len];
+        let (mut kt, mut v) = (vec![0.0f32; hd * max_len], vec![0.0f32; max_len * hd]);
+        let mut start = 0;
+        for &l in lens {
+            let seq = &qkv[start * 3 * d..(start + l) * 3 * d];
+            for head in 0..heads {
+                let (qo, ko, vo) = (head * hd, d + head * hd, 2 * d + head * hd);
+                // This head's keys transposed to `(hd, l)` and values
+                // packed to `(l, hd)`, so the loops below run contiguous.
+                for (j, row) in seq.chunks_exact(3 * d).enumerate() {
+                    for c in 0..hd {
+                        kt[c * l + j] = row[ko + c];
+                    }
+                    v[j * hd..(j + 1) * hd].copy_from_slice(&row[vo..vo + hd]);
+                }
+                for i in 0..l {
+                    let visible = if causal { i + 1 } else { l };
+                    let s = &mut scores[..visible];
+                    s.fill(0.0);
+                    for (c, &qc) in seq[i * 3 * d + qo..][..hd].iter().enumerate() {
+                        for (sj, kj) in s.iter_mut().zip(&kt[c * l..c * l + visible]) {
+                            *sj += qc * kj;
+                        }
+                    }
+                    for sj in s.iter_mut() {
+                        *sj *= scale;
+                    }
+                    kernels::softmax_in_place(s);
+                    let o = &mut h[(start + i) * d + qo..][..hd];
+                    o.fill(0.0);
+                    for (&a, vj) in s.iter().zip(v.chunks_exact(hd)) {
+                        for (oc, vc) in o.iter_mut().zip(vj) {
+                            *oc += a * vc;
+                        }
+                    }
+                }
+            }
+            start += l;
+        }
+
+        let mut a = vec![0.0f32; rows * d];
+        block.attn.out.forward_rows(store, &h, &mut a);
+        add_in_place(x, &a);
+        block.ln2.forward_rows(store, x, &mut h);
+        let mut f = vec![0.0f32; rows * 4 * d];
+        block.fc1.forward_rows(store, &h, &mut f);
+        for v in &mut f {
+            *v = kernels::gelu(*v);
+        }
+        block.fc2.forward_rows(store, &f, &mut a);
+        add_in_place(x, &a);
+    }
+}
+
+fn add_in_place(x: &mut [f32], y: &[f32]) {
+    for (xv, yv) in x.iter_mut().zip(y) {
+        *xv += yv;
+    }
+}
+
+/// Mean of each sequence's rows in a stacked `(Σlens, d)` matrix: a
+/// `(lens.len(), d)` matrix, row `s` bit-identical to [`Tape::mean_rows`]
+/// of sequence `s`.
+///
+/// # Panics
+///
+/// Panics if `x` holds fewer than `Σlens` rows of width `d`.
+pub fn mean_pool(x: &[f32], lens: &[usize], d: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; lens.len() * d];
+    let mut start = 0;
+    for (&l, o) in lens.iter().zip(out.chunks_exact_mut(d)) {
+        kernels::mean_rows(&x[start * d..(start + l) * d], o);
+        start += l;
+    }
+    out
 }
 
 /// A gated recurrent unit processing `(l, in)` sequences into a final
@@ -290,6 +462,13 @@ mod tests {
         let x = t.input(Tensor::random(&[6, 8], 0.5, &mut rng));
         let y = attn.forward(&mut t, &store, x, false);
         assert_eq!(t.value(y).shape(), &[6, 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "head count must divide model width")]
+    fn attention_rejects_heads_not_dividing_width() {
+        let (mut store, mut rng) = store_and_rng();
+        MultiHeadAttention::new(&mut store, 6, 4, &mut rng);
     }
 
     #[test]

@@ -37,12 +37,15 @@
 
 #![warn(missing_docs)]
 
+mod kernels;
 pub mod layers;
 pub mod params;
 pub mod tape;
 pub mod tensor;
 
-pub use layers::{Gru, LayerNorm, Linear, MultiHeadAttention, TransformerBlock};
+pub use layers::{
+    mean_pool, BlockInference, Gru, LayerNorm, Linear, MultiHeadAttention, TransformerBlock,
+};
 pub use params::{GradBuffer, ParamId, ParamStore};
 pub use tape::{Tape, Var};
 pub use tensor::Tensor;
@@ -97,6 +100,71 @@ mod proptests {
                 let b: Vec<u32> = twin.value(id).data().iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(a, b);
             }
+        }
+
+        /// The tape-free block stack, final norm, mean pool and head over
+        /// several stacked sequences equal the tape forward on each
+        /// sequence alone, bit for bit, for any head count, depth, mask
+        /// and mix of sequence lengths.
+        #[test]
+        fn tape_free_forward_matches_tape(
+            seed in 0u64..1000,
+            heads in 1usize..5,
+            head_dim in 1usize..5,
+            depth in 1usize..4,
+            context in 1usize..10,
+            lens in proptest::collection::vec(0usize..10, 1..6),
+            causal in any::<bool>(),
+        ) {
+            let d = heads * head_dim;
+            let lens: Vec<usize> = lens.iter().map(|&l| 1 + l % context).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut store = ParamStore::new();
+            let blocks: Vec<TransformerBlock> = (0..depth)
+                .map(|_| TransformerBlock::new(&mut store, d, heads, &mut rng))
+                .collect();
+            let norm = LayerNorm::new(&mut store, d);
+            let head = Linear::new(&mut store, d, 1, &mut rng);
+            // Randomize every weight, so the norms' gains and offsets and
+            // the zero-initialized biases take part too.
+            let mut twin = ParamStore::new();
+            for i in 0..store.len() {
+                let shape = store.value(ParamId(i)).shape().to_vec();
+                twin.param(Tensor::random(&shape, 0.8, &mut rng));
+            }
+            store.import_tensors(&twin.export_tensors()).unwrap();
+            let seqs: Vec<Tensor> = lens
+                .iter()
+                .map(|&l| Tensor::random(&[l, d], 1.5, &mut rng))
+                .collect();
+
+            let mut want_rows = Vec::new();
+            let mut want_logits = Vec::new();
+            for seq in &seqs {
+                let mut t = Tape::new();
+                let mut x = t.input(seq.clone());
+                for block in &blocks {
+                    x = block.forward(&mut t, &store, x, causal);
+                }
+                want_rows.extend_from_slice(t.value(x).data());
+                let x = norm.forward(&mut t, &store, x);
+                let pooled = t.mean_rows(x);
+                let z = head.forward(&mut t, &store, pooled);
+                want_logits.push(t.value(z).item());
+            }
+
+            let mut x: Vec<f32> = seqs.iter().flat_map(|s| s.data().to_vec()).collect();
+            for block in &blocks {
+                block.inference(&store).forward(&mut x, &lens, causal);
+            }
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&x), bits(&want_rows));
+            let mut normed = vec![0.0; x.len()];
+            norm.forward_rows(&store, &x, &mut normed);
+            let pooled = mean_pool(&normed, &lens, d);
+            let mut logits = vec![0.0; lens.len()];
+            head.forward_rows(&store, &pooled, &mut logits);
+            prop_assert_eq!(bits(&logits), bits(&want_logits));
         }
 
         /// Softmax rows of any 2-D input sum to one.

@@ -15,6 +15,7 @@
 //! Gradient correctness is validated against central finite differences in
 //! the test module — every op is covered by at least one composite check.
 
+use crate::kernels;
 use crate::params::{GradBuffer, ParamId, ParamStore};
 use crate::tensor::Tensor;
 use phishinghook_linalg::gemm;
@@ -287,13 +288,8 @@ impl Tape {
         let (l, d) = self.nodes[x.0].value.dims2();
         assert_eq!(self.nodes[bias.0].value.len(), d, "bias width mismatch");
         let mut out = self.grab_empty(l * d);
-        {
-            let tx = self.nodes[x.0].value.data();
-            let tb = self.nodes[bias.0].value.data();
-            for row in tx.chunks_exact(d) {
-                out.extend(row.iter().zip(tb).map(|(x, b)| x + b));
-            }
-        }
+        out.extend_from_slice(self.nodes[x.0].value.data());
+        kernels::add_bias_rows(&mut out, self.nodes[bias.0].value.data());
         self.push(Tensor::from_vec(&[l, d], out), Op::AddBias { x, bias })
     }
 
@@ -366,15 +362,9 @@ impl Tape {
 
     /// Mean over rows: `(l, d)` → `(1, d)`.
     pub fn mean_rows(&mut self, x: Var) -> Var {
-        let (l, d) = self.nodes[x.0].value.dims2();
+        let (_, d) = self.nodes[x.0].value.dims2();
         let mut out = self.grab(d);
-        let tx = self.nodes[x.0].value.data();
-        for row in tx.chunks_exact(d) {
-            gemm::axpy(1.0, row, &mut out);
-        }
-        for v in &mut out {
-            *v /= l as f32;
-        }
+        kernels::mean_rows(self.nodes[x.0].value.data(), &mut out);
         self.push(Tensor::from_vec(&[1, d], out), Op::MeanRows(x))
     }
 
@@ -388,7 +378,7 @@ impl Tape {
 
     /// GELU (tanh approximation).
     pub fn gelu(&mut self, a: Var) -> Var {
-        let t = self.map(a, gelu_fn);
+        let t = self.map(a, kernels::gelu);
         self.push(t, Op::Gelu(a))
     }
 
@@ -422,19 +412,12 @@ impl Tape {
     /// Row-wise softmax of an `(l, d)` matrix.
     pub fn softmax_rows(&mut self, a: Var) -> Var {
         let (l, d) = self.nodes[a.0].value.dims2();
-        let mut out = self.grab_dirty(l * d);
-        let ta = self.nodes[a.0].value.data();
-        for i in 0..l {
-            let row = &ta[i * d..(i + 1) * d];
-            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for j in 0..d {
-                let e = (row[j] - max).exp();
-                out[i * d + j] = e;
-                sum += e;
-            }
-            for j in 0..d {
-                out[i * d + j] /= sum;
+        let mut out = self.grab_empty(l * d);
+        out.extend_from_slice(self.nodes[a.0].value.data());
+        // A `(0, 0)` score matrix (an empty sequence) has no rows.
+        if d > 0 {
+            for row in out.chunks_exact_mut(d) {
+                kernels::softmax_in_place(row);
             }
         }
         self.push(Tensor::from_vec(&[l, d], out), Op::SoftmaxRows(a))
@@ -442,23 +425,18 @@ impl Tape {
 
     /// Row-wise layer normalization with learned `(d)` gain and offset.
     pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var) -> Var {
-        const EPS: f32 = 1e-5;
         let (l, d) = self.nodes[x.0].value.dims2();
         let mut out = self.grab_dirty(l * d);
         let mut xhat = self.grab_dirty(l * d);
         let tx = self.nodes[x.0].value.data();
         let tg = self.nodes[gamma.0].value.data();
         let tb = self.nodes[beta.0].value.data();
-        for i in 0..l {
-            let row = &tx[i * d..(i + 1) * d];
-            let mean: f32 = row.iter().sum::<f32>() / d as f32;
-            let var: f32 = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-            let inv = 1.0 / (var + EPS).sqrt();
-            for j in 0..d {
-                let h = (row[j] - mean) * inv;
-                xhat[i * d + j] = h;
-                out[i * d + j] = h * tg[j] + tb[j];
-            }
+        for ((row, o), h) in tx
+            .chunks_exact(d)
+            .zip(out.chunks_exact_mut(d))
+            .zip(xhat.chunks_exact_mut(d))
+        {
+            kernels::layer_norm_row(row, tg, tb, o, Some(h));
         }
         self.push_aux(
             Tensor::from_vec(&[l, d], out),
@@ -1183,11 +1161,6 @@ impl Tape {
 
 fn sigmoid_fn(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
-}
-
-fn gelu_fn(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
 }
 
 fn gelu_grad(x: f32) -> f32 {
