@@ -62,30 +62,6 @@ impl Default for WatchConfig {
     }
 }
 
-impl WatchConfig {
-    /// Reads overrides from the environment: `PHISHINGHOOK_WATCH_POLL_MS`
-    /// (steady-state poll) and `PHISHINGHOOK_RELOAD_BACKOFF_MS` (initial
-    /// backoff while a publish is invalid).
-    pub fn from_env() -> Self {
-        let mut cfg = WatchConfig::default();
-        if let Some(poll) = env_ms("PHISHINGHOOK_WATCH_POLL_MS") {
-            cfg.poll = poll.max(Duration::from_millis(1));
-        }
-        if let Some(initial) = env_ms("PHISHINGHOOK_RELOAD_BACKOFF_MS") {
-            cfg.backoff.initial = initial.max(Duration::from_millis(1));
-            cfg.backoff.max_delay = cfg.backoff.max_delay.max(cfg.backoff.initial);
-        }
-        cfg
-    }
-}
-
-fn env_ms(name: &str) -> Option<Duration> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(Duration::from_millis)
-}
-
 /// A fully validated artifact generation, safe to swap into a serving
 /// slot.
 #[derive(Debug, Clone)]

@@ -254,8 +254,7 @@ where
     // A short coalescing window: when `max_batch` exceeds what K blocked
     // clients can ever queue at once, the worker's wait for batch-mates
     // times out every cycle, so the window is pure overhead for the
-    // deeper tiers (a real server tunes PHISHINGHOOK_BATCH_WAIT_US the
-    // same way).
+    // deeper tiers.
     let queue = MicroBatcher::start(
         Arc::clone(scorer),
         QueueConfig {

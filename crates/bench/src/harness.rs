@@ -16,6 +16,7 @@ use std::time::Instant;
 pub const SCHEMA: u32 = 1;
 
 /// Whether this is a CI-sized smoke run.
+#[allow(clippy::disallowed_methods)] // a process-wide test hook, read where it acts
 pub fn smoke() -> bool {
     std::env::var_os("PHISHINGHOOK_BENCH_SMOKE").is_some()
 }

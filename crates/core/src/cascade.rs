@@ -53,21 +53,19 @@ use phishinghook_features::{FeatureRow, FeatureVec};
 use phishinghook_ml::{CalibrationMethod, Calibrator};
 use std::path::Path;
 
-/// Training-time knobs of a cascade, all env-overridable.
+/// Training-time knobs of a cascade.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CascadeConfig {
     /// Target fraction of traffic escalated to the deep confirmer
-    /// (`PHISHINGHOOK_CASCADE_ESCALATE`, default 0.15). The band is picked
-    /// so the *holdout* escalation rate lands on this; live traffic drawn
-    /// from the same distribution tracks it.
+    /// (default 0.15). The band is picked so the *holdout* escalation
+    /// rate lands on this; live traffic drawn from the same distribution
+    /// tracks it.
     pub escalate_budget: f32,
-    /// Calibration fitter for both stages
-    /// (`PHISHINGHOOK_CASCADE_CAL=platt|isotonic`, default Platt — the
-    /// right choice for the small holdout slices quick profiles produce).
+    /// Calibration fitter for both stages (default Platt — the right
+    /// choice for the small holdout slices quick profiles produce).
     pub method: CalibrationMethod,
     /// Fraction of the training context held out for calibration + band
-    /// fitting (`PHISHINGHOOK_CASCADE_HOLDOUT`, default 0.25). The stages
-    /// never train on these samples.
+    /// fitting (default 0.25). The stages never train on these samples.
     pub holdout_fraction: f32,
 }
 
@@ -78,34 +76,6 @@ impl Default for CascadeConfig {
             method: CalibrationMethod::Platt,
             holdout_fraction: 0.25,
         }
-    }
-}
-
-impl CascadeConfig {
-    /// Defaults overridden by the `PHISHINGHOOK_CASCADE_*` environment
-    /// knobs; malformed values fall back to the defaults.
-    pub fn from_env() -> CascadeConfig {
-        let mut cfg = CascadeConfig::default();
-        if let Ok(v) = std::env::var("PHISHINGHOOK_CASCADE_ESCALATE") {
-            if let Ok(f) = v.parse::<f32>() {
-                if (0.0..=1.0).contains(&f) {
-                    cfg.escalate_budget = f;
-                }
-            }
-        }
-        if let Ok(v) = std::env::var("PHISHINGHOOK_CASCADE_CAL") {
-            if let Some(m) = CalibrationMethod::from_id(&v) {
-                cfg.method = m;
-            }
-        }
-        if let Ok(v) = std::env::var("PHISHINGHOOK_CASCADE_HOLDOUT") {
-            if let Ok(f) = v.parse::<f32>() {
-                if f > 0.0 && f < 1.0 {
-                    cfg.holdout_fraction = f;
-                }
-            }
-        }
-        cfg
     }
 }
 

@@ -618,36 +618,6 @@ impl Default for TailConfig {
     }
 }
 
-fn env_ms(name: &str) -> Option<Duration> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(Duration::from_millis)
-}
-
-impl TailConfig {
-    /// Reads overrides from the environment: `PHISHINGHOOK_TAIL_POLL_MS`,
-    /// `PHISHINGHOOK_TAIL_MAX_POLL_MS`, `PHISHINGHOOK_TAIL_IDLE_MS` (0
-    /// disables the idle timeout).
-    pub fn from_env() -> Self {
-        let mut cfg = TailConfig::default();
-        if let Some(poll) = env_ms("PHISHINGHOOK_TAIL_POLL_MS") {
-            cfg.poll = poll.max(Duration::from_millis(1));
-        }
-        if let Some(max_poll) = env_ms("PHISHINGHOOK_TAIL_MAX_POLL_MS") {
-            cfg.max_poll = max_poll.max(cfg.poll);
-        }
-        if let Some(idle) = env_ms("PHISHINGHOOK_TAIL_IDLE_MS") {
-            cfg.idle_timeout = (!idle.is_zero()).then_some(idle);
-        }
-        cfg
-    }
-
-    fn policy(&self) -> RetryPolicy {
-        RetryPolicy::new(self.poll, self.max_poll).with_jitter(self.jitter)
-    }
-}
-
 /// What a [`CodeLogTailer`] produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TailEvent {
@@ -689,7 +659,8 @@ impl<C: Clock> CodeLogTailer<C> {
     /// [`CodeLogTailer::new`] with an injected clock, so tests drive the
     /// backoff schedule deterministically and without real sleeps.
     pub fn with_clock(path: impl AsRef<Path>, config: TailConfig, clock: C) -> Self {
-        let backoff = Backoff::new(config.policy(), config.seed);
+        let policy = RetryPolicy::new(config.poll, config.max_poll).with_jitter(config.jitter);
+        let backoff = Backoff::new(policy, config.seed);
         CodeLogTailer {
             path: path.as_ref().to_path_buf(),
             config,

@@ -11,8 +11,11 @@
 //! first labeled records, adapts online on drift, and publishes every
 //! model generation atomically into `<publish-dir>` — where watching
 //! `phishinghook-served --watch` replicas pick them up. It exits cleanly
-//! when the journal goes idle past `PHISHINGHOOK_TAIL_IDLE_MS`
-//! (default 10000 in this mode; the scanner finished).
+//! when the journal goes idle (the scanner finished). Its knobs, read once
+//! at start-up: `PHISHINGHOOK_TAIL_POLL_MS` (first tail backoff step, 25),
+//! `PHISHINGHOOK_TAIL_IDLE_MS` (idle time that ends the run, 10000; `0`
+//! waits forever) and `PHISHINGHOOK_BOOTSTRAP_MIN` (labeled samples before
+//! the baseline train, 96). A malformed knob or argument exits with code 2.
 //!
 //! **Demo mode** runs the whole loop in one process on a simulated
 //! chain with an injected drift:
@@ -28,6 +31,7 @@
 //!    proves it by querying `GET /healthz` over TCP.
 
 use phishinghook::drift::DriftConfig;
+use phishinghook::retry::knob;
 use phishinghook::{EvalProfile, PHISHING_THRESHOLD};
 use phishinghook::{ExtractionStream, ModelKind};
 use phishinghook_artifact::publish::ArtifactPublisher;
@@ -36,10 +40,11 @@ use phishinghook_ingest::{
     baseline_detector, run_tail_pipeline, DriftScenario, IngestConfig, OnlinePipeline,
     TailIngestConfig, TailNote,
 };
-use phishinghook_serve::{Server, ServerConfig};
+use phishinghook_serve::{QueueConfig, Server, ServerConfig};
 use phishinghook_synth::Month;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -72,28 +77,48 @@ fn healthz(addr: SocketAddr) -> std::io::Result<String> {
 
 const USAGE: &str = "usage: phishinghook-ingestd <work-dir> [seed]\n       phishinghook-ingestd tail <codelog> <publish-dir> [seed]";
 
+/// Prints `complaint` and the usage, then exits with the usage code 2.
+fn usage_exit(complaint: &str) -> ! {
+    eprintln!("phishinghook-ingestd: {complaint}\n{USAGE}");
+    std::process::exit(2)
+}
+
+/// The trailing `[seed]` argument (default 42); nothing may follow it.
+fn seed_arg(mut rest: impl Iterator<Item = String>) -> u64 {
+    match (rest.next(), rest.next()) {
+        (_, Some(extra)) => usage_exit(&format!("unexpected argument {extra:?}")),
+        (Some(s), None) => s
+            .parse()
+            .unwrap_or_else(|_| usage_exit(&format!("invalid seed {s:?}"))),
+        (None, None) => 42,
+    }
+}
+
 /// The fleet trainer: tail a live journal, adapt, publish generations.
 fn run_tail(mut args: impl Iterator<Item = String>) -> Result<(), Box<dyn std::error::Error>> {
     let (Some(log), Some(publish_dir)) = (args.next(), args.next()) else {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+        usage_exit("missing arguments")
     };
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let seed = seed_arg(args);
 
-    // A tail-mode daemon must terminate when the scanner is done: give
-    // the idle timeout a default, keeping the env override.
-    let mut tail_config = TailConfig::from_env();
-    if std::env::var("PHISHINGHOOK_TAIL_IDLE_MS").is_err() {
-        tail_config.idle_timeout = Some(Duration::from_secs(10));
+    let mut tail_config = TailConfig::default();
+    if let Some(ms) = knob::read_or_exit::<NonZeroU64>("PHISHINGHOOK_TAIL_POLL_MS") {
+        tail_config.poll = Duration::from_millis(ms.get());
     }
-    let mut tailer = CodeLogTailer::new(&log, tail_config);
-    let mut publisher = ArtifactPublisher::open(&publish_dir)?;
-    let mut config = TailIngestConfig::from_env();
+    // A tail-mode daemon must terminate once the scanner is done.
+    let idle_ms = knob::read_or_exit("PHISHINGHOOK_TAIL_IDLE_MS").unwrap_or(10_000);
+    tail_config.idle_timeout = (idle_ms > 0).then(|| Duration::from_millis(idle_ms));
+    let mut config = TailIngestConfig::default();
+    if let Some(n) = knob::read_or_exit::<NonZeroUsize>("PHISHINGHOOK_BOOTSTRAP_MIN") {
+        config.bootstrap_min = n.get();
+    }
     config.ingest.drift = DriftConfig {
         window: 64,
         brier_margin: 0.15,
     };
     config.ingest.seed = seed;
+    let mut tailer = CodeLogTailer::new(&log, tail_config);
+    let mut publisher = ArtifactPublisher::open(&publish_dir)?;
     println!(
         "phishinghook-ingestd: tailing {log}, publishing into {publish_dir} (bootstrap {} labeled)",
         config.bootstrap_min
@@ -134,13 +159,16 @@ fn run_tail(mut args: impl Iterator<Item = String>) -> Result<(), Box<dyn std::e
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
     let Some(work_dir) = args.next() else {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+        usage_exit("missing arguments")
     };
     if work_dir == "tail" {
         return run_tail(args);
     }
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let seed = seed_arg(args);
+    let cfg = ServerConfig {
+        queue: QueueConfig::from_env(),
+        ..ServerConfig::default()
+    };
     let work_dir = std::path::PathBuf::from(work_dir);
     std::fs::create_dir_all(&work_dir)?;
 
@@ -159,12 +187,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Publish generation 1 and serve it.
     let mut publisher = ArtifactPublisher::open(work_dir.join("artifacts"))?;
     let first = publisher.publish(initial.to_bytes())?;
-    let server = Server::start(
-        Arc::clone(&initial),
-        first.generation,
-        "127.0.0.1:0",
-        ServerConfig::from_env(),
-    )?;
+    let server = Server::start(Arc::clone(&initial), first.generation, "127.0.0.1:0", cfg)?;
     let addr = server.local_addr();
     println!(
         "  serving generation {} on http://{addr}  ({})",

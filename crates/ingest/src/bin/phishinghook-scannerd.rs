@@ -12,14 +12,15 @@
 //! already survived — the journal ends up with the exact same content a
 //! never-killed scanner would have written.
 //!
-//! Environment knobs:
+//! Environment knobs, read once at start-up (a malformed knob or argument
+//! exits with code 2):
 //!
-//! * `PHISHINGHOOK_SCAN_SYNC_EVERY` — fsync cadence in records (default 32)
 //! * `PHISHINGHOOK_SCAN_THROTTLE_US` — per-record pause, so a tailer
 //!   visibly follows a *live* journal (default 0)
 //! * `PHISHINGHOOK_FAULT_CODELOG_TORN_APPEND` — abort mid-append on the
 //!   N-th record, leaving a torn tail (the fault-injection harness)
 
+use phishinghook::retry::knob;
 use phishinghook::ExtractionStream;
 use phishinghook_evm::CodeLogWriter;
 use phishinghook_ingest::DriftScenario;
@@ -27,38 +28,37 @@ use phishinghook_synth::Month;
 use std::process::ExitCode;
 use std::time::Duration;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
+const USAGE: &str = "usage: phishinghook-scannerd <codelog> [seed] [--resume]";
+
+/// Records appended between fsyncs.
+const SYNC_EVERY: u64 = 32;
+
+/// Prints `complaint` and the usage, then exits with the usage code 2.
+fn usage_exit(complaint: &str) -> ! {
+    eprintln!("phishinghook-scannerd: {complaint}\n{USAGE}");
+    std::process::exit(2)
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let mut seed = 42u64;
-    let mut resume = false;
-    let mut path: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if arg == "--resume" {
-            resume = true;
-        } else if path.is_none() {
-            path = Some(arg);
-        } else {
-            seed = arg.parse()?;
-        }
-    }
-    let Some(path) = path else {
-        eprintln!("usage: phishinghook-scannerd <codelog> [seed] [--resume]");
-        std::process::exit(2);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let resume = args.iter().any(|a| a == "--resume");
+    let (path, seed) = match args.iter().filter(|a| *a != "--resume").collect::<Vec<_>>()[..] {
+        [path] => (path, 42),
+        [path, seed] => (
+            path,
+            seed.parse()
+                .unwrap_or_else(|_| usage_exit(&format!("invalid seed {seed:?}"))),
+        ),
+        [] => usage_exit("missing arguments"),
+        [.., extra] => usage_exit(&format!("unexpected argument {extra:?}")),
     };
-
-    let sync_every = env_u64("PHISHINGHOOK_SCAN_SYNC_EVERY", 32).max(1);
-    let throttle = Duration::from_micros(env_u64("PHISHINGHOOK_SCAN_THROTTLE_US", 0));
+    let throttle =
+        Duration::from_micros(knob::read_or_exit("PHISHINGHOOK_SCAN_THROTTLE_US").unwrap_or(0));
 
     let mut writer = if resume {
-        CodeLogWriter::resume(&path)?
+        CodeLogWriter::resume(path)?
     } else {
-        CodeLogWriter::create(&path)?
+        CodeLogWriter::create(path)?
     };
     let skip = writer.records();
     if resume {
@@ -77,7 +77,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
         writer.append_labeled(&sample.bytecode, sample.label, sample.month.0 as u16)?;
         written += 1;
-        if writer.records() % sync_every == 0 {
+        if writer.records() % SYNC_EVERY == 0 {
             writer.sync()?;
         }
         if !throttle.is_zero() {

@@ -32,8 +32,7 @@ use phishinghook_evm::{CodeLogError, CodeLogTailer, TailEvent};
 use phishinghook_synth::Month;
 use std::sync::Arc;
 
-/// Default labeled-sample count collected before the baseline train
-/// (`PHISHINGHOOK_BOOTSTRAP_MIN`).
+/// Default labeled-sample count collected before the baseline train.
 pub const DEFAULT_BOOTSTRAP_MIN: usize = 96;
 
 /// Knobs of one [`run_tail_pipeline`] run.
@@ -51,22 +50,6 @@ impl Default for TailIngestConfig {
         TailIngestConfig {
             ingest: IngestConfig::default(),
             bootstrap_min: DEFAULT_BOOTSTRAP_MIN,
-        }
-    }
-}
-
-impl TailIngestConfig {
-    /// Defaults with the `PHISHINGHOOK_BOOTSTRAP_MIN` environment
-    /// override applied.
-    pub fn from_env() -> Self {
-        let bootstrap_min = std::env::var("PHISHINGHOOK_BOOTSTRAP_MIN")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(DEFAULT_BOOTSTRAP_MIN);
-        TailIngestConfig {
-            ingest: IngestConfig::default(),
-            bootstrap_min,
         }
     }
 }

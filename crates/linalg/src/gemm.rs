@@ -98,6 +98,7 @@ fn best_simd() -> Simd {
     Simd::Scalar
 }
 
+#[allow(clippy::disallowed_methods)] // a process-wide test hook, read where it acts
 fn detect_simd() -> Simd {
     let forced =
         std::env::var_os("PHISHINGHOOK_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0");

@@ -22,6 +22,7 @@ pub const MAX_WORKERS: usize = 32;
 /// The `PHISHINGHOOK_THREADS` override, read once per process: `Some(n)`
 /// (clamped to `1..=MAX_WORKERS`) when the variable holds a positive
 /// integer, `None` when unset or unparsable.
+#[allow(clippy::disallowed_methods)] // a process-wide test hook, read where it acts
 pub fn configured_threads() -> Option<usize> {
     static OVERRIDE: OnceLock<Option<usize>> = OnceLock::new();
     *OVERRIDE.get_or_init(|| {

@@ -53,7 +53,6 @@ enum Op {
         x: Var,
         bias: Var,
     },
-    Reshape(Var),
     ConcatRows(Var, Var),
     ConcatCols(Var, Var),
     RowAt(Var, usize),
@@ -291,12 +290,6 @@ impl Tape {
         out.extend_from_slice(self.nodes[x.0].value.data());
         kernels::add_bias_rows(&mut out, self.nodes[bias.0].value.data());
         self.push(Tensor::from_vec(&[l, d], out), Op::AddBias { x, bias })
-    }
-
-    /// Reinterprets under a new shape (same element count).
-    pub fn reshape(&mut self, x: Var, shape: &[usize]) -> Var {
-        let t = self.nodes[x.0].value.reshaped(shape);
-        self.push(t, Op::Reshape(x))
     }
 
     /// Vertical concatenation of `(la, d)` and `(lb, d)`.
@@ -917,10 +910,6 @@ impl Tape {
                     }
                     self.add_grad(&mut grads, x, g.clone());
                     self.add_grad(&mut grads, bias, Tensor::from_vec(&[d], gb));
-                }
-                Op::Reshape(a) => {
-                    let ga = Tensor::from_vec(self.nodes[a.0].value.shape(), g.data().to_vec());
-                    self.add_grad(&mut grads, a, ga);
                 }
                 Op::ConcatRows(a, b) => {
                     let (la, d) = self.nodes[a.0].value.dims2();

@@ -46,6 +46,7 @@ fn hit_counters() -> &'static Mutex<HashMap<String, u64>> {
 /// (1-based); unset, unparsable, or zero means never. Each process keeps
 /// its own visit counters, so a restarted process starts counting from
 /// scratch — exactly what a kill/restart test wants.
+#[allow(clippy::disallowed_methods)] // crash points are armed from the environment
 pub fn fault_hit(point: &str) -> bool {
     let armed: u64 = match std::env::var(fault_env_name(point)) {
         Ok(v) => v.trim().parse().unwrap_or(0),

@@ -2,7 +2,7 @@
 //! layer of the fleet speaks, plus the deterministic fault-injection
 //! hooks the multi-process tests drive.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`policy`] — [`RetryPolicy`] (jittered exponential backoff with a
 //!   cap, an optional attempt budget and an optional deadline), the
@@ -17,6 +17,9 @@
 //!   a process under test aborts — the moral equivalent of `kill -9` — at
 //!   a named point on its Nth visit, which is how the e2e kills a
 //!   publisher *between* the temp write and the renames.
+//! * [`knob`] — the one parser for the daemons' `PHISHINGHOOK_*`
+//!   environment knobs, read once at start-up; a malformed value is
+//!   fatal.
 //!
 //! This crate is leaf-level (no workspace dependencies) so the substrate
 //! crates (`evm`, `artifact`) and the service crates (`serve`, `ingest`)
@@ -26,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod fault;
+pub mod knob;
 pub mod policy;
 
 pub use fault::{crash_point, fault_env_name, fault_hit, FaultPlan};

@@ -21,58 +21,79 @@
 //! replica follows a publish directory across generations of either
 //! kind.
 //!
-//! Environment knobs:
+//! Environment knobs, read once at start-up (a malformed knob or argument
+//! exits with code 2):
 //!
-//! * `PHISHINGHOOK_MAX_BATCH` — jobs coalesced per model call (default 64)
-//! * `PHISHINGHOOK_BATCH_WAIT_US` — max coalescing wait (default 200)
-//! * `PHISHINGHOOK_QUEUE_CAP` — queue bound; overflow answers 429 (default 1024)
-//! * `PHISHINGHOOK_SERVE_WORKERS` — warm worker pool size (default: available cores)
+//! * `PHISHINGHOOK_SERVE_WORKERS` — warm worker pool size (default: 2 on ≥4 cores, else 1)
+//! * `PHISHINGHOOK_BREAKER_THRESHOLD` — consecutive failures before `"degraded"` (default 3)
 //! * `PHISHINGHOOK_WATCH_POLL_MS` — publish-dir poll cadence (default 200)
 //! * `PHISHINGHOOK_RELOAD_BACKOFF_MS` — base backoff after a bad publish (default 50)
 //! * `PHISHINGHOOK_RELOAD_RETRIES` — breaker-counted retries per bad generation (default 5)
-//! * `PHISHINGHOOK_BREAKER_THRESHOLD` — consecutive failures before `"degraded"` (default 3)
-//! * `PHISHINGHOOK_BOOT_TIMEOUT_MS` — watch-mode wait for a first valid artifact (default 120000)
 
-use phishinghook::retry::SystemClock;
+use phishinghook::retry::{knob, SystemClock};
 use phishinghook_artifact::watch::ArtifactWatcher;
 use phishinghook_artifact::OwnedArtifact;
-use phishinghook_serve::{ArtifactWatchLoop, ReloadConfig, ServedModel, Server, ServerConfig};
+use phishinghook_serve::{
+    ArtifactWatchLoop, QueueConfig, ReloadConfig, ServedModel, Server, ServerConfig,
+    DEFAULT_BREAKER_THRESHOLD,
+};
+use std::num::{NonZeroU32, NonZeroU64};
 use std::process::ExitCode;
 use std::time::Duration;
 
 const USAGE: &str =
     "usage: phishinghook-served <artifact.phk> [bind-addr]\n       phishinghook-served --watch <publish-dir> [bind-addr]";
 
-fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let Some(first) = args.next() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
+/// How long watch mode waits for a first valid artifact.
+const BOOT_TIMEOUT: Duration = Duration::from_secs(120);
 
-    let (watch_dir, source) = if first == "--watch" {
-        let Some(dir) = args.next() else {
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        };
-        (Some(dir.clone()), dir)
-    } else {
-        (None, first)
+/// The knobs a replica reads, once, before it opens or binds anything.
+fn knobs() -> (ServerConfig, ReloadConfig) {
+    let cfg = ServerConfig {
+        queue: QueueConfig::from_env(),
+        breaker_threshold: knob::read_or_exit::<NonZeroU32>("PHISHINGHOOK_BREAKER_THRESHOLD")
+            .map_or(DEFAULT_BREAKER_THRESHOLD, NonZeroU32::get),
+        ..ServerConfig::default()
     };
-    let bind = args.next().unwrap_or_else(|| "127.0.0.1:7877".to_string());
-    let cfg = ServerConfig::from_env();
+    let mut reload = ReloadConfig::default();
+    if let Some(ms) = knob::read_or_exit::<NonZeroU64>("PHISHINGHOOK_WATCH_POLL_MS") {
+        reload.watch.poll = Duration::from_millis(ms.get());
+    }
+    if let Some(ms) = knob::read_or_exit::<NonZeroU64>("PHISHINGHOOK_RELOAD_BACKOFF_MS") {
+        let backoff = &mut reload.watch.backoff;
+        backoff.initial = Duration::from_millis(ms.get());
+        backoff.max_delay = backoff.max_delay.max(backoff.initial);
+    }
+    if let Some(n) = knob::read_or_exit::<NonZeroU32>("PHISHINGHOOK_RELOAD_RETRIES") {
+        reload.max_retries = n.get();
+    }
+    (cfg, reload)
+}
+
+/// Prints `complaint` and the usage, then exits with the usage code 2.
+fn usage_exit(complaint: &str) -> ! {
+    eprintln!("phishinghook-served: {complaint}\n{USAGE}");
+    std::process::exit(2)
+}
+
+fn main() -> ExitCode {
+    let mut args = std::env::args().skip(1).peekable();
+    let watch = args.next_if_eq("--watch").is_some();
+    let (Some(source), bind) = (args.next(), args.next()) else {
+        usage_exit("missing arguments")
+    };
+    if let Some(extra) = args.next() {
+        usage_exit(&format!("unexpected argument {extra:?}"));
+    }
+    let watch_dir = watch.then(|| source.clone());
+    let bind = bind.unwrap_or_else(|| "127.0.0.1:7877".to_string());
+    let (cfg, reload) = knobs();
 
     // Resolve the boot artifact: in watch mode, block until the publish
     // directory offers a first fully-validated generation.
     let (artifact, generation) = if let Some(dir) = &watch_dir {
-        let reload = ReloadConfig::from_env();
-        let boot_timeout = std::env::var("PHISHINGHOOK_BOOT_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map(Duration::from_millis)
-            .unwrap_or(Duration::from_secs(120));
         let mut watcher = ArtifactWatcher::new(dir, reload.watch.clone());
-        match watcher.wait_for_update(&SystemClock, boot_timeout) {
+        match watcher.wait_for_update(&SystemClock, BOOT_TIMEOUT) {
             Ok(valid) => (valid.artifact, valid.generation),
             Err(e) => {
                 eprintln!("phishinghook-served: no valid artifact in {dir}: {e}");
@@ -109,7 +130,7 @@ fn main() -> ExitCode {
     // of the process. The handle must stay alive: dropping it joins the
     // watch thread.
     let _watch_loop = match &watch_dir {
-        Some(dir) => match ArtifactWatchLoop::spawn(&server, dir, ReloadConfig::from_env()) {
+        Some(dir) => match ArtifactWatchLoop::spawn(&server, dir, reload) {
             Ok(l) => Some(l),
             Err(e) => {
                 eprintln!("phishinghook-served: cannot start watch loop on {dir}: {e}");

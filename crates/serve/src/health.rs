@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Default consecutive-failure threshold that trips the breaker
-/// (`PHISHINGHOOK_BREAKER_THRESHOLD`).
+/// ([`ServerConfig::breaker_threshold`](crate::ServerConfig::breaker_threshold)).
 pub const DEFAULT_BREAKER_THRESHOLD: u32 = 3;
 
 #[derive(Debug, Default)]
@@ -77,22 +77,6 @@ impl HealthState {
             drift_signals: AtomicU64::new(0),
             retrains: AtomicU64::new(0),
         }
-    }
-
-    /// [`HealthState::new`] with the `PHISHINGHOOK_BREAKER_THRESHOLD`
-    /// environment override applied.
-    pub fn from_env() -> Self {
-        let threshold = std::env::var("PHISHINGHOOK_BREAKER_THRESHOLD")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(DEFAULT_BREAKER_THRESHOLD);
-        HealthState::new(threshold)
-    }
-
-    /// The configured breaker threshold.
-    pub fn threshold(&self) -> u32 {
-        self.threshold
     }
 
     fn tripped(&self, streaks: &Streaks) -> bool {

@@ -13,8 +13,8 @@
 //!                      │ Bytecode
 //!                      ▼
 //!             queue::MicroBatcher (bounded; full ⇒ 429 + Retry-After)
-//!                      │ up to PHISHINGHOOK_MAX_BATCH jobs / wake,
-//!                      │ time-boxed by PHISHINGHOOK_BATCH_WAIT_US
+//!                      │ up to QueueConfig::max_batch jobs / wake,
+//!                      │ time-boxed by QueueConfig::batch_wait
 //!                      ▼
 //!         warm worker pool ──► CodeScorer::score_many (one batched call)
 //!                      │           (all workers share one Arc'd model
@@ -26,9 +26,9 @@
 //! row-wise inference (an invariant the test suite pins down), the
 //! coalescing is *invisible* in the scores — only in the throughput.
 //!
-//! Knobs (all env-overridable, see [`queue::QueueConfig::from_env`]):
-//! `PHISHINGHOOK_MAX_BATCH`, `PHISHINGHOOK_BATCH_WAIT_US`,
-//! `PHISHINGHOOK_QUEUE_CAP`, `PHISHINGHOOK_SERVE_WORKERS`.
+//! Configuration is plain data with defaults ([`ServerConfig`],
+//! [`QueueConfig`], [`ReloadConfig`]). Only the `phishinghook-served`
+//! binary reads `PHISHINGHOOK_*` knobs, through [`phishinghook_retry::knob`].
 //!
 //! The slot holds a [`ServedModel`]: a flat
 //! [`Detector`](phishinghook::Detector) or a two-stage

@@ -16,7 +16,7 @@
 //!
 //! * **A lone request is never stalled**: a worker that wakes with fewer
 //!   than `max_batch` jobs waits at most [`QueueConfig::batch_wait`]
-//!   (default 200 µs, `PHISHINGHOOK_BATCH_WAIT_US`) for batch-mates
+//!   (default [`DEFAULT_BATCH_WAIT_US`]) for batch-mates
 //!   before scoring what it has.
 //! * **Backpressure is explicit**: a push that would exceed
 //!   [`QueueConfig::capacity`] fails *immediately* with
@@ -33,31 +33,22 @@
 
 use phishinghook::CodeScorer;
 use phishinghook_evm::Bytecode;
+use phishinghook_retry::knob;
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Default cap on jobs scored per worker wake (`PHISHINGHOOK_MAX_BATCH`).
+/// Default cap on jobs scored per worker wake.
 pub const DEFAULT_MAX_BATCH: usize = 64;
 
-/// Default time a worker waits for batch-mates, in microseconds
-/// (`PHISHINGHOOK_BATCH_WAIT_US`).
+/// Default time a worker waits for batch-mates, in microseconds.
 pub const DEFAULT_BATCH_WAIT_US: u64 = 200;
 
-/// Default bounded queue capacity (`PHISHINGHOOK_QUEUE_CAP`).
+/// Default bounded queue capacity.
 pub const DEFAULT_QUEUE_CAP: usize = 1024;
-
-/// Reads a positive integer environment knob, falling back on unset or
-/// unparsable values.
-fn env_knob(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(default)
-}
 
 /// Tuning knobs for one [`MicroBatcher`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,20 +80,16 @@ impl Default for QueueConfig {
 }
 
 impl QueueConfig {
-    /// The serving defaults with every `PHISHINGHOOK_*` environment
-    /// override applied: `PHISHINGHOOK_MAX_BATCH`,
-    /// `PHISHINGHOOK_BATCH_WAIT_US`, `PHISHINGHOOK_QUEUE_CAP`,
-    /// `PHISHINGHOOK_SERVE_WORKERS`.
+    /// The defaults with two workers on a host with four or more cores,
+    /// overridden by the `PHISHINGHOOK_SERVE_WORKERS` knob. A daemon
+    /// start-up read: a malformed value exits 2 ([`knob::read_or_exit`]).
     pub fn from_env() -> Self {
         let hw = std::thread::available_parallelism().map_or(1, usize::from);
+        let workers = knob::read_or_exit::<NonZeroUsize>("PHISHINGHOOK_SERVE_WORKERS")
+            .map_or(if hw >= 4 { 2 } else { 1 }, NonZeroUsize::get);
         QueueConfig {
-            max_batch: env_knob("PHISHINGHOOK_MAX_BATCH", DEFAULT_MAX_BATCH as u64) as usize,
-            batch_wait: Duration::from_micros(env_knob(
-                "PHISHINGHOOK_BATCH_WAIT_US",
-                DEFAULT_BATCH_WAIT_US,
-            )),
-            capacity: env_knob("PHISHINGHOOK_QUEUE_CAP", DEFAULT_QUEUE_CAP as u64) as usize,
-            workers: env_knob("PHISHINGHOOK_SERVE_WORKERS", if hw >= 4 { 2 } else { 1 }) as usize,
+            workers,
+            ..QueueConfig::default()
         }
     }
 }
@@ -501,16 +488,6 @@ mod tests {
         let q = MicroBatcher::start(ByteScorer, QueueConfig::default());
         q.close();
         assert_eq!(q.submit(code(1)), Err(SubmitError::Closed));
-    }
-
-    #[test]
-    fn env_knob_parses_and_falls_back() {
-        assert_eq!(env_knob("PHK_TEST_KNOB_UNSET_XYZ", 42), 42);
-        std::env::set_var("PHK_TEST_KNOB_SET_XYZ", "17");
-        assert_eq!(env_knob("PHK_TEST_KNOB_SET_XYZ", 42), 17);
-        std::env::set_var("PHK_TEST_KNOB_SET_XYZ", "zero?");
-        assert_eq!(env_knob("PHK_TEST_KNOB_SET_XYZ", 42), 42);
-        std::env::remove_var("PHK_TEST_KNOB_SET_XYZ");
     }
 
     #[test]

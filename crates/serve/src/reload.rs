@@ -12,7 +12,7 @@
 //! serving its last good generation; a later clean install recovers it.
 //!
 //! Retries against a persistently invalid publish are bounded
-//! (`PHISHINGHOOK_RELOAD_RETRIES`, default 5): past the bound the loop
+//! ([`ReloadConfig::max_retries`], default 5): past the bound the loop
 //! stops counting new failures against the same generation and settles
 //! into capped-backoff polling, waiting for a *newer* generation to
 //! appear — it never rolls back, never gives up the watch, and never
@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Default bound on consecutive reload attempts against one bad
-/// generation (`PHISHINGHOOK_RELOAD_RETRIES`).
+/// generation.
 pub const DEFAULT_RELOAD_RETRIES: u32 = 5;
 
 /// Tuning for an [`ArtifactWatchLoop`].
@@ -45,23 +45,6 @@ impl Default for ReloadConfig {
         ReloadConfig {
             watch: WatchConfig::default(),
             max_retries: DEFAULT_RELOAD_RETRIES,
-        }
-    }
-}
-
-impl ReloadConfig {
-    /// Defaults with every environment override applied:
-    /// `PHISHINGHOOK_WATCH_POLL_MS`, `PHISHINGHOOK_RELOAD_BACKOFF_MS`,
-    /// `PHISHINGHOOK_RELOAD_RETRIES`.
-    pub fn from_env() -> Self {
-        let max_retries = std::env::var("PHISHINGHOOK_RELOAD_RETRIES")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(DEFAULT_RELOAD_RETRIES);
-        ReloadConfig {
-            watch: WatchConfig::from_env(),
-            max_retries,
         }
     }
 }

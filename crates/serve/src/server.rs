@@ -21,7 +21,7 @@
 //! parser, and [`Server::shutdown`] stops accepting, finishes in-flight
 //! exchanges, and drains every queued job before returning.
 
-use crate::health::HealthState;
+use crate::health::{HealthState, DEFAULT_BREAKER_THRESHOLD};
 use crate::http::{read_request, write_response, Limits};
 use crate::queue::{MicroBatcher, QueueConfig, QueueHooks, SubmitError};
 use crate::swap::{ModelSlot, ServedModel};
@@ -46,6 +46,9 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Most contracts accepted in one `/predict_batch` request.
     pub max_request_contracts: usize,
+    /// Consecutive worker panics or reload failures that flip
+    /// `/healthz` to `"degraded"` (see [`HealthState`]).
+    pub breaker_threshold: u32,
 }
 
 impl Default for ServerConfig {
@@ -55,16 +58,7 @@ impl Default for ServerConfig {
             limits: Limits::default(),
             read_timeout: Duration::from_secs(10),
             max_request_contracts: 256,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// Defaults with the `PHISHINGHOOK_*` queue knobs applied.
-    pub fn from_env() -> Self {
-        ServerConfig {
-            queue: QueueConfig::from_env(),
-            ..ServerConfig::default()
+            breaker_threshold: DEFAULT_BREAKER_THRESHOLD,
         }
     }
 }
@@ -131,7 +125,7 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let health = Arc::new(HealthState::from_env());
+        let health = Arc::new(HealthState::new(cfg.breaker_threshold));
         let slot = Arc::new(ModelSlot::new(Arc::new(model.into()), generation));
         let inner = Arc::new(Inner {
             queue: MicroBatcher::start_with_hooks(

@@ -104,10 +104,6 @@ fn generation_of(doc: &Value) -> u64 {
 
 #[test]
 fn corrupt_publish_degrades_then_recovers_without_rollback() {
-    // A tight breaker so two bad reload rounds trip it. Set before the
-    // server (HealthState::from_env) starts; this test owns the process.
-    std::env::set_var("PHISHINGHOOK_BREAKER_THRESHOLD", "2");
-
     let dir = std::env::temp_dir().join(format!("phk-degraded-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -136,7 +132,11 @@ fn corrupt_publish_degrades_then_recovers_without_rollback() {
         Arc::clone(&detector),
         1,
         "127.0.0.1:0",
-        ServerConfig::from_env(),
+        // A tight breaker so two bad reload rounds trip it.
+        ServerConfig {
+            breaker_threshold: 2,
+            ..ServerConfig::default()
+        },
     )
     .expect("start server");
     let addr = server.local_addr();

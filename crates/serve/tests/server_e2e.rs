@@ -119,6 +119,7 @@ fn served_scores_match_the_detector_bit_for_bit() {
             limits: Limits::default(),
             read_timeout: Duration::from_secs(30),
             max_request_contracts: 8,
+            ..ServerConfig::default()
         },
     )
     .expect("start server");

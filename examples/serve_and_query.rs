@@ -116,9 +116,8 @@ fn main() {
         t1.elapsed().as_secs_f64() * 1e3
     );
 
-    // 3. Serve on an ephemeral port. Queue knobs come from the
-    //    environment (PHISHINGHOOK_MAX_BATCH / _BATCH_WAIT_US /
-    //    _QUEUE_CAP / _SERVE_WORKERS).
+    // 3. Serve on an ephemeral port, with the daemon's queue workers
+    //    (PHISHINGHOOK_SERVE_WORKERS).
     let cfg = ServerConfig {
         queue: QueueConfig::from_env(),
         ..ServerConfig::default()

@@ -134,6 +134,7 @@ fn bin_path(name: &str) -> PathBuf {
         .expect("target dir")
         .to_path_buf();
     BUILT.call_once(|| {
+        #[allow(clippy::disallowed_methods)] // the cargo that runs this test, not a knob
         let cargo = std::env::var_os("CARGO").unwrap_or_else(|| env!("CARGO").into());
         let mut cmd = Command::new(cargo);
         cmd.current_dir(env!("CARGO_MANIFEST_DIR")).args([
@@ -518,5 +519,56 @@ fn fleet_survives_seeded_faults_with_bit_exact_parity() {
 
     drop(replica_a);
     drop(replica_b);
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn daemons_reject_malformed_knobs_and_arguments_with_exit_2() {
+    let work = std::env::temp_dir().join(format!("phk-fleet-usage-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&work);
+    std::fs::create_dir_all(&work).unwrap();
+    let codelog = work.join("scan.codelog");
+    let publish = work.join("artifacts");
+    let demo = work.join("demo");
+    let log = codelog.to_str().unwrap();
+    let pub_dir = publish.to_str().unwrap();
+    let demo_dir = demo.to_str().unwrap();
+
+    // Each daemon must exit 2, naming the bad knob or the bad (last)
+    // argument, before it creates the journal, the publish directory or
+    // the work directory. A daemon that wrongly accepted them would still
+    // exit: the scan and the demo finish, the tail and the watch time out.
+    #[rustfmt::skip]
+    let cases = [
+        ("phishinghook-scannerd", vec![log], Some(("PHISHINGHOOK_SCAN_THROTTLE_US", "1.5ms"))),
+        ("phishinghook-scannerd", vec![log, "4x2"], None),
+        ("phishinghook-ingestd", vec!["tail", log, pub_dir], Some(("PHISHINGHOOK_BOOTSTRAP_MIN", "0"))),
+        ("phishinghook-ingestd", vec!["tail", log, pub_dir, "4x2"], None),
+        ("phishinghook-ingestd", vec![demo_dir, "4x2"], None),
+        ("phishinghook-served", vec!["--watch", pub_dir], Some(("PHISHINGHOOK_WATCH_POLL_MS", " twenty "))),
+        ("phishinghook-served", vec!["--watch", pub_dir, "::1", "more"], None),
+    ];
+    for (bin, args, knob) in cases {
+        let out = Command::new(bin_path(bin))
+            .args(&args)
+            .envs(knob)
+            .output()
+            .expect("run daemon");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{bin} {args:?} {knob:?}: {stderr}"
+        );
+        let names = knob.map_or_else(|| format!("{:?}", args[args.len() - 1]), |k| k.0.into());
+        assert!(
+            stderr.lines().any(|l| l.contains(&names)),
+            "{bin} {args:?} {knob:?} must name {names}: {stderr}"
+        );
+        assert!(
+            !codelog.exists() && !publish.exists() && !demo.exists(),
+            "{bin} {args:?} {knob:?} touched the disk before giving up"
+        );
+    }
     let _ = std::fs::remove_dir_all(&work);
 }
