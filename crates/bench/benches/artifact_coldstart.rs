@@ -9,9 +9,9 @@
 //! than retraining on the quick profile. `PHISHINGHOOK_BENCH_SMOKE=1`
 //! shrinks the corpus to CI size; the assertion holds in both modes.
 
+use phishinghook::json::Value;
 use phishinghook::prelude::*;
 use phishinghook_bench::harness::{best_of, pick, write_baseline};
-use phishinghook_bench::json::Value;
 use phishinghook_evm::Bytecode;
 use phishinghook_synth::{generate_contract, Difficulty, Family};
 use rand::rngs::StdRng;

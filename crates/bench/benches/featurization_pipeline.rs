@@ -17,9 +17,9 @@
 //! `PHISHINGHOOK_BENCH_SMOKE=1` shrinks the corpus and sample counts to CI
 //! size.
 
+use phishinghook::json::Value;
 use phishinghook::par::parallel_map;
 use phishinghook_bench::harness::{best_of, pick, write_baseline};
-use phishinghook_bench::json::Value;
 use phishinghook_evm::{Bytecode, DisasmCache};
 use phishinghook_features::store::{FeatureStore, StoreConfig};
 use phishinghook_features::{

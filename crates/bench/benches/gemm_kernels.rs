@@ -14,8 +14,8 @@
 //! The full run writes `BENCH_gemm.json` with GFLOP/s per tier and the
 //! two speedups.
 
+use phishinghook::json::Value;
 use phishinghook_bench::harness::{best_of, obj, pick, write_baseline};
-use phishinghook_bench::json::Value;
 use phishinghook_linalg::gemm::{active_simd_name, matmul_into_dispatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

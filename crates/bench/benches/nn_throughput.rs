@@ -13,8 +13,8 @@
 //! single-core CI noise band) — a batched-path regression fails the
 //! build.
 
+use phishinghook::json::Value;
 use phishinghook_bench::harness::{best_of, pick, write_baseline};
-use phishinghook_bench::json::Value;
 use phishinghook_models::trainer::{
     batch_input, predict_binary, predict_binary_batch, train_binary, train_binary_per_sample,
     TrainConfig, PREDICT_BATCH,

@@ -28,9 +28,9 @@
 //! timings. Full runs write `BENCH_serve.json` (the direct variants) and
 //! `BENCH_latency.json` (the queue tiers and the cascade fleet).
 
+use phishinghook::json::Value;
 use phishinghook::prelude::*;
 use phishinghook_bench::harness::{best_of, obj, pick, write_baseline};
-use phishinghook_bench::json::Value;
 use phishinghook_evm::{Bytecode, CacheBatch, DisasmCache};
 use phishinghook_serve::queue::DEFAULT_MAX_BATCH;
 use phishinghook_serve::{MicroBatcher, QueueConfig};

@@ -1,13 +1,10 @@
 //! Dependency-free JSON encoding/decoding.
 //!
 //! The offline build has no `serde`, so every JSON surface in the
-//! workspace — the bench baselines (`BENCH_*.json`, `table2.json`,
-//! `fig5_study.json`) and the serving tier's request/response bodies —
+//! workspace — the bench baselines (`BENCH_*.json`), the reproduction
+//! report (`REPRO.json`) and the serving tier's request/response bodies —
 //! goes through this one module: a generic [`Value`] tree with a
-//! depth-capped recursive-descent parser. It started life inside the
-//! bench crate and was promoted here when the HTTP serving tier
-//! (`phishinghook-serve`) became a second consumer; the bench crate
-//! re-exports it and keeps only its domain-typed helpers.
+//! depth-capped recursive-descent parser.
 //!
 //! The parser is total and linear: any malformed input, trailing garbage,
 //! or pathological nesting returns `None` — it never panics, and it looks

@@ -134,8 +134,8 @@ impl ModelKind {
         }
     }
 
-    /// Stable machine-readable identifier, used by the JSON artifacts the
-    /// regeneration binaries exchange.
+    /// Stable machine-readable identifier, used by the detector artifact
+    /// format and the serving tier.
     pub fn id(&self) -> &'static str {
         match self {
             ModelKind::RandomForest => "random_forest",
