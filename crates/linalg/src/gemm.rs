@@ -17,6 +17,10 @@
 //! order; no tier uses a fused multiply-add (FMA skips the product's
 //! rounding and would change bits). `PHISHINGHOOK_FORCE_SCALAR=1` pins the
 //! scalar reference for A/B runs; CI runs this crate's tests both ways.
+//! The element-wise row kernels of [`transcend`](crate::transcend) (the
+//! nn crate's GELU, softmax `exp`, `tanh` and sigmoid) dispatch on the
+//! same once-resolved tier, so one knob pins them too; their tiers are
+//! the scalar loop recompiled under `#[target_feature]`, not intrinsics.
 //!
 //! **Threading.** Large products shard A's row blocks across scoped
 //! threads ([`par::pool_size`](crate::par), overridable with
@@ -65,7 +69,7 @@ thread_local! {
 
 /// Micro-kernel tier, resolved once per process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Simd {
+pub(crate) enum Simd {
     Scalar,
     #[cfg(target_arch = "x86_64")]
     Avx2,
@@ -135,7 +139,7 @@ fn simd_from_code(c: u8) -> Simd {
     }
 }
 
-fn active_simd() -> Simd {
+pub(crate) fn active_simd() -> Simd {
     static CACHE: AtomicU8 = AtomicU8::new(SIMD_UNINIT);
     let c = CACHE.load(Ordering::Relaxed);
     if c != SIMD_UNINIT {

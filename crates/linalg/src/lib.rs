@@ -22,6 +22,7 @@
 pub mod gemm;
 pub mod matrix;
 pub mod par;
+pub mod transcend;
 pub mod vecops;
 
 pub use matrix::Matrix;

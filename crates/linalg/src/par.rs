@@ -34,16 +34,25 @@ pub fn configured_threads() -> Option<usize> {
     })
 }
 
+/// The hardware parallelism, read once per process. On Linux
+/// `available_parallelism` re-reads the cgroup CPU quota on every call
+/// (tens of µs), and a served batch sizes up to three fan-outs, so the
+/// value is cached like the override.
+fn hardware_threads() -> usize {
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    *HARDWARE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
 /// Number of workers used for a batch of `n` items: the
 /// `PHISHINGHOOK_THREADS` override when set, otherwise the hardware
 /// parallelism — both capped by [`MAX_WORKERS`] and by `n` itself.
 pub fn pool_size(n: usize) -> usize {
     configured_threads()
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+        .unwrap_or_else(hardware_threads)
         .min(MAX_WORKERS)
         .min(n)
         .max(1)

@@ -12,8 +12,9 @@
 //! of a [`PREDICT_BATCH`] chunk at once.
 
 use crate::trainer::{
-    aggregate_window_probs, label_windows, sigmoid, train_binary, TrainConfig, PREDICT_BATCH,
+    aggregate_window_probs, label_windows, train_binary, TrainConfig, PREDICT_BATCH,
 };
+use phishinghook_linalg::transcend::sigmoid;
 use phishinghook_nn::{
     mean_pool, BlockInference, LayerNorm, Linear, ParamId, ParamStore, Tape, Tensor,
     TransformerBlock, Var,

@@ -24,6 +24,7 @@
 //! batched loop and predictor against them.
 
 use phishinghook_linalg::par;
+use phishinghook_linalg::transcend::sigmoid;
 use phishinghook_nn::{GradBuffer, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -314,12 +315,6 @@ pub fn aggregate_window_probs(xs: &[Vec<Vec<u32>>], probs: &[f32]) -> Vec<f32> {
         out.push(sum / windows.len() as f32);
     }
     out
-}
-
-/// The logistic sigmoid every deep model's predict path applies to its
-/// logits.
-pub(crate) fn sigmoid(logit: f32) -> f32 {
-    1.0 / (1.0 + (-logit).exp())
 }
 
 /// Row-wise prediction baseline: `σ(logit)` per sample, one fresh tape

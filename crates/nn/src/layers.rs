@@ -299,12 +299,15 @@ impl BlockInference<'_> {
         // `hd` columns of `h`, the layout the tape's `concat_cols` builds.
         // Every score and output element accumulates over the same index
         // in the same increasing order as the tape's GEMMs.
+        // A head's visible scores are packed row after row (a triangle
+        // when causal) so one softmax call exponentiates them all.
         let max_len = lens.iter().copied().max().unwrap_or(0);
-        let mut scores = vec![0.0f32; max_len];
+        let mut scores = vec![0.0f32; max_len * max_len];
         let (mut kt, mut v) = (vec![0.0f32; hd * max_len], vec![0.0f32; max_len * hd]);
         let mut start = 0;
         for &l in lens {
             let seq = &qkv[start * 3 * d..(start + l) * 3 * d];
+            let widths = (1..=l).map(|i| if causal { i } else { l });
             for head in 0..heads {
                 let (qo, ko, vo) = (head * hd, d + head * hd, 2 * d + head * hd);
                 // This head's keys transposed to `(hd, l)` and values
@@ -315,9 +318,9 @@ impl BlockInference<'_> {
                     }
                     v[j * hd..(j + 1) * hd].copy_from_slice(&row[vo..vo + hd]);
                 }
-                for i in 0..l {
-                    let visible = if causal { i + 1 } else { l };
-                    let s = &mut scores[..visible];
+                let mut off = 0;
+                for (i, visible) in widths.clone().enumerate() {
+                    let s = &mut scores[off..off + visible];
                     s.fill(0.0);
                     for (c, &qc) in seq[i * 3 * d + qo..][..hd].iter().enumerate() {
                         for (sj, kj) in s.iter_mut().zip(&kt[c * l..c * l + visible]) {
@@ -327,7 +330,13 @@ impl BlockInference<'_> {
                     for sj in s.iter_mut() {
                         *sj *= scale;
                     }
-                    kernels::softmax_in_place(s);
+                    off += visible;
+                }
+                kernels::softmax_rows_in_place(&mut scores, widths.clone());
+                let mut off = 0;
+                for (i, visible) in widths.clone().enumerate() {
+                    let s = &scores[off..off + visible];
+                    off += visible;
                     let o = &mut h[(start + i) * d + qo..][..hd];
                     o.fill(0.0);
                     for (&a, vj) in s.iter().zip(v.chunks_exact(hd)) {
@@ -346,9 +355,7 @@ impl BlockInference<'_> {
         block.ln2.forward_rows(store, x, &mut h);
         let mut f = vec![0.0f32; rows * 4 * d];
         block.fc1.forward_rows(store, &h, &mut f);
-        for v in &mut f {
-            *v = kernels::gelu(*v);
-        }
+        kernels::gelu_in_place(&mut f);
         block.fc2.forward_rows(store, &f, &mut a);
         add_in_place(x, &a);
     }

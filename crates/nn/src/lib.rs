@@ -37,7 +37,7 @@
 
 #![warn(missing_docs)]
 
-mod kernels;
+pub mod kernels;
 pub mod layers;
 pub mod params;
 pub mod tape;

@@ -19,6 +19,7 @@ use crate::kernels;
 use crate::params::{GradBuffer, ParamId, ParamStore};
 use crate::tensor::Tensor;
 use phishinghook_linalg::gemm;
+use phishinghook_linalg::transcend::{self, map_in_place, sigmoid};
 
 /// Handle to a node (intermediate value) on a tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -371,32 +372,44 @@ impl Tape {
 
     /// GELU (tanh approximation).
     pub fn gelu(&mut self, a: Var) -> Var {
-        let t = self.map(a, kernels::gelu);
+        let t = self.map_simd(a, kernels::gelu);
         self.push(t, Op::Gelu(a))
     }
 
     /// SiLU / swish.
     pub fn silu(&mut self, a: Var) -> Var {
-        let t = self.map(a, |x| x * sigmoid_fn(x));
+        let t = self.map_simd(a, |x| x * sigmoid(x));
         self.push(t, Op::Silu(a))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let t = self.map(a, sigmoid_fn);
+        let t = self.map_simd(a, sigmoid);
         self.push(t, Op::Sigmoid(a))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let t = self.map(a, f32::tanh);
+        let t = self.map_simd(a, transcend::tanh);
         self.push(t, Op::Tanh(a))
     }
 
+    /// `f` of every element of `a`'s value, in one pass into a pooled
+    /// buffer.
     fn map(&mut self, a: Var, f: impl Fn(f32) -> f32) -> Tensor {
         let shape = self.nodes[a.0].value.shape().to_vec();
         let mut data = self.grab_empty(shape.iter().product());
         data.extend(self.nodes[a.0].value.data().iter().map(|&x| f(x)));
+        Tensor::from_vec(&shape, data)
+    }
+
+    /// [`Tape::map`] for the transcendental ops, through the
+    /// SIMD-dispatched [`map_in_place`]: the same bits, vectorized.
+    fn map_simd(&mut self, a: Var, f: impl Fn(f32) -> f32) -> Tensor {
+        let shape = self.nodes[a.0].value.shape().to_vec();
+        let mut data = self.grab_empty(shape.iter().product());
+        data.extend_from_slice(self.nodes[a.0].value.data());
+        map_in_place(&mut data, f);
         Tensor::from_vec(&shape, data)
     }
 
@@ -407,12 +420,7 @@ impl Tape {
         let (l, d) = self.nodes[a.0].value.dims2();
         let mut out = self.grab_empty(l * d);
         out.extend_from_slice(self.nodes[a.0].value.data());
-        // A `(0, 0)` score matrix (an empty sequence) has no rows.
-        if d > 0 {
-            for row in out.chunks_exact_mut(d) {
-                kernels::softmax_in_place(row);
-            }
-        }
+        kernels::softmax_rows_in_place(&mut out, std::iter::repeat_n(d, l));
         self.push(Tensor::from_vec(&[l, d], out), Op::SoftmaxRows(a))
     }
 
@@ -466,7 +474,7 @@ impl Tape {
         assert_eq!(self.nodes[logit.0].value.len(), 1, "expected one logit");
         let z = self.nodes[logit.0].value.data()[0];
         // Numerically stable: max(z,0) - z t + ln(1 + e^{-|z|}).
-        let loss = z.max(0.0) - z * target + (1.0 + (-z.abs()).exp()).ln();
+        let loss = z.max(0.0) - z * target + (1.0 + transcend::exp(-z.abs())).ln();
         self.push(Tensor::scalar(loss), Op::BceWithLogit { logit, target })
     }
 
@@ -509,7 +517,7 @@ impl Tape {
         let zs = self.nodes[logits.0].value.data();
         let mut sum = 0.0f32;
         for (&z, &t) in zs.iter().zip(targets) {
-            sum += z.max(0.0) - z * t + (1.0 + (-z.abs()).exp()).ln();
+            sum += z.max(0.0) - z * t + (1.0 + transcend::exp(-z.abs())).ln();
         }
         self.push(
             Tensor::scalar(sum / denom),
@@ -779,12 +787,8 @@ impl Tape {
                     self.add_grad(&mut grads, a, ga);
                 }
                 Op::Gelu(a) => {
-                    let der: Vec<f32> = self.nodes[a.0]
-                        .value
-                        .data()
-                        .iter()
-                        .map(|&x| gelu_grad(x))
-                        .collect();
+                    let mut der = self.nodes[a.0].value.data().to_vec();
+                    map_in_place(&mut der, kernels::gelu_grad);
                     let ga = self.ew(&g, &der);
                     self.add_grad(&mut grads, a, ga);
                 }
@@ -794,7 +798,7 @@ impl Tape {
                         .data()
                         .iter()
                         .map(|&x| {
-                            let s = sigmoid_fn(x);
+                            let s = sigmoid(x);
                             s + x * s * (1.0 - s)
                         })
                         .collect();
@@ -954,7 +958,7 @@ impl Tape {
                 }
                 Op::BceWithLogit { logit, target } => {
                     let z = self.nodes[logit.0].value.data()[0];
-                    let dz = (sigmoid_fn(z) - target) * g.data()[0];
+                    let dz = (sigmoid(z) - target) * g.data()[0];
                     let ga = Tensor::from_vec(self.nodes[logit.0].value.shape(), vec![dz]);
                     self.add_grad(&mut grads, logit, ga);
                 }
@@ -968,7 +972,7 @@ impl Tape {
                     let data: Vec<f32> = zs
                         .iter()
                         .zip(&targets)
-                        .map(|(&z, &t)| (sigmoid_fn(z) - t) / denom * go)
+                        .map(|(&z, &t)| (sigmoid(z) - t) / denom * go)
                         .collect();
                     let shape = self.nodes[logits.0].value.shape().to_vec();
                     self.add_grad(&mut grads, logits, Tensor::from_vec(&shape, data));
@@ -1146,18 +1150,6 @@ impl Tape {
             slot @ None => *slot = Some(g),
         }
     }
-}
-
-fn sigmoid_fn(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-fn gelu_grad(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let inner = C * (x + 0.044715 * x * x * x);
-    let t = inner.tanh();
-    let sech2 = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
 }
 
 #[cfg(test)]
@@ -1525,7 +1517,7 @@ mod tests {
         let mut tape = Tape::new();
         let z = tape.input(Tensor::from_vec(&[1, 1], vec![0.7]));
         let l = tape.bce_with_logit(z, 1.0);
-        let want = -(sigmoid_fn(0.7f32)).ln();
+        let want = -(sigmoid(0.7f32)).ln();
         assert!((tape.value(l).item() - want).abs() < 1e-6);
     }
 
@@ -1638,6 +1630,6 @@ mod tests {
             tape.backward(l, &mut store);
         }
         let g1 = store.grad(p).data()[0];
-        assert!((g1 - 2.0 * (sigmoid_fn(0.5) - 1.0)).abs() < 1e-5);
+        assert!((g1 - 2.0 * (sigmoid(0.5) - 1.0)).abs() < 1e-5);
     }
 }
