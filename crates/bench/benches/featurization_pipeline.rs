@@ -20,8 +20,8 @@
 use phishinghook::json::Value;
 use phishinghook::par::parallel_map;
 use phishinghook_bench::harness::{best_of, pick, write_baseline};
-use phishinghook_evm::{Bytecode, DisasmCache};
-use phishinghook_features::store::{FeatureStore, StoreConfig};
+use phishinghook_evm::{Bytecode, CacheBatch, DisasmCache};
+use phishinghook_features::store::{Encoding, FeatureStore, StoreConfig};
 use phishinghook_features::{
     BigramEncoder, EscortEmbedder, FreqImageEncoder, HistogramEncoder, OpcodeTokenizer,
     R2d2Encoder, SequenceVariant,
@@ -183,27 +183,33 @@ fn per_trial_pass(codes: &[Bytecode], plan: &[(Vec<usize>, Vec<usize>)]) -> usiz
 /// counted inside the timing — amortization has to beat it.
 fn store_pass(codes: &[Bytecode], plan: &[(Vec<usize>, Vec<usize>)]) -> usize {
     let caches: Vec<DisasmCache> = parallel_map(codes, DisasmCache::build);
-    let store = FeatureStore::build(&caches, &caches, &store_geometry());
+    let store = FeatureStore::new(CacheBatch::from_caches(caches), None, &store_geometry());
     let mut scalars = 0usize;
     for (train_idx, test_idx) in plan {
         for idx in [train_idx, test_idx] {
-            scalars += store.histogram().gather_dense_flat(idx).len();
-            scalars += store.freq_image().gather_dense_flat(idx).len();
-            scalars += store.r2d2().gather_dense_flat(idx).len();
             scalars += store
-                .bigram()
+                .matrix(Encoding::Histogram)
+                .gather_dense_flat(idx)
+                .len();
+            scalars += store
+                .matrix(Encoding::FreqImage)
+                .gather_dense_flat(idx)
+                .len();
+            scalars += store.matrix(Encoding::R2d2).gather_dense_flat(idx).len();
+            scalars += store
+                .matrix(Encoding::Bigram)
                 .gather_ids(idx)
                 .iter()
                 .map(Vec::len)
                 .sum::<usize>();
             scalars += store
-                .tokens_windows()
+                .matrix(Encoding::TokensWindows)
                 .gather_windows(idx)
                 .iter()
                 .flatten()
                 .map(Vec::len)
                 .sum::<usize>();
-            scalars += store.escort().gather_dense_flat(idx).len();
+            scalars += store.matrix(Encoding::Escort).gather_dense_flat(idx).len();
         }
     }
     scalars

@@ -6,9 +6,9 @@
 //! `eth_getCode` and must warn *before* the user signs. [`Detector::train`]
 //! closes that gap: it runs the exact trait-dispatched training path of
 //! [`evaluate_trial`](crate::mem::evaluate_trial) but keeps the fitted
-//! [`Model`] together with the context's [`FittedEncoders`] (the lookup
-//! tables alone — kilobytes, not the training-set matrices), producing an
-//! artifact that scores new contracts indefinitely:
+//! [`Model`] together with the one fitted encoder its model reads (the
+//! lookup tables alone — kilobytes, not the training-set matrices),
+//! producing an artifact that scores new contracts indefinitely:
 //!
 //! * [`Detector::score_cache`] / [`Detector::score_batch`] — score decoded
 //!   contracts; batches featurize across the worker pool and hit the model
@@ -98,7 +98,8 @@ fn read_profile(r: &mut ByteReader<'_>) -> Result<EvalProfile, ArtifactError> {
 /// Rebuilds a fitted model: the normal [`ModelKind::build`] factory under
 /// the restored encoders/profile/seed, then state import — byte-for-byte
 /// the training-side construction, which is what makes reloaded scores
-/// bit-identical.
+/// bit-identical. An encoder set without the kind's encoding is a typed
+/// error, so such an artifact never panics the server at scoring time.
 fn rebuild_model(
     kind: ModelKind,
     encoders: &FittedEncoders,
@@ -106,13 +107,19 @@ fn rebuild_model(
     seed: u64,
     state: &[u8],
 ) -> Result<Box<dyn Model>, ArtifactError> {
+    if !encoders.encodings().contains(&kind.encoding()) {
+        return Err(ArtifactError::Mismatch(format!(
+            "{kind} reads {} features, but the artifact carries no such encoder",
+            kind.encoding().name()
+        )));
+    }
     let mut model = kind.build(encoders, profile, seed);
     model.import_state(state)?;
     Ok(model)
 }
 
 /// A trained, persistent phishing detector: one fitted [`Model`] plus the
-/// fitted encoder set it was trained under.
+/// one fitted encoder its model reads.
 pub struct Detector {
     kind: ModelKind,
     encoding: Encoding,
@@ -183,7 +190,7 @@ impl Detector {
             kind,
             encoding: kind.encoding(),
             model,
-            encoders: ctx.store().encoders().clone(),
+            encoders: ctx.store().encoders_for(&[kind.encoding()]),
             profile: *profile,
             seed,
             train_seconds,
@@ -229,8 +236,8 @@ impl Detector {
     }
 
     /// Serializes the detector into its versioned artifact form: a `meta`
-    /// section (kind, seed, profile, provenance), the fitted encoder
-    /// lookup tables, and the model's fitted state — everything a fresh
+    /// section (kind, seed, profile, provenance), the lookup tables of the
+    /// model's one encoder, and the model's fitted state — everything a fresh
     /// process needs to reproduce this detector's scores bit-for-bit, and
     /// nothing it does not (no training matrices).
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -447,7 +454,7 @@ impl Verdict {
 /// Several trained kinds served together over one shared encoding pass:
 /// scoring a contract featurizes each *distinct* encoding once, no matter
 /// how many models consume it (all seven histogram classifiers share one
-/// histogram row).
+/// histogram row). The zoo carries the union of its models' encoders.
 pub struct ModelZoo {
     models: Vec<(ModelKind, Box<dyn Model>)>,
     encoders: FittedEncoders,
@@ -478,9 +485,10 @@ impl ModelZoo {
             .iter()
             .map(|&kind| (kind, fit_kind(ctx, kind, &all, ctx.profile(), seed).0))
             .collect();
+        let encodings: Vec<Encoding> = kinds.iter().map(ModelKind::encoding).collect();
         ModelZoo {
             models,
-            encoders: ctx.store().encoders().clone(),
+            encoders: ctx.store().encoders_for(&encodings),
             profile: *ctx.profile(),
             seed,
         }

@@ -1,28 +1,31 @@
-//! The shared evaluation context: one decode pass, one featurization pass,
-//! arbitrarily many (model, run, fold) trials.
+//! The shared evaluation context: one decode pass, at most one
+//! featurization pass per encoding, arbitrarily many (model, run, fold)
+//! trials.
 //!
 //! [`EvalContext::new`] is the only place the evaluation engine pays
-//! disassembly and featurization cost: it builds the dataset's
-//! [`CacheBatch`] across the worker pool, packs all six encodings into a
-//! [`FeatureStore`], and precomputes the structural vulnerability labels
-//! ESCORT's pre-training phase consumes. Every trial in the
-//! model-evaluation matrix — cross-validation, scalability splits, temporal
-//! splits, hyper-parameter search — then borrows index slices of the same
-//! context, so `decode_count()` over an entire evaluation equals the
-//! dataset size.
+//! disassembly cost: it builds the dataset's [`CacheBatch`] across the
+//! worker pool and hands it to a [`FeatureStore`], which fits and packs
+//! each encoding on first use. ESCORT's structural vulnerability labels
+//! are likewise computed the first time a trial asks for them. Every
+//! trial in the model-evaluation matrix — cross-validation, scalability
+//! splits, temporal splits, hyper-parameter search — then borrows index
+//! slices of the same context, so `decode_count()` over an entire
+//! evaluation equals the dataset size, and a context that only ever
+//! trains a histogram model never fits the other five encoders.
 //!
 //! # Examples
 //!
 //! ```
 //! use phishinghook::evalstore::EvalContext;
 //! use phishinghook::prelude::*;
+//! use phishinghook_features::Encoding;
 //!
 //! let corpus = generate_corpus(&CorpusConfig::small(3));
 //! let chain = SimulatedChain::from_corpus(&corpus);
 //! let (dataset, _) = extract_dataset(&chain, &BemConfig::default());
 //! let ctx = EvalContext::new(&dataset, &EvalProfile::quick());
 //! assert_eq!(ctx.len(), dataset.len());
-//! assert_eq!(ctx.store().histogram().rows(), dataset.len());
+//! assert_eq!(ctx.store().matrix(Encoding::Histogram).rows(), dataset.len());
 //! ```
 
 use crate::dataset::Dataset;
@@ -32,6 +35,7 @@ use phishinghook_artifact::ArtifactError;
 use phishinghook_evm::opcodes::op;
 use phishinghook_evm::{CacheBatch, DisasmCache};
 use phishinghook_features::store::{FeatureStore, SpillConfig, StoreConfig, StreamBudget};
+use std::sync::OnceLock;
 
 /// The geometry slice of an [`EvalProfile`] that shapes the feature store.
 pub fn store_config(profile: &EvalProfile) -> StoreConfig {
@@ -58,20 +62,21 @@ pub fn vulnerability_labels(cache: &DisasmCache) -> Vec<u8> {
     ]
 }
 
-/// Decode-once evaluation state for one dataset: labels, disassembly
-/// caches, the feature store and ESCORT's pre-training targets.
+/// Decode-once evaluation state for one dataset: labels, the feature
+/// store over the disassembly caches, and ESCORT's pre-training targets.
 #[derive(Debug, Clone)]
 pub struct EvalContext {
     labels: Vec<u8>,
-    caches: CacheBatch,
     store: FeatureStore,
-    vuln: Vec<Vec<u8>>,
+    /// Computed on the first [`EvalContext::gather_vuln`].
+    vuln: OnceLock<Vec<Vec<u8>>>,
     profile: EvalProfile,
 }
 
 impl EvalContext {
-    /// Decodes and featurizes `data` exactly once, in parallel across the
-    /// worker pool, under `profile`'s feature geometry.
+    /// Decodes `data` exactly once, in parallel across the worker pool;
+    /// each encoding is fitted and packed under `profile`'s feature
+    /// geometry when a trial first reads it.
     pub fn new(data: &Dataset, profile: &EvalProfile) -> Self {
         let caches = CacheBatch::from_caches(data.disasm_batch());
         Self::from_caches(caches, data.labels(), profile)
@@ -92,8 +97,8 @@ impl EvalContext {
         // DisasmCache clones are cheap (refcounted bytecode + packed op
         // table); the fit subset is materialized once.
         let fit: Vec<DisasmCache> = fit_idx.iter().map(|&i| caches[i].clone()).collect();
-        let store = FeatureStore::build(caches.as_slice(), &fit, &store_config(profile));
-        Self::assemble(caches, data.labels(), store, profile)
+        let store = FeatureStore::new(caches, Some(fit), &store_config(profile));
+        Self::assemble(data.labels(), store, profile)
     }
 
     /// Like [`EvalContext::new`], but spills the token-window feature
@@ -117,40 +122,28 @@ impl EvalContext {
             spill: spill.clone(),
             resident_rows: caches.len(),
         };
-        let (store, _) = FeatureStore::build_streaming(
-            caches.as_slice(),
-            caches.as_slice(),
-            &store_config(profile),
-            &budget,
-        )?;
-        Ok(Self::assemble(caches, data.labels(), store, profile))
+        let (store, _) =
+            FeatureStore::build_streaming(caches, None, &store_config(profile), &budget)?;
+        Ok(Self::assemble(data.labels(), store, profile))
     }
 
     /// Builds a context over caches that were already decoded (the batch
-    /// must align index-for-index with `labels`).
+    /// must align index-for-index with `labels`); decodes nothing.
     ///
     /// # Panics
     ///
     /// Panics if `labels` and the batch disagree on length.
     pub fn from_caches(caches: CacheBatch, labels: Vec<u8>, profile: &EvalProfile) -> Self {
-        let store =
-            FeatureStore::build(caches.as_slice(), caches.as_slice(), &store_config(profile));
-        Self::assemble(caches, labels, store, profile)
+        let store = FeatureStore::new(caches, None, &store_config(profile));
+        Self::assemble(labels, store, profile)
     }
 
-    fn assemble(
-        caches: CacheBatch,
-        labels: Vec<u8>,
-        store: FeatureStore,
-        profile: &EvalProfile,
-    ) -> Self {
-        assert_eq!(caches.len(), labels.len(), "labels/caches misaligned");
-        let vuln = parallel_map(caches.as_slice(), vulnerability_labels);
+    fn assemble(labels: Vec<u8>, store: FeatureStore, profile: &EvalProfile) -> Self {
+        assert_eq!(store.len(), labels.len(), "labels/caches misaligned");
         EvalContext {
             labels,
-            caches,
             store,
-            vuln,
+            vuln: OnceLock::new(),
             profile: *profile,
         }
     }
@@ -172,10 +165,10 @@ impl EvalContext {
 
     /// The decoded cache batch.
     pub fn caches(&self) -> &CacheBatch {
-        &self.caches
+        self.store.caches()
     }
 
-    /// The packed feature store.
+    /// The feature store, which packs each encoding on first use.
     pub fn store(&self) -> &FeatureStore {
         &self.store
     }
@@ -190,9 +183,13 @@ impl EvalContext {
         indices.iter().map(|&i| self.labels[i]).collect()
     }
 
-    /// ESCORT pre-training targets for an index slice, in index order.
+    /// ESCORT pre-training targets for an index slice, in index order;
+    /// the first call labels every sample across the worker pool.
     pub fn gather_vuln(&self, indices: &[usize]) -> Vec<Vec<u8>> {
-        indices.iter().map(|&i| self.vuln[i].clone()).collect()
+        let vuln = self
+            .vuln
+            .get_or_init(|| parallel_map(self.caches().as_slice(), vulnerability_labels));
+        indices.iter().map(|&i| vuln[i].clone()).collect()
     }
 
     /// Positive-class count within an index slice.
@@ -206,6 +203,7 @@ mod tests {
     use super::*;
     use crate::bem::{extract_dataset, BemConfig};
     use phishinghook_chain::SimulatedChain;
+    use phishinghook_features::Encoding;
     use phishinghook_synth::{generate_corpus, CorpusConfig};
 
     fn dataset() -> Dataset {
@@ -225,10 +223,13 @@ mod tests {
         // Store geometry follows the profile.
         let p = EvalProfile::quick();
         assert_eq!(
-            ctx.store().freq_image().width(),
+            ctx.store().matrix(Encoding::FreqImage).width(),
             Some(3 * p.image_side * p.image_side)
         );
-        assert_eq!(ctx.store().bigram().width(), Some(p.bigram_len));
+        assert_eq!(
+            ctx.store().matrix(Encoding::Bigram).width(),
+            Some(p.bigram_len)
+        );
     }
 
     #[test]
@@ -256,7 +257,10 @@ mod tests {
         let fitted = EvalContext::fitted_on(&data, &p, &few);
         // Every sample is still featurized...
         assert_eq!(fitted.len(), data.len());
-        assert_eq!(fitted.store().histogram().rows(), data.len());
+        assert_eq!(
+            fitted.store().matrix(Encoding::Histogram).rows(),
+            data.len()
+        );
         // ...but the vocabulary comes from the fit subset alone.
         assert!(fitted.store().histogram_width() <= full.store().histogram_width());
         let fit_caches: Vec<_> = few.iter().map(|&i| fitted.caches()[i].clone()).collect();

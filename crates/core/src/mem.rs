@@ -490,7 +490,7 @@ pub(crate) fn fit_kind(
     let gathered = store.matrix(kind.encoding()).gather(train_idx);
     let rows = gathered.rows();
     let labels = ctx.gather_labels(train_idx);
-    let mut model = kind.build(store.encoders(), profile, seed);
+    let mut model = kind.build(&store.encoders_for(&[kind.encoding()]), profile, seed);
     let aux = model
         .wants_pretraining()
         .then(|| ctx.gather_vuln(train_idx));
@@ -673,7 +673,8 @@ mod tests {
         let data = small_dataset();
         let ctx = EvalContext::new(&data, &EvalProfile::quick());
         for kind in ModelKind::ALL {
-            let model = kind.build(ctx.store().encoders(), ctx.profile(), 1);
+            let encoders = ctx.store().encoders_for(&[kind.encoding()]);
+            let model = kind.build(&encoders, ctx.profile(), 1);
             // Only ESCORT carries the two-phase transfer protocol.
             assert_eq!(
                 model.wants_pretraining(),

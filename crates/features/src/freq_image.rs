@@ -70,7 +70,14 @@ impl FreqImageEncoder {
         for cache in caches {
             for op in cache.ops() {
                 self.mnemonic_counts[op.id.index()] += 1;
-                *self.operand_counts.entry(op.operand.to_vec()).or_insert(0) += 1;
+                // Look up by slice; only an operand's first sighting
+                // allocates its key.
+                match self.operand_counts.get_mut(op.operand) {
+                    Some(count) => *count += 1,
+                    None => {
+                        self.operand_counts.insert(op.operand.to_vec(), 1);
+                    }
+                }
                 *self.gas_counts.entry(op.gas()).or_insert(0) += 1;
             }
         }

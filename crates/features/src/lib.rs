@@ -25,10 +25,11 @@
 //! [`OpId`](phishinghook_evm::OpId) rather than hashing mnemonic strings,
 //! so the hot path allocates nothing beyond its output vector.
 //!
-//! On top of the per-contract protocol, [`store::FeatureStore`] packs every
-//! encoding of a whole dataset into fold-sliceable [`store::FeatureMatrix`]
-//! column stores, so repeated cross-validation trials gather pre-featurized
-//! rows instead of re-running the encoders.
+//! On top of the per-contract protocol, [`store::FeatureStore`] fits and
+//! packs each encoding of a whole dataset on first use into a
+//! fold-sliceable [`store::FeatureMatrix`] column store, so repeated
+//! cross-validation trials gather pre-featurized rows instead of re-running
+//! the encoders.
 
 #![warn(missing_docs)]
 

@@ -1,14 +1,18 @@
-//! Decode-once feature store: every encoding of every contract, built
-//! exactly once per dataset and sliced by sample index thereafter.
+//! Decode-once, fit-on-demand feature store: every encoding of every
+//! contract, fitted and packed at most once per dataset and sliced by
+//! sample index thereafter.
 //!
 //! The paper's model-evaluation matrix cross-validates six feature
 //! encodings against sixteen models over 10 folds × 3 runs; featurizing
 //! inside the trial loop multiplies the encoding cost by the trial count.
-//! [`FeatureStore::build`] runs the whole featurization pipeline **once**:
-//! each encoder is fitted on the dataset's shared
-//! [`DisasmCache`]s and its outputs are packed into per-encoding
-//! [`FeatureMatrix`] column stores. A (model, run, fold) trial then
-//! *gathers* rows by index — a memcpy, never a re-decode or re-encode.
+//! A [`FeatureStore`] keeps the dataset's shared [`DisasmCache`]s and
+//! fits and packs each encoding on first use: the first
+//! [`FeatureStore::matrix`] call for an encoding fits its encoder on the
+//! retained fit caches and packs every sample into a [`FeatureMatrix`]
+//! column store. A (model, run, fold) trial then *gathers* rows by index
+//! — a memcpy, never a re-decode or re-encode — and a dataset that only
+//! ever trains a histogram model never pays for token windows or
+//! frequency tables.
 //!
 //! Lookup tables (histogram vocabulary, bigram vocabulary, per-instruction
 //! frequencies) are fitted on the full dataset rather than per training
@@ -19,20 +23,25 @@
 //! # Examples
 //!
 //! ```
-//! use phishinghook_evm::{Bytecode, DisasmCache};
-//! use phishinghook_features::store::{FeatureStore, StoreConfig};
+//! use phishinghook_evm::{Bytecode, CacheBatch};
+//! use phishinghook_features::store::{Encoding, FeatureStore, StoreConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let caches = vec![
-//!     DisasmCache::build(&Bytecode::from_hex("0x6080604052")?),
-//!     DisasmCache::build(&Bytecode::from_hex("0x60016002016000f3")?),
-//! ];
-//! let store = FeatureStore::build(&caches, &caches, &StoreConfig::default());
+//! let caches = CacheBatch::build(&[
+//!     Bytecode::from_hex("0x6080604052")?,
+//!     Bytecode::from_hex("0x60016002016000f3")?,
+//! ]);
+//! let store = FeatureStore::new(caches, None, &StoreConfig::default());
 //! assert_eq!(store.len(), 2);
 //! // One histogram row per contract, fixed width across the dataset.
-//! assert_eq!(store.histogram().rows(), 2);
-//! let row = store.histogram().dense_row(0);
-//! assert_eq!(row.len(), store.histogram_width());
+//! let histogram = store.matrix(Encoding::Histogram);
+//! assert_eq!(histogram.rows(), 2);
+//! assert_eq!(histogram.dense_row(0).len(), store.histogram_width());
+//! // Only the histogram encoder was fitted.
+//! assert_eq!(
+//!     store.encoders_for(&[Encoding::Histogram]).encodings(),
+//!     [Encoding::Histogram]
+//! );
 //! # Ok(())
 //! # }
 //! ```
@@ -45,10 +54,11 @@ use crate::histogram::HistogramEncoder;
 use crate::image::R2d2Encoder;
 use crate::tokens::{OpcodeTokenizer, SequenceVariant};
 use phishinghook_artifact::{ArtifactError, ByteReader, ByteWriter};
-use phishinghook_evm::DisasmCache;
+use phishinghook_evm::{CacheBatch, DisasmCache};
 use phishinghook_linalg::par::parallel_map;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Geometry knobs of the six encoders (the feature-relevant subset of the
 /// evaluation profile).
@@ -104,8 +114,7 @@ pub enum Encoding {
 }
 
 impl Encoding {
-    /// All seven encodings, in store order (the order
-    /// [`FeatureStore::encode_new`] returns rows in).
+    /// All seven encodings, in store order.
     pub const ALL: [Encoding; 7] = [
         Encoding::Histogram,
         Encoding::FreqImage,
@@ -116,7 +125,7 @@ impl Encoding {
         Encoding::Escort,
     ];
 
-    /// Position in [`Encoding::ALL`] (and in the `encode_new` row array).
+    /// Position in [`Encoding::ALL`].
     pub fn index(self) -> usize {
         match self {
             Encoding::Histogram => 0,
@@ -126,6 +135,20 @@ impl Encoding {
             Encoding::TokensTruncate => 4,
             Encoding::TokensWindows => 5,
             Encoding::Escort => 6,
+        }
+    }
+
+    /// Slot of the encoder that produces this encoding, in
+    /// [`FittedEncoders`] field order; the tokenizer serves both token
+    /// variants.
+    fn slot(self) -> usize {
+        match self {
+            Encoding::Histogram => 0,
+            Encoding::FreqImage => 1,
+            Encoding::R2d2 => 2,
+            Encoding::Bigram => 3,
+            Encoding::TokensTruncate | Encoding::TokensWindows => 4,
+            Encoding::Escort => 5,
         }
     }
 
@@ -397,26 +420,6 @@ impl FeatureMatrix {
     /// Panics on an out-of-bounds index or a spill-file read failure.
     pub fn gather(&self, indices: &[usize]) -> GatheredRows<'_> {
         self.try_gather(indices).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Gathers dense rows for a fold, in index order (copies row data),
-    /// or a typed error on the wrong layout.
-    pub fn try_gather_dense(&self, indices: &[usize]) -> Result<Vec<Vec<f32>>, ArtifactError> {
-        indices
-            .iter()
-            .map(|&i| self.try_dense_row(i).map(<[f32]>::to_vec))
-            .collect()
-    }
-
-    /// Gathers dense rows for a fold, in index order (copies row data —
-    /// downstream models need owned contiguous inputs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout is not dense or an index is out of bounds.
-    pub fn gather_dense(&self, indices: &[usize]) -> Vec<Vec<f32>> {
-        self.try_gather_dense(indices)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Gathers dense rows into one row-major flat buffer, or a typed error
@@ -920,11 +923,6 @@ impl StreamingSpillWriter {
         Ok(())
     }
 
-    /// Rows pushed so far.
-    pub fn rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
     /// Window ids streamed to the sidecar so far.
     pub fn total_ids(&self) -> u64 {
         *self.id_offsets.last().unwrap()
@@ -1020,145 +1018,213 @@ impl StreamingSpillWriter {
     }
 }
 
-/// The six fitted encoders of one dataset, detached from the column stores.
+/// Opens an `encoders` section in the presence-masked layout. A legacy
+/// section opens with the histogram's vocabulary length instead, which
+/// never comes near this value.
+const ENCODERS_SENTINEL: u64 = u64::MAX;
+
+/// Presence mask with all six encoder slots set — the legacy layout.
+const ALL_ENCODERS: u8 = 0b11_1111;
+
+/// The fitted encoders of one dataset, detached from the column stores —
+/// only those some consumer asked for.
 ///
 /// This is the *serving half* of a [`FeatureStore`]: it carries only the
 /// lookup tables (histogram vocabulary, frequency tables, bigram
 /// vocabulary — kilobytes), not the per-sample feature matrices, so a
 /// trained detector can keep featurizing fresh contracts long after the
-/// training-set encodings are dropped.
-#[derive(Debug, Clone)]
+/// training-set encodings are dropped. A detector carries the one
+/// encoder its model reads, so it neither fits nor ships the others.
+///
+/// [`FittedEncoders::encode`] and the width/vocabulary accessors panic
+/// when asked about an encoder the set does not hold;
+/// [`FittedEncoders::encodings`] lists what it holds.
+#[derive(Debug, Clone, Default)]
 pub struct FittedEncoders {
-    hist: HistogramEncoder,
-    freq: FreqImageEncoder,
-    r2d2: R2d2Encoder,
-    bigram: BigramEncoder,
-    token: OpcodeTokenizer,
-    escort: EscortEmbedder,
+    hist: Option<HistogramEncoder>,
+    freq: Option<FreqImageEncoder>,
+    r2d2: Option<R2d2Encoder>,
+    bigram: Option<BigramEncoder>,
+    token: Option<OpcodeTokenizer>,
+    escort: Option<EscortEmbedder>,
+}
+
+/// The encoder behind `encoding`, which the set must hold.
+fn fitted<T>(slot: &Option<T>, encoding: Encoding) -> &T {
+    slot.as_ref()
+        .unwrap_or_else(|| panic!("no {} encoder was fitted", encoding.name()))
 }
 
 impl FittedEncoders {
-    /// Fits all six encoders on `fit`'s shared caches under `config`'s
-    /// geometry.
-    pub fn fit(fit: &[DisasmCache], config: &StoreConfig) -> Self {
+    /// Fits the encoders behind `encodings` on `fit`'s shared caches under
+    /// `config`'s geometry, each once however many of its encodings are
+    /// listed.
+    pub fn fit(fit: &[DisasmCache], config: &StoreConfig, encodings: &[Encoding]) -> Self {
+        let wanted = |slot: usize| encodings.iter().any(|e| e.slot() == slot);
         FittedEncoders {
-            hist: HistogramEncoder::fit(fit),
-            freq: FreqImageEncoder::fit(fit, config.image_side),
-            r2d2: R2d2Encoder::new(config.image_side),
-            bigram: BigramEncoder::fit(fit, config.bigram_vocab, config.bigram_len),
-            token: OpcodeTokenizer::new(config.context),
-            escort: EscortEmbedder::new(config.escort_dim),
+            hist: wanted(0).then(|| HistogramEncoder::fit(fit)),
+            freq: wanted(1).then(|| FreqImageEncoder::fit(fit, config.image_side)),
+            r2d2: wanted(2).then(|| R2d2Encoder::new(config.image_side)),
+            bigram: wanted(3)
+                .then(|| BigramEncoder::fit(fit, config.bigram_vocab, config.bigram_len)),
+            token: wanted(4).then(|| OpcodeTokenizer::new(config.context)),
+            escort: wanted(5).then(|| EscortEmbedder::new(config.escort_dim)),
         }
+    }
+
+    /// Bit `i` set when encoder slot `i` is present.
+    fn mask(&self) -> u8 {
+        [
+            self.hist.is_some(),
+            self.freq.is_some(),
+            self.r2d2.is_some(),
+            self.bigram.is_some(),
+            self.token.is_some(),
+            self.escort.is_some(),
+        ]
+        .into_iter()
+        .enumerate()
+        .fold(0, |mask, (slot, present)| {
+            mask | (u8::from(present) << slot)
+        })
+    }
+
+    /// The encodings this set can featurize, in [`Encoding::ALL`] order
+    /// (the tokenizer serves both token variants).
+    pub fn encodings(&self) -> Vec<Encoding> {
+        let mask = self.mask();
+        Encoding::ALL
+            .into_iter()
+            .filter(|e| mask & (1 << e.slot()) != 0)
+            .collect()
+    }
+
+    /// Adds `other`'s encoders that this set lacks.
+    fn absorb(&mut self, other: &FittedEncoders) {
+        self.hist = self.hist.take().or_else(|| other.hist.clone());
+        self.freq = self.freq.take().or_else(|| other.freq.clone());
+        self.r2d2 = self.r2d2.or(other.r2d2);
+        self.bigram = self.bigram.take().or_else(|| other.bigram.clone());
+        self.token = self.token.or(other.token);
+        self.escort = self.escort.or(other.escort);
     }
 
     /// Featurizes one contract under a single selected encoding — the
     /// selective serving path: a single-model detector pays for exactly the
     /// representation its model consumes, never the full seven-row pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set holds no encoder for `encoding`.
     pub fn encode(&self, cache: &DisasmCache, encoding: Encoding) -> FeatureVec {
         match encoding {
-            Encoding::Histogram => FeatureVec::Dense(self.hist.encode(cache)),
-            Encoding::FreqImage => FeatureVec::Dense(self.freq.encode(cache)),
-            Encoding::R2d2 => FeatureVec::Dense(self.r2d2.encode(cache)),
-            Encoding::Bigram => FeatureVec::Ids(self.bigram.encode(cache)),
-            Encoding::TokensTruncate => {
-                FeatureVec::Windows(self.token.encode(cache, SequenceVariant::Truncate))
-            }
-            Encoding::TokensWindows => {
-                FeatureVec::Windows(self.token.encode(cache, SequenceVariant::SlidingWindow))
-            }
-            Encoding::Escort => FeatureVec::Dense(self.escort.encode(cache)),
+            Encoding::Histogram => FeatureVec::Dense(fitted(&self.hist, encoding).encode(cache)),
+            Encoding::FreqImage => FeatureVec::Dense(fitted(&self.freq, encoding).encode(cache)),
+            Encoding::R2d2 => FeatureVec::Dense(fitted(&self.r2d2, encoding).encode(cache)),
+            Encoding::Bigram => FeatureVec::Ids(fitted(&self.bigram, encoding).encode(cache)),
+            Encoding::TokensTruncate => FeatureVec::Windows(
+                fitted(&self.token, encoding).encode(cache, SequenceVariant::Truncate),
+            ),
+            Encoding::TokensWindows => FeatureVec::Windows(
+                fitted(&self.token, encoding).encode(cache, SequenceVariant::SlidingWindow),
+            ),
+            Encoding::Escort => FeatureVec::Dense(fitted(&self.escort, encoding).encode(cache)),
         }
-    }
-
-    /// All seven encoding rows of one contract, in [`Encoding::ALL`] order.
-    pub fn encode_all(&self, cache: &DisasmCache) -> [FeatureVec; 7] {
-        Encoding::ALL.map(|e| self.encode(cache, e))
     }
 
     /// Histogram feature width (dataset vocabulary size).
     pub fn histogram_width(&self) -> usize {
-        self.hist.vocab_len()
+        fitted(&self.hist, Encoding::Histogram).vocab_len()
     }
 
     /// SCSGuard embedding-table size (bigram vocabulary + PAD/UNK).
     pub fn bigram_vocab_size(&self) -> usize {
-        self.bigram.vocab_size()
+        fitted(&self.bigram, Encoding::Bigram).vocab_size()
     }
 
     /// Language-model vocabulary size (opcode-level, fixed).
     pub fn token_vocab_size(&self) -> usize {
-        self.token.vocab_size()
+        fitted(&self.token, Encoding::TokensTruncate).vocab_size()
     }
 
-    /// Serializes all six fitted lookup tables — the serving half of a
-    /// store, kilobytes — as one opaque blob for the artifact layer.
+    /// Serializes the present lookup tables — kilobytes — as one opaque
+    /// blob for the artifact layer: a `u64::MAX` sentinel, a one-byte
+    /// presence mask (bit `i` = encoder slot `i`, in histogram,
+    /// freq-image, R2D2, bigram, tokenizer, ESCORT order), then each
+    /// present encoder's state in slot order.
     pub fn export_state(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        self.hist.write_state(&mut w);
-        self.freq.write_state(&mut w);
-        self.r2d2.write_state(&mut w);
-        self.bigram.write_state(&mut w);
-        self.token.write_state(&mut w);
-        self.escort.write_state(&mut w);
+        w.put_u64(ENCODERS_SENTINEL);
+        w.put_u8(self.mask());
+        if let Some(e) = &self.hist {
+            e.write_state(&mut w);
+        }
+        if let Some(e) = &self.freq {
+            e.write_state(&mut w);
+        }
+        if let Some(e) = &self.r2d2 {
+            e.write_state(&mut w);
+        }
+        if let Some(e) = &self.bigram {
+            e.write_state(&mut w);
+        }
+        if let Some(e) = &self.token {
+            e.write_state(&mut w);
+        }
+        if let Some(e) = &self.escort {
+            e.write_state(&mut w);
+        }
         w.into_bytes()
     }
 
     /// Rebuilds the fitted encoder set from [`FittedEncoders::export_state`]
-    /// bytes. A detector reloaded through this path featurizes fresh
-    /// contracts against exactly the lookup tables it was trained under.
+    /// bytes, or from the legacy layout that holds all six states back to
+    /// back with no sentinel or mask. A detector reloaded through this
+    /// path featurizes fresh contracts against exactly the lookup tables
+    /// it was trained under.
     ///
     /// # Errors
     ///
     /// Any per-encoder decode failure, plus
-    /// [`ArtifactError::Corrupt`] on trailing bytes.
+    /// [`ArtifactError::Corrupt`] on an unknown presence bit or trailing
+    /// bytes.
     pub fn import_state(bytes: &[u8]) -> Result<Self, ArtifactError> {
         let mut r = ByteReader::new(bytes);
+        let mask = if bytes.starts_with(&ENCODERS_SENTINEL.to_le_bytes()) {
+            r.take_u64()?;
+            let mask = r.take_u8()?;
+            if mask & !ALL_ENCODERS != 0 {
+                return Err(ArtifactError::Corrupt(format!(
+                    "encoder presence mask {mask:#010b} names an unknown encoder"
+                )));
+            }
+            mask
+        } else {
+            ALL_ENCODERS
+        };
+        let present = |slot: usize| mask & (1 << slot) != 0;
         let encoders = FittedEncoders {
-            hist: HistogramEncoder::read_state(&mut r)?,
-            freq: FreqImageEncoder::read_state(&mut r)?,
-            r2d2: R2d2Encoder::read_state(&mut r)?,
-            bigram: BigramEncoder::read_state(&mut r)?,
-            token: OpcodeTokenizer::read_state(&mut r)?,
-            escort: EscortEmbedder::read_state(&mut r)?,
+            hist: present(0)
+                .then(|| HistogramEncoder::read_state(&mut r))
+                .transpose()?,
+            freq: present(1)
+                .then(|| FreqImageEncoder::read_state(&mut r))
+                .transpose()?,
+            r2d2: present(2)
+                .then(|| R2d2Encoder::read_state(&mut r))
+                .transpose()?,
+            bigram: present(3)
+                .then(|| BigramEncoder::read_state(&mut r))
+                .transpose()?,
+            token: present(4)
+                .then(|| OpcodeTokenizer::read_state(&mut r))
+                .transpose()?,
+            escort: present(5)
+                .then(|| EscortEmbedder::read_state(&mut r))
+                .transpose()?,
         };
         r.expect_exhausted("fitted encoder tables")?;
         Ok(encoders)
-    }
-
-    /// `true` when the table-bearing encoders still hold the raw counts an
-    /// incremental refit needs — i.e. this set was fitted in-process, not
-    /// restored via [`FittedEncoders::import_state`].
-    pub fn can_extend(&self) -> bool {
-        self.freq.can_extend() && self.bigram.can_extend()
-    }
-
-    /// Folds freshly observed contracts into the fitted lookup tables —
-    /// the streaming-ingestion refit path. Equivalent to refitting from
-    /// scratch on the concatenation of the original fit set and every
-    /// batch passed here (asserted byte-for-byte in tests), at O(new)
-    /// instead of O(total) scan cost: the histogram appends unseen opcode
-    /// columns in place, while the frequency and bigram tables merge
-    /// retained raw counts and re-rank. The geometry-only encoders (R2D2,
-    /// tokenizer, ESCORT) carry no dataset state and are untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Mismatch`] when the encoders were restored from an
-    /// artifact: artifacts carry only the normalized tables, never the raw
-    /// counts, and serving tables must not silently drift from what the
-    /// model was trained under. Nothing is mutated on error.
-    pub fn extend_fit(&mut self, new: &[DisasmCache]) -> Result<(), ArtifactError> {
-        if !self.can_extend() {
-            return Err(ArtifactError::Mismatch(
-                "encoders restored from an artifact carry no raw counts; refit instead of \
-                 extending"
-                    .into(),
-            ));
-        }
-        self.hist.extend_fit(new);
-        self.freq.extend_fit(new)?;
-        self.bigram.extend_fit(new)?;
-        Ok(())
     }
 }
 
@@ -1209,51 +1275,43 @@ pub struct StreamReport {
     pub flushes: usize,
 }
 
-/// All encodings of one dataset, plus the fitted encoders (kept so freshly
-/// observed contracts can be featurized against the same lookup tables).
+/// One dataset's decoded caches plus, per encoding, its column store —
+/// each encoder fitted and each matrix packed on first use, so a store
+/// pays only for the encodings its consumers read.
 #[derive(Debug, Clone)]
 pub struct FeatureStore {
-    len: usize,
-    histogram: FeatureMatrix,
-    freq_image: FeatureMatrix,
-    r2d2: FeatureMatrix,
-    bigram: FeatureMatrix,
-    tokens_truncate: FeatureMatrix,
-    tokens_windows: FeatureMatrix,
-    escort: FeatureMatrix,
-    encoders: FittedEncoders,
+    caches: CacheBatch,
+    /// The caches the lookup tables are fitted on; `None` fits on
+    /// `caches`.
+    fit: Option<Vec<DisasmCache>>,
+    config: StoreConfig,
+    /// One single-encoder set per encoder slot, fitted on first use.
+    encoders: [OnceLock<FittedEncoders>; 6],
+    /// One column store per encoding, packed on first use.
+    matrices: [OnceLock<FeatureMatrix>; 7],
 }
 
 impl FeatureStore {
-    /// Fits all six encoders on `fit` and encodes every sample in
-    /// `caches` once, each encoding pass fanned across the worker pool in
-    /// input order. Pass `caches` as `fit` to fit on the whole dataset; a
-    /// designated training subset is the leakage-safe choice for studies
-    /// with a privileged hold-out direction (the temporal drift
-    /// experiment fits on its training window, so vocabularies never see
-    /// future months).
-    pub fn build(caches: &[DisasmCache], fit: &[DisasmCache], config: &StoreConfig) -> Self {
-        let encoders = FittedEncoders::fit(fit, config);
-        let pack = |encoding: Encoding| {
-            FeatureMatrix::from_vecs(parallel_map(caches, |c| encoders.encode(c, encoding)))
-        };
+    /// A store over `caches` that fits nothing and encodes nothing yet.
+    /// The encoders are fitted on `fit` when given — a designated
+    /// training subset is the leakage-safe choice for studies with a
+    /// privileged hold-out direction (the temporal drift experiment fits
+    /// on its training window, so vocabularies never see future months) —
+    /// and on `caches` otherwise.
+    pub fn new(caches: CacheBatch, fit: Option<Vec<DisasmCache>>, config: &StoreConfig) -> Self {
         FeatureStore {
-            len: caches.len(),
-            histogram: pack(Encoding::Histogram),
-            freq_image: pack(Encoding::FreqImage),
-            r2d2: pack(Encoding::R2d2),
-            bigram: pack(Encoding::Bigram),
-            tokens_truncate: pack(Encoding::TokensTruncate),
-            tokens_windows: pack(Encoding::TokensWindows),
-            escort: pack(Encoding::Escort),
-            encoders,
+            caches,
+            fit,
+            config: *config,
+            encoders: Default::default(),
+            matrices: Default::default(),
         }
     }
 
-    /// Like [`FeatureStore::build`], but **bounded-RAM**: the token-window
-    /// blocks — the largest matrices a store holds, and the only ones that
-    /// grow with contract size rather than staying O(rows × fixed width)
-    /// — are encoded in chunks of at most `budget.resident_rows` samples
+    /// Like [`FeatureStore::new`], but builds every matrix up front under a
+    /// **RAM bound**: the token-window blocks — the largest matrices a
+    /// store holds, and the only ones that grow with contract size rather
+    /// than staying O(rows × fixed width) — are encoded in chunks of at most `budget.resident_rows` samples
     /// and streamed to disk through a [`StreamingSpillWriter`] before the
     /// next chunk is encoded, so peak window residency is
     /// `budget.resident_rows` no matter how long the chain is. Trials
@@ -1261,11 +1319,11 @@ impl FeatureStore {
     /// corpora larger than RAM evaluate with no layout changes anywhere
     /// above the store.
     ///
-    /// The resulting store is **bit-identical** to [`FeatureStore::build`]
+    /// The resulting store is **bit-identical** to [`FeatureStore::new`]
     /// followed by [`FeatureMatrix::spill_to`] on each token block whose
-    /// payload reaches `budget.spill.threshold_bytes`: same encoder tables
-    /// (fitted on `fit` up front), same matrices, same spill-file bytes.
-    /// Blocks under the threshold are read back resident at the end.
+    /// payload reaches `budget.spill.threshold_bytes`: same encoder tables,
+    /// same matrices, same spill-file bytes. Blocks under the threshold
+    /// are read back resident at the end.
     ///
     /// Returns the store plus a [`StreamReport`] carrying the observed
     /// peak residency.
@@ -1274,28 +1332,26 @@ impl FeatureStore {
     ///
     /// Any spill-file I/O failure, as [`ArtifactError::Io`].
     pub fn build_streaming(
-        caches: &[DisasmCache],
-        fit: &[DisasmCache],
+        caches: CacheBatch,
+        fit: Option<Vec<DisasmCache>>,
         config: &StoreConfig,
         budget: &StreamBudget,
     ) -> Result<(Self, StreamReport), ArtifactError> {
-        let encoders = FittedEncoders::fit(fit, config);
+        let store = FeatureStore::new(caches, fit, config);
         std::fs::create_dir_all(&budget.spill.dir)?;
         let chunk_rows = budget.resident_rows.max(1);
         let mut report = StreamReport {
             peak_resident_rows: 0,
             flushes: 0,
         };
-
-        let stream_tokens = |encoding: Encoding,
-                             report: &mut StreamReport|
-         -> Result<FeatureMatrix, ArtifactError> {
+        for encoding in [Encoding::TokensTruncate, Encoding::TokensWindows] {
+            let encoders = store.encoder(encoding);
             let path = budget
                 .spill
                 .dir
                 .join(format!("{}.phkspill", encoding.name()));
             let mut writer = StreamingSpillWriter::create(&path)?;
-            for chunk in caches.chunks(chunk_rows) {
+            for chunk in store.caches.as_slice().chunks(chunk_rows) {
                 let rows = parallel_map(chunk, |c| encoders.encode(c, encoding));
                 report.peak_resident_rows = report.peak_resident_rows.max(rows.len());
                 report.flushes += 1;
@@ -1307,31 +1363,21 @@ impl FeatureStore {
                 }
             }
             // Blocks under the byte threshold stay in RAM.
-            if (writer.total_ids() as usize).saturating_mul(4) < budget.spill.threshold_bytes {
-                writer.into_resident()
-            } else {
-                writer.finish()
-            }
-        };
-        let tokens_truncate = stream_tokens(Encoding::TokensTruncate, &mut report)?;
-        let tokens_windows = stream_tokens(Encoding::TokensWindows, &mut report)?;
-
+            let matrix =
+                if (writer.total_ids() as usize).saturating_mul(4) < budget.spill.threshold_bytes {
+                    writer.into_resident()?
+                } else {
+                    writer.finish()?
+                };
+            store.matrices[encoding.index()]
+                .set(matrix)
+                .expect("a fresh store has packed nothing");
+        }
         // The five fixed-width encodings are O(rows × width) — kilobytes
         // per thousand contracts — and stay resident.
-        let pack = |encoding: Encoding| {
-            FeatureMatrix::from_vecs(parallel_map(caches, |c| encoders.encode(c, encoding)))
-        };
-        let store = FeatureStore {
-            len: caches.len(),
-            histogram: pack(Encoding::Histogram),
-            freq_image: pack(Encoding::FreqImage),
-            r2d2: pack(Encoding::R2d2),
-            bigram: pack(Encoding::Bigram),
-            tokens_truncate,
-            tokens_windows,
-            escort: pack(Encoding::Escort),
-            encoders,
-        };
+        for encoding in Encoding::ALL {
+            store.matrix(encoding);
+        }
         Ok((store, report))
     }
 
@@ -1339,110 +1385,63 @@ impl FeatureStore {
     pub fn spilled_encodings(&self) -> Vec<Encoding> {
         Encoding::ALL
             .into_iter()
-            .filter(|&e| self.matrix(e).is_spilled())
+            .filter(|e| {
+                self.matrices[e.index()]
+                    .get()
+                    .is_some_and(FeatureMatrix::is_spilled)
+            })
             .collect()
     }
 
-    /// Number of samples featurized.
+    /// Number of samples in the store.
     pub fn len(&self) -> usize {
-        self.len
+        self.caches.len()
     }
 
     /// `true` when the store holds no samples.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.caches.is_empty()
     }
 
-    /// Opcode-histogram rows (the seven HSCs).
-    pub fn histogram(&self) -> &FeatureMatrix {
-        &self.histogram
+    /// The decoded caches every encoding is packed from.
+    pub fn caches(&self) -> &CacheBatch {
+        &self.caches
     }
 
-    /// Frequency-image rows (ViT+Freq).
-    pub fn freq_image(&self) -> &FeatureMatrix {
-        &self.freq_image
+    /// The single-encoder set behind `encoding`, fitted on first use.
+    fn encoder(&self, encoding: Encoding) -> &FittedEncoders {
+        self.encoders[encoding.slot()].get_or_init(|| {
+            let fit = self.fit.as_deref().unwrap_or(self.caches.as_slice());
+            FittedEncoders::fit(fit, &self.config, &[encoding])
+        })
     }
 
-    /// RGB-image rows (ViT+R2D2, ECA+EfficientNet).
-    pub fn r2d2(&self) -> &FeatureMatrix {
-        &self.r2d2
-    }
-
-    /// SCSGuard bigram id rows.
-    pub fn bigram(&self) -> &FeatureMatrix {
-        &self.bigram
-    }
-
-    /// α-variant (truncated) token windows (GPT-2a, T5a).
-    pub fn tokens_truncate(&self) -> &FeatureMatrix {
-        &self.tokens_truncate
-    }
-
-    /// β-variant (sliding-window) token windows (GPT-2b, T5b).
-    pub fn tokens_windows(&self) -> &FeatureMatrix {
-        &self.tokens_windows
-    }
-
-    /// ESCORT embedding rows.
-    pub fn escort(&self) -> &FeatureMatrix {
-        &self.escort
-    }
-
-    /// The column store of one encoding, selected by key — the single
-    /// dispatch point the trait-based model layer gathers rows through.
+    /// The column store of one encoding, packed across the worker pool in
+    /// input order on first use — the single dispatch point the
+    /// trait-based model layer gathers rows through.
     pub fn matrix(&self, encoding: Encoding) -> &FeatureMatrix {
-        match encoding {
-            Encoding::Histogram => &self.histogram,
-            Encoding::FreqImage => &self.freq_image,
-            Encoding::R2d2 => &self.r2d2,
-            Encoding::Bigram => &self.bigram,
-            Encoding::TokensTruncate => &self.tokens_truncate,
-            Encoding::TokensWindows => &self.tokens_windows,
-            Encoding::Escort => &self.escort,
+        self.matrices[encoding.index()].get_or_init(|| {
+            let encoders = self.encoder(encoding);
+            FeatureMatrix::from_vecs(parallel_map(self.caches.as_slice(), |c| {
+                encoders.encode(c, encoding)
+            }))
+        })
+    }
+
+    /// The fitted encoders behind `encodings` and nothing else — clone-out
+    /// kilobytes, not the matrices — to build a persistent serving
+    /// artifact that outlives the store.
+    pub fn encoders_for(&self, encodings: &[Encoding]) -> FittedEncoders {
+        let mut out = FittedEncoders::default();
+        for &encoding in encodings {
+            out.absorb(self.encoder(encoding));
         }
+        out
     }
 
     /// Histogram feature width (dataset vocabulary size).
     pub fn histogram_width(&self) -> usize {
-        self.encoders.histogram_width()
-    }
-
-    /// SCSGuard embedding-table size (bigram vocabulary + PAD/UNK).
-    pub fn bigram_vocab_size(&self) -> usize {
-        self.encoders.bigram_vocab_size()
-    }
-
-    /// Language-model vocabulary size (opcode-level, fixed).
-    pub fn token_vocab_size(&self) -> usize {
-        self.encoders.token_vocab_size()
-    }
-
-    /// The fitted histogram encoder (for featurizing new contracts against
-    /// the same vocabulary).
-    pub fn histogram_encoder(&self) -> &HistogramEncoder {
-        &self.encoders.hist
-    }
-
-    /// The fitted encoder set — clone this (kilobytes, not the matrices) to
-    /// build a persistent serving artifact that outlives the store.
-    pub fn encoders(&self) -> &FittedEncoders {
-        &self.encoders
-    }
-
-    /// Featurizes a contract that is *not* in the store under a single
-    /// selected encoding — the selective serving path (see
-    /// [`FittedEncoders::encode`]).
-    pub fn encode_one(&self, cache: &DisasmCache, encoding: Encoding) -> FeatureVec {
-        self.encoders.encode(cache, encoding)
-    }
-
-    /// Featurizes a contract that is *not* in the store against the fitted
-    /// lookup tables, returning all seven encoding rows in store order:
-    /// histogram, freq-image, R2D2, bigram, α tokens, β tokens, ESCORT.
-    /// This is the full serving pass — one decode, all encodings; use
-    /// [`FeatureStore::encode_one`] when a single model's encoding suffices.
-    pub fn encode_new(&self, cache: &DisasmCache) -> [FeatureVec; 7] {
-        self.encoders.encode_all(cache)
+        self.encoder(Encoding::Histogram).histogram_width()
     }
 }
 
@@ -1472,29 +1471,35 @@ mod tests {
         }
     }
 
+    fn store_over(caches: &[DisasmCache], cfg: &StoreConfig) -> FeatureStore {
+        FeatureStore::new(CacheBatch::from_caches(caches.to_vec()), None, cfg)
+    }
+
     fn small_store() -> FeatureStore {
-        let caches = caches();
-        FeatureStore::build(&caches, &caches, &small_config())
+        store_over(&caches(), &small_config())
     }
 
     #[test]
     fn store_rows_match_individual_encoding() {
         let caches = caches();
         let cfg = small_config();
-        let store = FeatureStore::build(&caches, &caches, &cfg);
+        let store = store_over(&caches, &cfg);
         assert_eq!(store.len(), 3);
 
         let hist = HistogramEncoder::fit(&caches);
         let bigram = BigramEncoder::fit(&caches, cfg.bigram_vocab, cfg.bigram_len);
         let tok = OpcodeTokenizer::new(cfg.context);
         for (i, c) in caches.iter().enumerate() {
-            assert_eq!(store.histogram().dense_row(i), &hist.encode(c)[..]);
             assert_eq!(
-                store.bigram().row(i),
+                store.matrix(Encoding::Histogram).dense_row(i),
+                &hist.encode(c)[..]
+            );
+            assert_eq!(
+                store.matrix(Encoding::Bigram).row(i),
                 FeatureRow::Ids(&bigram.encode(c)[..])
             );
             assert_eq!(
-                store.tokens_windows().row(i),
+                store.matrix(Encoding::TokensWindows).row(i),
                 FeatureRow::Windows(&tok.encode(c, SequenceVariant::SlidingWindow)[..])
             );
         }
@@ -1503,15 +1508,16 @@ mod tests {
     #[test]
     fn gather_preserves_index_order() {
         let store = small_store();
-        let g = store.histogram().gather_dense(&[2, 0]);
-        assert_eq!(g.len(), 2);
-        assert_eq!(g[0], store.histogram().dense_row(2));
-        assert_eq!(g[1], store.histogram().dense_row(0));
-        let ids = store.bigram().gather_ids(&[1]);
-        assert_eq!(FeatureRow::Ids(&ids[0]), store.bigram().row(1));
-        // Flat gather is the concatenation of the row gathers.
-        let flat = store.histogram().gather_dense_flat(&[2, 0]);
-        assert_eq!(flat, g.concat());
+        let hist = store.matrix(Encoding::Histogram);
+        let ids = store.matrix(Encoding::Bigram).gather_ids(&[1]);
+        assert_eq!(
+            FeatureRow::Ids(&ids[0]),
+            store.matrix(Encoding::Bigram).row(1)
+        );
+        // Borrowed and flat gathers follow index order.
+        assert_eq!(hist.gather_rows(&[2, 0]), [hist.row(2), hist.row(0)]);
+        let flat = hist.gather_dense_flat(&[2, 0]);
+        assert_eq!(flat, [hist.dense_row(2), hist.dense_row(0)].concat());
     }
 
     #[test]
@@ -1536,49 +1542,55 @@ mod tests {
         let cfg = small_config();
         // Fit on the first sample only: the histogram vocabulary must be
         // that sample's opcodes, while all three samples are still encoded.
-        let store = FeatureStore::build(&caches, &caches[..1], &cfg);
+        let store = FeatureStore::new(
+            CacheBatch::from_caches(caches.clone()),
+            Some(caches[..1].to_vec()),
+            &cfg,
+        );
         assert_eq!(store.len(), 3);
-        assert_eq!(store.histogram().rows(), 3);
+        assert_eq!(store.matrix(Encoding::Histogram).rows(), 3);
         let fit_only = HistogramEncoder::fit(&caches[..1]);
         assert_eq!(store.histogram_width(), fit_only.vocab_len());
-        let full = FeatureStore::build(&caches, &caches, &cfg);
+        let full = store_over(&caches, &cfg);
         assert!(store.histogram_width() < full.histogram_width());
     }
 
     #[test]
-    fn encode_new_matches_store_geometry() {
+    fn store_fits_and_packs_only_what_is_read() {
         let caches = caches();
-        let store = FeatureStore::build(&caches, &caches, &small_config());
-        let rows = store.encode_new(&caches[0]);
-        assert_eq!(rows[0].len(), store.histogram_width());
-        assert_eq!(rows[0].as_row(), store.histogram().row(0));
-        assert_eq!(rows[3].as_row(), store.bigram().row(0));
+        let store = store_over(&caches, &small_config());
+        store.matrix(Encoding::Histogram);
+        assert!(store
+            .encoders
+            .iter()
+            .enumerate()
+            .all(|(slot, cell)| cell.get().is_some() == (slot == Encoding::Histogram.slot())));
+        assert_eq!(
+            store.matrices.iter().filter(|m| m.get().is_some()).count(),
+            1
+        );
+        // The detached set holds exactly the encoders asked for.
+        let tokens = store.encoders_for(&[Encoding::TokensWindows]);
+        assert_eq!(
+            tokens.encodings(),
+            [Encoding::TokensTruncate, Encoding::TokensWindows]
+        );
+        let union = store.encoders_for(&[Encoding::Escort, Encoding::Histogram]);
+        assert_eq!(union.encodings(), [Encoding::Histogram, Encoding::Escort]);
+        assert_eq!(
+            union.encode(&caches[2], Encoding::Histogram).as_row(),
+            store.matrix(Encoding::Histogram).row(2)
+        );
     }
 
     #[test]
-    fn selective_encode_matches_the_full_pass() {
+    #[should_panic(expected = "no bigram encoder was fitted")]
+    fn encoding_without_its_encoder_panics() {
         let caches = caches();
-        let store = FeatureStore::build(&caches, &caches, &small_config());
-        let full = store.encode_new(&caches[1]);
-        for encoding in Encoding::ALL {
-            // Each selective row equals the corresponding full-pass row...
-            assert_eq!(
-                store.encode_one(&caches[1], encoding),
-                full[encoding.index()]
-            );
-            // ...and the matrix selected by key is the named accessor's.
-            assert_eq!(
-                store.matrix(encoding).row(1),
-                full[encoding.index()].as_row()
-            );
-        }
-        // The detached encoder set serves the same rows as the store.
-        let encoders = store.encoders().clone();
-        assert_eq!(
-            encoders.encode(&caches[2], Encoding::Histogram),
-            store.encode_one(&caches[2], Encoding::Histogram)
-        );
-        assert_eq!(encoders.histogram_width(), store.histogram_width());
+        let store = store_over(&caches, &small_config());
+        store
+            .encoders_for(&[Encoding::Histogram])
+            .encode(&caches[0], Encoding::Bigram);
     }
 
     #[test]
@@ -1589,15 +1601,6 @@ mod tests {
         let names: std::collections::HashSet<_> =
             Encoding::ALL.into_iter().map(Encoding::name).collect();
         assert_eq!(names.len(), 7);
-    }
-
-    #[test]
-    fn gather_rows_borrows_in_index_order() {
-        let store = small_store();
-        let rows = store.histogram().gather_rows(&[2, 0]);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0], store.histogram().row(2));
-        assert_eq!(rows[1], store.histogram().row(0));
     }
 
     #[test]
@@ -1632,7 +1635,10 @@ mod tests {
     fn corrupt_matrix_payload_is_an_error() {
         let store = small_store();
         let mut w = ByteWriter::new();
-        store.histogram().write_state(&mut w).unwrap();
+        store
+            .matrix(Encoding::Histogram)
+            .write_state(&mut w)
+            .unwrap();
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes[..bytes.len() - 3]);
         assert!(FeatureMatrix::read_state(&mut r).is_err());
@@ -1651,7 +1657,7 @@ mod tests {
     fn spilled_windows_gather_identically_and_lazily() {
         let caches = caches();
         let cfg = small_config();
-        let store = FeatureStore::build(&caches, &caches, &cfg);
+        let store = store_over(&caches, &cfg);
         let dir = temp_dir("spill_gather");
         for encoding in [Encoding::TokensTruncate, Encoding::TokensWindows] {
             let resident = store.matrix(encoding);
@@ -1693,7 +1699,7 @@ mod tests {
         // from the wrong offsets.
         let store = small_store();
         let dir = temp_dir("spill_sync");
-        let matrix = store.tokens_windows();
+        let matrix = store.matrix(Encoding::TokensWindows);
         let path = dir.join("sync.phkspill");
         matrix.spill_to(&path).unwrap();
         let mut expected = ByteWriter::new();
@@ -1708,16 +1714,21 @@ mod tests {
     fn build_spilled_store_evaluates_like_the_resident_store() {
         let caches = caches();
         let cfg = small_config();
-        let resident = FeatureStore::build(&caches, &caches, &cfg);
+        let resident = store_over(&caches, &cfg);
         let dir = temp_dir("spill_build");
         let unbounded = |spill: SpillConfig| {
             let budget = StreamBudget {
                 spill,
                 resident_rows: caches.len(),
             };
-            FeatureStore::build_streaming(&caches, &caches, &cfg, &budget)
-                .unwrap()
-                .0
+            FeatureStore::build_streaming(
+                CacheBatch::from_caches(caches.clone()),
+                None,
+                &cfg,
+                &budget,
+            )
+            .unwrap()
+            .0
         };
         let spilled = unbounded(SpillConfig::all(&dir));
         assert_eq!(
@@ -1749,7 +1760,7 @@ mod tests {
         let stream_dir = temp_dir("stream_stream");
         // The reference: the resident build, then each token block
         // spilled whole with `spill_to`.
-        let batch = FeatureStore::build(&caches, &caches, &cfg);
+        let batch = store_over(&caches, &cfg);
         let batch_spill_bytes = |encoding: Encoding| {
             let path = batch_dir.join(format!("{}.phkspill", encoding.name()));
             batch.matrix(encoding).spill_to(&path).unwrap();
@@ -1761,8 +1772,8 @@ mod tests {
         ];
         for budget_rows in [1usize, 2, 7] {
             let (streamed, report) = FeatureStore::build_streaming(
-                &caches,
-                &caches,
+                CacheBatch::from_caches(caches.clone()),
+                None,
                 &cfg,
                 &StreamBudget {
                     spill: SpillConfig::all(&stream_dir),
@@ -1804,8 +1815,8 @@ mod tests {
         }
         // Under-threshold blocks come back resident, bit-for-bit.
         let (kept, _) = FeatureStore::build_streaming(
-            &caches,
-            &caches,
+            CacheBatch::from_caches(caches.clone()),
+            None,
             &cfg,
             &StreamBudget {
                 spill: SpillConfig {
@@ -1817,47 +1828,17 @@ mod tests {
         )
         .unwrap();
         assert!(kept.spilled_encodings().is_empty());
-        assert_eq!(kept.tokens_windows(), batch.tokens_windows());
-        assert_eq!(kept.tokens_truncate(), batch.tokens_truncate());
+        for encoding in [Encoding::TokensTruncate, Encoding::TokensWindows] {
+            assert_eq!(kept.matrix(encoding), batch.matrix(encoding));
+        }
         std::fs::remove_dir_all(&batch_dir).ok();
         std::fs::remove_dir_all(&stream_dir).ok();
     }
 
     #[test]
-    fn fitted_encoders_extend_equals_refit() {
-        let caches = caches();
-        let cfg = small_config();
-        let mut extended = FittedEncoders::fit(&caches[..1], &cfg);
-        extended.extend_fit(&caches[1..]).unwrap();
-        let refit = FittedEncoders::fit(&caches, &cfg);
-        // Byte-for-byte: the canonical serialization of the extended set
-        // equals a from-scratch refit on the concatenated fit set.
-        assert_eq!(extended.export_state(), refit.export_state());
-        for encoding in Encoding::ALL {
-            for cache in &caches {
-                assert_eq!(
-                    extended.encode(cache, encoding),
-                    refit.encode(cache, encoding),
-                    "{encoding:?}"
-                );
-            }
-        }
-        // Restored sets cannot be extended (no raw counts), and fail
-        // without mutating anything.
-        let blob = refit.export_state();
-        let mut restored = FittedEncoders::import_state(&blob).unwrap();
-        assert!(!restored.can_extend());
-        assert!(matches!(
-            restored.extend_fit(&caches),
-            Err(ArtifactError::Mismatch(_))
-        ));
-        assert_eq!(restored.export_state(), blob);
-    }
-
-    #[test]
     fn try_accessors_return_typed_errors() {
         let store = small_store();
-        let hist = store.histogram();
+        let hist = store.matrix(Encoding::Histogram);
         assert!(hist.try_row(0).is_ok());
         assert!(matches!(hist.try_row(999), Err(ArtifactError::Mismatch(_))));
         assert!(matches!(
@@ -1865,46 +1846,63 @@ mod tests {
             Err(ArtifactError::Mismatch(_))
         ));
         assert!(matches!(
-            store.bigram().try_dense_row(0),
+            store.matrix(Encoding::Bigram).try_dense_row(0),
             Err(ArtifactError::Mismatch(_))
         ));
         assert!(matches!(
-            store.bigram().try_gather_dense_flat(&[0]),
+            store.matrix(Encoding::Bigram).try_gather_dense_flat(&[0]),
             Err(ArtifactError::Mismatch(_))
         ));
         assert!(matches!(
-            store.escort().try_gather_windows(&[0]),
+            store.matrix(Encoding::Escort).try_gather_windows(&[0]),
             Err(ArtifactError::Mismatch(_))
         ));
         // The Ok sides agree with the panicking accessors.
         assert_eq!(hist.try_dense_row(1).unwrap(), hist.dense_row(1));
         assert_eq!(
-            store.bigram().try_gather_ids(&[1, 0]).unwrap(),
-            store.bigram().gather_ids(&[1, 0])
+            store
+                .matrix(Encoding::Bigram)
+                .try_gather_ids(&[1, 0])
+                .unwrap(),
+            store.matrix(Encoding::Bigram).gather_ids(&[1, 0])
         );
     }
 
     #[test]
     fn fitted_encoders_round_trip_serves_identical_rows() {
         let caches = caches();
-        let store = FeatureStore::build(&caches, &caches, &small_config());
-        let blob = store.encoders().export_state();
-        let restored = FittedEncoders::import_state(&blob).unwrap();
-        for encoding in Encoding::ALL {
-            for cache in &caches {
-                assert_eq!(
-                    restored.encode(cache, encoding),
-                    store.encoders().encode(cache, encoding),
-                    "{encoding:?}"
-                );
+        let all = FittedEncoders::fit(&caches, &small_config(), &Encoding::ALL);
+        for encodings in [
+            &Encoding::ALL[..],
+            &[Encoding::Histogram],
+            &[Encoding::Bigram, Encoding::TokensTruncate],
+            &[],
+        ] {
+            let fitted = FittedEncoders::fit(&caches, &small_config(), encodings);
+            let blob = fitted.export_state();
+            let restored = FittedEncoders::import_state(&blob).unwrap();
+            assert_eq!(restored.encodings(), fitted.encodings());
+            for encoding in restored.encodings() {
+                for cache in &caches {
+                    assert_eq!(
+                        restored.encode(cache, encoding),
+                        all.encode(cache, encoding),
+                        "{encoding:?}"
+                    );
+                }
             }
+            // Serialization is canonical: re-export reproduces the bytes.
+            assert_eq!(restored.export_state(), blob);
+            // Truncation is a typed error.
+            assert!(FittedEncoders::import_state(&blob[..blob.len() - 1]).is_err());
         }
-        assert_eq!(restored.histogram_width(), store.histogram_width());
-        assert_eq!(restored.bigram_vocab_size(), store.bigram_vocab_size());
-        assert_eq!(restored.token_vocab_size(), store.token_vocab_size());
-        // Serialization is canonical: re-export reproduces the bytes.
-        assert_eq!(restored.export_state(), blob);
-        // Truncation is a typed error.
-        assert!(FittedEncoders::import_state(&blob[..blob.len() - 1]).is_err());
+        // A presence bit past the six encoders is corrupt.
+        let mut bad = ByteWriter::new();
+        bad.put_u64(ENCODERS_SENTINEL);
+        bad.put_u8(1 << 6);
+        assert!(matches!(
+            FittedEncoders::import_state(&bad.into_bytes()),
+            Err(ArtifactError::Corrupt(_))
+        ));
     }
 }

@@ -4,7 +4,7 @@
 
 use phishinghook_artifact::{ByteReader, ByteWriter};
 use phishinghook_evm::{Bytecode, DisasmCache};
-use phishinghook_features::store::{FeatureMatrix, StoreConfig};
+use phishinghook_features::store::{Encoding, FeatureMatrix, StoreConfig};
 use phishinghook_features::{FeatureVec, FittedEncoders};
 use proptest::prelude::*;
 
@@ -93,11 +93,16 @@ proptest! {
             bigram_len: 6,
             escort_dim: 16,
         };
-        let fitted = FittedEncoders::fit(&caches, &config);
+        let fitted = FittedEncoders::fit(&caches, &config, &Encoding::ALL);
         let blob = fitted.export_state();
         let restored = FittedEncoders::import_state(&blob).unwrap();
         for cache in &caches {
-            prop_assert_eq!(restored.encode_all(cache), fitted.encode_all(cache));
+            for encoding in Encoding::ALL {
+                prop_assert_eq!(
+                    restored.encode(cache, encoding),
+                    fitted.encode(cache, encoding)
+                );
+            }
         }
         // Canonical bytes: the restored set re-exports identically.
         prop_assert_eq!(restored.export_state(), blob);

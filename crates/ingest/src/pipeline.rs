@@ -3,9 +3,10 @@
 //! when it fires, and republish the artifact atomically.
 
 use phishinghook::drift::{DriftConfig, DriftSignal, DriftWatcher};
-use phishinghook::{Dataset, Detector, EvalContext, EvalProfile, ModelKind, Sample};
+use phishinghook::{Detector, EvalContext, EvalProfile, ModelKind, Sample};
 use phishinghook_artifact::publish::{ArtifactPublisher, PublishedArtifact};
 use phishinghook_artifact::ArtifactError;
+use phishinghook_evm::{CacheBatch, DisasmCache};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -73,7 +74,9 @@ pub struct IngestReport {
 pub struct OnlinePipeline {
     config: IngestConfig,
     watcher: DriftWatcher,
-    window: VecDeque<Sample>,
+    /// Each recent sample's cache from its scoring, with its label: a
+    /// retrain decodes nothing.
+    window: VecDeque<(DisasmCache, u8)>,
     detector: Arc<Detector>,
     report: IngestReport,
 }
@@ -112,7 +115,8 @@ impl OnlinePipeline {
 
     /// Feeds one sample in chain order: score → window → drift watch →
     /// (on signal) retrain, publish, swap, rearm. Returns the completed
-    /// [`RetrainEvent`] when this sample tripped a retrain.
+    /// [`RetrainEvent`] when this sample tripped a retrain. The sample is
+    /// decoded exactly once; the retrain reuses the window's caches.
     ///
     /// A signal caught while the sliding window holds a single class
     /// cannot retrain a classifier; it rearms the watcher and is counted
@@ -126,24 +130,28 @@ impl OnlinePipeline {
         sample: Sample,
         publisher: &mut ArtifactPublisher,
     ) -> Result<Option<RetrainEvent>, ArtifactError> {
-        let prob = self.detector.score_code(&sample.bytecode);
+        let cache = DisasmCache::build(&sample.bytecode);
+        let prob = self.detector.score_cache(&cache);
         self.report.streamed += 1;
         if self.window.len() == self.config.retrain_window {
             self.window.pop_front();
         }
-        let (label, month) = (sample.label, sample.month);
-        self.window.push_back(sample);
-        let Some(signal) = self.watcher.observe(prob, label, month) else {
+        self.window.push_back((cache, sample.label));
+        let Some(signal) = self.watcher.observe(prob, sample.label, sample.month) else {
             return Ok(None);
         };
         self.report.signals.push(signal);
-        let positives = self.window.iter().filter(|s| s.label == 1).count();
+        let positives = self.window.iter().filter(|(_, label)| *label == 1).count();
         if positives == 0 || positives == self.window.len() {
             self.watcher.rearm();
             return Ok(None);
         }
-        let dataset = Dataset::new(self.window.iter().cloned().collect());
-        let ctx = EvalContext::new(&dataset, &self.config.profile);
+        let (caches, labels) = self.window.iter().cloned().unzip();
+        let ctx = EvalContext::from_caches(
+            CacheBatch::from_caches(caches),
+            labels,
+            &self.config.profile,
+        );
         let retrained = Detector::train(&ctx, self.config.kind, self.config.seed);
         let published = publisher.publish(retrained.to_bytes())?;
         self.detector = Arc::new(retrained);
@@ -153,7 +161,7 @@ impl OnlinePipeline {
         Ok(Some(RetrainEvent {
             signal,
             published,
-            window_len: dataset.len(),
+            window_len: ctx.len(),
         }))
     }
 

@@ -22,7 +22,7 @@ fn batched_inference_is_bit_identical_for_all_sixteen_kinds() {
         let train_gathered = store.matrix(kind.encoding()).gather(&train_idx);
         let train_rows = train_gathered.rows();
         let labels: Vec<u8> = train_idx.iter().map(|&i| ctx.labels()[i]).collect();
-        let mut model = kind.build(store.encoders(), ctx.profile(), 8);
+        let mut model = kind.build(&store.encoders_for(&[kind.encoding()]), ctx.profile(), 8);
         if model.wants_pretraining() {
             model.pretrain(&train_rows, &ctx.gather_vuln(&train_idx));
         }

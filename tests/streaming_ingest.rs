@@ -10,7 +10,7 @@ use phishinghook::json::Value;
 use phishinghook::prelude::*;
 use phishinghook::EvalProfile;
 use phishinghook_artifact::publish::ArtifactPublisher;
-use phishinghook_evm::DisasmCache;
+use phishinghook_evm::{CacheBatch, DisasmCache};
 use phishinghook_features::{Encoding, FeatureStore, SpillConfig, StoreConfig, StreamBudget};
 use phishinghook_ingest::{baseline_detector, DriftScenario, IngestConfig, OnlinePipeline};
 use phishinghook_serve::{Server, ServerConfig};
@@ -257,11 +257,11 @@ proptest! {
 
         // The reference: the resident build, with each token block whose
         // payload reaches the threshold spilled whole by `spill_to`.
-        let batch = FeatureStore::build(&caches, &caches, &cfg);
+        let batch = FeatureStore::new(CacheBatch::from_caches(caches.clone()), None, &cfg);
         std::fs::create_dir_all(&batch_dir).unwrap();
         let (streamed, stream_report) = FeatureStore::build_streaming(
-            &caches,
-            &caches,
+            CacheBatch::from_caches(caches.clone()),
+            None,
             &cfg,
             &StreamBudget {
                 spill: SpillConfig { dir: stream_dir.clone(), threshold_bytes: threshold },
