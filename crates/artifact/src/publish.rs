@@ -85,10 +85,12 @@ impl ArtifactPublisher {
 
     /// Publishes `bytes` as the next generation: writes
     /// `gen-<N>.phk.tmp`, syncs, renames it to `gen-<N>.phk`, then swings
-    /// the `CURRENT` pointer the same way, fsyncing the directory after
-    /// each rename so a crash immediately after publish cannot lose or
-    /// tear the pointer. Readers racing this call see either the previous
-    /// generation or the new one, complete.
+    /// the `CURRENT` pointer the same way, fsyncing the directory once
+    /// after each rename so a crash immediately after publish cannot lose
+    /// or tear the pointer. Readers racing this call see either the
+    /// previous generation or the new one, complete. The new generation is
+    /// visible from the `CURRENT` rename on, so a watcher may install it
+    /// before this call returns.
     ///
     /// # Errors
     ///
@@ -107,7 +109,6 @@ impl ArtifactPublisher {
             name.as_bytes(),
             Some("publish.current_temp"),
         )?;
-        sync_dir(&self.dir)?;
         self.next_generation += 1;
         Ok(PublishedArtifact { generation, path })
     }

@@ -141,11 +141,6 @@ impl ArtifactWatcher {
         &self.dir
     }
 
-    /// The installed generation, if any.
-    pub fn installed_generation(&self) -> Option<u64> {
-        (self.installed > 0).then_some(self.installed)
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> WatchStats {
         self.stats
@@ -331,7 +326,7 @@ mod tests {
             other => panic!("expected rejection, got {other:?}"),
         }
         // Still on generation 1; rejection backs off, steady poll resets.
-        assert_eq!(watcher.installed_generation(), Some(1));
+        assert_eq!(watcher.installed, 1);
         let rejected = watcher.poll_once();
         assert!(matches!(rejected, WatchOutcome::Rejected { .. }));
         let backoff_delay = watcher.next_delay(&rejected);
@@ -465,8 +460,7 @@ mod tests {
         valid_gens.insert(published.generation, final_bytes);
         check(watcher.poll_once(), &valid_gens, &mut last_installed);
         assert_eq!(
-            watcher.installed_generation(),
-            Some(published.generation),
+            watcher.installed, published.generation,
             "watcher failed to converge to the newest valid generation"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -43,22 +43,6 @@ impl<'a> QueryService<'a> {
             .filter(move |r| r.month >= from && r.month <= to)
             .map(|r| r.address)
     }
-
-    /// Total number of contracts known to the dataset (the paper quotes
-    /// 68,681,183 for the real chain as of October 2024).
-    pub fn total_contracts(&self) -> usize {
-        self.chain.len()
-    }
-
-    /// Monthly deployment counts over the window, for dataset reports.
-    pub fn monthly_deployments(&self) -> Vec<(Month, usize)> {
-        Month::all()
-            .map(|m| {
-                let count = self.chain.records().iter().filter(|r| r.month == m).count();
-                (m, count)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -73,7 +57,6 @@ mod tests {
         let q = QueryService::new(&chain);
         let all = q.contracts_deployed_between(Month(0), Month(12));
         assert_eq!(all.len(), chain.len());
-        assert_eq!(q.total_contracts(), chain.len());
     }
 
     #[test]
@@ -102,14 +85,5 @@ mod tests {
 
     fn bulk_first(chain: &SimulatedChain) -> Option<Address> {
         chain.records().first().map(|r| r.address)
-    }
-
-    #[test]
-    fn monthly_counts_sum_to_total() {
-        let corpus = generate_corpus(&CorpusConfig::small(10));
-        let chain = SimulatedChain::from_corpus(&corpus);
-        let q = QueryService::new(&chain);
-        let sum: usize = q.monthly_deployments().iter().map(|(_, c)| c).sum();
-        assert_eq!(sum, chain.len());
     }
 }

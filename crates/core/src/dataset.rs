@@ -4,7 +4,7 @@
 
 use crate::par::parallel_map;
 use phishinghook_evm::{Bytecode, DisasmCache};
-use phishinghook_synth::{Month, STUDY_MONTHS};
+use phishinghook_synth::Month;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -208,22 +208,6 @@ impl Dataset {
         )
     }
 
-    /// Per-month sample counts (phishing, benign) over the study window.
-    pub fn monthly_class_counts(&self) -> Vec<(Month, usize, usize)> {
-        let mut pos = [0usize; STUDY_MONTHS];
-        let mut neg = [0usize; STUDY_MONTHS];
-        for s in &self.samples {
-            if s.label == 1 {
-                pos[s.month.0 as usize] += 1;
-            } else {
-                neg[s.month.0 as usize] += 1;
-            }
-        }
-        Month::all()
-            .map(|m| (m, pos[m.0 as usize], neg[m.0 as usize]))
-            .collect()
-    }
-
     /// Serializes to the `hash,label,month,bytecode` CSV shape the paper
     /// releases.
     pub fn to_csv(&self) -> String {
@@ -244,6 +228,7 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phishinghook_synth::STUDY_MONTHS;
 
     fn toy_dataset(n: usize) -> Dataset {
         let samples = (0..n)

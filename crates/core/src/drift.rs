@@ -222,11 +222,6 @@ impl DriftWatcher {
         self.baseline_brier
     }
 
-    /// `true` after a signal has fired and before [`DriftWatcher::rearm`].
-    pub fn is_latched(&self) -> bool {
-        self.latched
-    }
-
     /// The live rolling window.
     pub fn window(&self) -> &RollingWindow {
         &self.window
@@ -300,7 +295,6 @@ mod tests {
         assert_eq!(s.month, Month(6));
         assert!(s.window_brier > s.baseline_brier + s.brier_margin);
         assert!(s.window_accuracy < 1.0);
-        assert!(watcher.is_latched());
         // Latched: no repeat signals.
         for _ in 0..8 {
             assert!(watcher.observe(0.0, 1, Month(6)).is_none());
@@ -330,7 +324,6 @@ mod tests {
             let prob = if label == 1 { 0.93 } else { 0.04 };
             assert!(watcher.observe(prob, label, Month(1)).is_none());
         }
-        assert!(!watcher.is_latched());
         assert_eq!(watcher.observed(), 256);
     }
 }

@@ -23,8 +23,8 @@
 //! [`Detector`]s and [`ModelZoo`]s scoring fresh contracts straight off
 //! `eth_getCode` — and the paper's dedicated experiments: [`scalability`]
 //! (Fig. 5–7), [`time_resistance`] (Fig. 8),
-//! [`shap_analysis`](mod@shap_analysis) (Fig. 9), [`opcode_stats`]
-//! (Fig. 3) and the Optuna-style [`hypersearch`] (§IV-C).
+//! [`shap_analysis`](mod@shap_analysis) (Fig. 9) and [`opcode_stats`]
+//! (Fig. 3).
 //!
 //! # Quickstart
 //!
@@ -60,7 +60,6 @@ pub mod dataset;
 pub mod detector;
 pub mod drift;
 pub mod evalstore;
-pub mod hypersearch;
 pub mod json;
 pub mod mem;
 pub mod metrics;
@@ -102,7 +101,6 @@ pub mod prelude {
     pub use crate::detector::{CodeScorer, Detector, ModelZoo, Verdict};
     pub use crate::drift::{DriftConfig, DriftSignal, DriftWatcher};
     pub use crate::evalstore::EvalContext;
-    pub use crate::hypersearch::{tune_model, Sampler, Study};
     pub use crate::mem::{
         cross_validate, cross_validate_on, evaluate_models, evaluate_trial, trial_plan,
         EvalProfile, ModelCategory, ModelKind, TrialOutcome, TrialSpec,

@@ -75,11 +75,6 @@ impl CacheBatch {
         indices.iter().map(|&i| &self.caches[i]).collect()
     }
 
-    /// Total decoded instructions across the batch.
-    pub fn total_ops(&self) -> usize {
-        self.caches.iter().map(DisasmCache::op_count).sum()
-    }
-
     /// Total bytecode bytes across the batch.
     pub fn total_bytes(&self) -> usize {
         self.caches.iter().map(|c| c.bytes().len()).sum()
@@ -120,7 +115,6 @@ mod tests {
         let b = batch();
         assert_eq!(b.len(), 3);
         assert_eq!(b.total_bytes(), 4);
-        assert_eq!(b.total_ops(), 1 + 2);
         assert_eq!(b[1].op_count(), 2);
     }
 

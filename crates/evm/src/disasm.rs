@@ -200,11 +200,6 @@ impl<'a> OpcodeStream<'a> {
     pub fn new(code: &'a [u8]) -> Self {
         OpcodeStream { code, pc: 0 }
     }
-
-    /// Current program counter.
-    pub fn pc(&self) -> usize {
-        self.pc
-    }
 }
 
 impl<'a> Iterator for OpcodeStream<'a> {
@@ -254,11 +249,6 @@ impl<'a> Disassembler<'a> {
         Disassembler {
             stream: OpcodeStream::new(code),
         }
-    }
-
-    /// Current program counter.
-    pub fn pc(&self) -> usize {
-        self.stream.pc()
     }
 }
 

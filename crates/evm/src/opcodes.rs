@@ -88,19 +88,6 @@ pub struct OpcodeInfo {
     pub description: &'static str,
 }
 
-impl OpcodeInfo {
-    /// Returns `true` if this opcode carries inline immediate bytes.
-    pub fn has_immediates(&self) -> bool {
-        self.immediates > 0
-    }
-
-    /// Returns `true` for opcodes that unconditionally end a basic block
-    /// (`STOP`, `RETURN`, `REVERT`, `INVALID`, `SELFDESTRUCT`, `JUMP`).
-    pub fn is_terminator(&self) -> bool {
-        matches!(self.byte, 0x00 | 0x56 | 0xF3 | 0xFD | 0xFE | 0xFF)
-    }
-}
-
 impl fmt::Display for OpcodeInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.mnemonic)
@@ -441,20 +428,5 @@ mod tests {
         assert_eq!(count(OpCategory::Swap), 16);
         assert_eq!(count(OpCategory::Log), 5);
         assert_eq!(count(OpCategory::System), 10);
-    }
-
-    #[test]
-    fn terminators() {
-        for m in [
-            "STOP",
-            "RETURN",
-            "REVERT",
-            "INVALID",
-            "SELFDESTRUCT",
-            "JUMP",
-        ] {
-            assert!(opcode_by_mnemonic(m).unwrap().is_terminator());
-        }
-        assert!(!opcode_by_mnemonic("JUMPI").unwrap().is_terminator());
     }
 }

@@ -26,19 +26,10 @@ pub const DEFAULT_VOCAB: usize = 2048;
 pub const DEFAULT_LEN: usize = 48;
 
 /// Fitted bigram vocabulary plus sequence geometry.
-///
-/// Encoders built by [`BigramEncoder::fit`] retain the raw chunk counts
-/// (in memory only — never serialized) so [`BigramEncoder::extend_fit`]
-/// can fold new contracts in and re-rank exactly as a full refit would.
 #[derive(Debug, Clone)]
 pub struct BigramEncoder {
     vocab: HashMap<[u8; 3], u32>,
     max_len: usize,
-    /// Raw chunk counts behind `vocab`; empty after [`BigramEncoder::read_state`].
-    counts: HashMap<[u8; 3], u64>,
-    /// Vocabulary cap; `0` after [`BigramEncoder::read_state`] (the cap is
-    /// not serialized — a restored encoder cannot be extended anyway).
-    max_vocab: usize,
 }
 
 /// Ranks chunks most-frequent-first (ties by chunk bytes, matching the
@@ -70,49 +61,10 @@ impl BigramEncoder {
                 *counts.entry([chunk[0], chunk[1], chunk[2]]).or_insert(0) += 1;
             }
         }
-        let vocab = rank_vocab(&counts, max_vocab);
         BigramEncoder {
-            vocab,
+            vocab: rank_vocab(&counts, max_vocab),
             max_len,
-            counts,
-            max_vocab,
         }
-    }
-
-    /// `true` when this encoder still holds the raw chunk counts a refit
-    /// needs (i.e. it was fitted in this process, not restored from an
-    /// artifact).
-    pub fn can_extend(&self) -> bool {
-        self.max_vocab > 0
-    }
-
-    /// Folds freshly observed caches into the chunk counts and re-ranks
-    /// the vocabulary — byte-for-byte what a full refit on the
-    /// concatenated fit set would produce, at O(new) scan cost.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Mismatch`] when the encoder was restored from an
-    /// artifact: artifacts carry the ranked vocabulary, not the raw
-    /// counts, so extending it could silently diverge from a refit.
-    pub fn extend_fit(&mut self, new: &[DisasmCache]) -> Result<(), ArtifactError> {
-        if !self.can_extend() {
-            return Err(ArtifactError::Mismatch(
-                "bigram encoder was restored from an artifact and carries no raw counts; \
-                 refit instead of extending"
-                    .into(),
-            ));
-        }
-        for cache in new {
-            for chunk in cache.bytes().chunks_exact(3) {
-                *self
-                    .counts
-                    .entry([chunk[0], chunk[1], chunk[2]])
-                    .or_insert(0) += 1;
-            }
-        }
-        self.vocab = rank_vocab(&self.counts, self.max_vocab);
-        Ok(())
     }
 
     /// Vocabulary size including the PAD and UNK slots (the embedding-table
@@ -178,12 +130,7 @@ impl BigramEncoder {
                 )));
             }
         }
-        Ok(BigramEncoder {
-            vocab,
-            max_len,
-            counts: HashMap::new(),
-            max_vocab: 0,
-        })
+        Ok(BigramEncoder { vocab, max_len })
     }
 
     /// Encodes one contract as a fixed-length id sequence: truncated at
@@ -253,36 +200,6 @@ mod tests {
         let bytes: Vec<u8> = (0..=255u8).flat_map(|b| [b, b, b]).collect();
         let enc = BigramEncoder::fit(&[cache(&bytes)], 16, 8);
         assert_eq!(enc.vocab_size(), 18);
-    }
-
-    #[test]
-    fn extend_fit_equals_full_refit() {
-        let old = vec![cache(&[1, 2, 3, 1, 2, 3, 9, 9, 9])];
-        // The new batch makes [9,9,9] overtake [1,2,3]: the re-rank must
-        // reassign ids exactly as a refit would.
-        let new = vec![cache(&[9, 9, 9, 9, 9, 9, 7, 7, 7])];
-        let mut extended = BigramEncoder::fit(&old, 2, 8);
-        assert!(extended.can_extend());
-        extended.extend_fit(&new).unwrap();
-        let all: Vec<DisasmCache> = old.iter().chain(new.iter()).cloned().collect();
-        let refit = BigramEncoder::fit(&all, 2, 8);
-        let mut a = phishinghook_artifact::ByteWriter::new();
-        let mut b = phishinghook_artifact::ByteWriter::new();
-        extended.write_state(&mut a);
-        refit.write_state(&mut b);
-        assert_eq!(a.into_bytes(), b.into_bytes());
-        assert_eq!(extended.encode(&new[0]), refit.encode(&new[0]));
-        // Restored encoders have no counts to extend.
-        let mut w = phishinghook_artifact::ByteWriter::new();
-        refit.write_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored =
-            BigramEncoder::read_state(&mut phishinghook_artifact::ByteReader::new(&bytes)).unwrap();
-        assert!(!restored.can_extend());
-        assert!(matches!(
-            restored.extend_fit(&new),
-            Err(ArtifactError::Mismatch(_))
-        ));
     }
 
     #[test]

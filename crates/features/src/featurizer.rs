@@ -62,15 +62,6 @@ impl FeatureRow<'_> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Clones the view into an owned [`FeatureVec`].
-    pub fn to_owned_vec(&self) -> FeatureVec {
-        match self {
-            FeatureRow::Dense(v) => FeatureVec::Dense(v.to_vec()),
-            FeatureRow::Ids(v) => FeatureVec::Ids(v.to_vec()),
-            FeatureRow::Windows(w) => FeatureVec::Windows(w.to_vec()),
-        }
-    }
 }
 
 impl FeatureVec {
@@ -100,14 +91,6 @@ impl FeatureVec {
     pub fn as_ids(&self) -> Option<&[u32]> {
         match self {
             FeatureVec::Ids(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Window-list accessor.
-    pub fn as_windows(&self) -> Option<&[Vec<u32>]> {
-        match self {
-            FeatureVec::Windows(w) => Some(w),
             _ => None,
         }
     }
@@ -163,6 +146,5 @@ mod tests {
         let d = FeatureVec::Dense(vec![1.0]);
         assert!(d.as_dense().is_some());
         assert!(d.as_ids().is_none());
-        assert!(d.as_windows().is_none());
     }
 }

@@ -23,11 +23,6 @@ use std::collections::HashMap;
 pub const DEFAULT_SIDE: usize = 32;
 
 /// Fitted frequency tables plus the output image geometry.
-///
-/// Encoders built by [`FreqImageEncoder::fit`] retain the raw instruction
-/// counts (in memory only — never serialized) so
-/// [`FreqImageEncoder::extend_fit`] can fold new contracts in and
-/// renormalize exactly as a full refit would.
 #[derive(Debug, Clone)]
 pub struct FreqImageEncoder {
     side: usize,
@@ -35,11 +30,6 @@ pub struct FreqImageEncoder {
     mnemonic_freq: Vec<f32>,
     operand_freq: HashMap<Vec<u8>, f32>,
     gas_freq: HashMap<Option<u32>, f32>,
-    /// Raw counts behind the three tables; empty after
-    /// [`FreqImageEncoder::read_state`] (counts are not serialized).
-    mnemonic_counts: Vec<u64>,
-    operand_counts: HashMap<Vec<u8>, u64>,
-    gas_counts: HashMap<Option<u32>, u64>,
 }
 
 impl FreqImageEncoder {
@@ -51,72 +41,29 @@ impl FreqImageEncoder {
     /// Panics if `side == 0`.
     pub fn fit(training: &[DisasmCache], side: usize) -> Self {
         assert!(side > 0, "image side must be positive");
-        let mut encoder = FreqImageEncoder {
-            side,
-            mnemonic_freq: Vec::new(),
-            operand_freq: HashMap::new(),
-            gas_freq: HashMap::new(),
-            mnemonic_counts: vec![0u64; OpId::CARDINALITY],
-            operand_counts: HashMap::new(),
-            gas_counts: HashMap::new(),
-        };
-        encoder.count(training);
-        encoder.renormalize();
-        encoder
-    }
-
-    /// Accumulates instruction counts from `caches` into the raw tables.
-    fn count(&mut self, caches: &[DisasmCache]) {
-        for cache in caches {
+        let mut mnemonic_counts = vec![0u64; OpId::CARDINALITY];
+        let mut operand_counts: HashMap<Vec<u8>, u64> = HashMap::new();
+        let mut gas_counts: HashMap<Option<u32>, u64> = HashMap::new();
+        for cache in training {
             for op in cache.ops() {
-                self.mnemonic_counts[op.id.index()] += 1;
+                mnemonic_counts[op.id.index()] += 1;
                 // Look up by slice; only an operand's first sighting
                 // allocates its key.
-                match self.operand_counts.get_mut(op.operand) {
+                match operand_counts.get_mut(op.operand) {
                     Some(count) => *count += 1,
                     None => {
-                        self.operand_counts.insert(op.operand.to_vec(), 1);
+                        operand_counts.insert(op.operand.to_vec(), 1);
                     }
                 }
-                *self.gas_counts.entry(op.gas()).or_insert(0) += 1;
+                *gas_counts.entry(op.gas()).or_insert(0) += 1;
             }
         }
-    }
-
-    /// Recomputes the three normalized intensity tables from the raw
-    /// counts.
-    fn renormalize(&mut self) {
-        self.mnemonic_freq = normalize_dense(&self.mnemonic_counts);
-        self.operand_freq = normalize(&self.operand_counts);
-        self.gas_freq = normalize(&self.gas_counts);
-    }
-
-    /// `true` when this encoder still holds the raw counts a refit needs
-    /// (i.e. it was fitted in this process, not restored from an artifact).
-    pub fn can_extend(&self) -> bool {
-        !self.mnemonic_counts.is_empty()
-    }
-
-    /// Folds freshly observed caches into the raw counts and renormalizes
-    /// — byte-for-byte what a full refit on the concatenated fit set would
-    /// produce, at O(new) scan cost.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Mismatch`] when the encoder was restored from an
-    /// artifact: artifacts carry the normalized tables, not the raw
-    /// counts, so extending it could silently diverge from a refit.
-    pub fn extend_fit(&mut self, new: &[DisasmCache]) -> Result<(), ArtifactError> {
-        if !self.can_extend() {
-            return Err(ArtifactError::Mismatch(
-                "frequency-image encoder was restored from an artifact and carries no raw \
-                 counts; refit instead of extending"
-                    .into(),
-            ));
+        FreqImageEncoder {
+            side,
+            mnemonic_freq: normalize_dense(&mnemonic_counts),
+            operand_freq: normalize(&operand_counts),
+            gas_freq: normalize(&gas_counts),
         }
-        self.count(new);
-        self.renormalize();
-        Ok(())
     }
 
     /// Image side length.
@@ -220,9 +167,6 @@ impl FreqImageEncoder {
             mnemonic_freq,
             operand_freq,
             gas_freq,
-            mnemonic_counts: Vec::new(),
-            operand_counts: HashMap::new(),
-            gas_counts: HashMap::new(),
         })
     }
 
@@ -323,37 +267,6 @@ mod tests {
         for c in &train {
             assert!(enc.encode(c).iter().all(|v| (0.0..=1.0).contains(v)));
         }
-    }
-
-    #[test]
-    fn extend_fit_equals_full_refit() {
-        let old = vec![cache("0x6080604052")];
-        let new = vec![cache("0x010203"), cache("0x52525233")];
-        let mut extended = FreqImageEncoder::fit(&old, 4);
-        assert!(extended.can_extend());
-        extended.extend_fit(&new).unwrap();
-        let all: Vec<DisasmCache> = old.iter().chain(new.iter()).cloned().collect();
-        let refit = FreqImageEncoder::fit(&all, 4);
-        let mut a = phishinghook_artifact::ByteWriter::new();
-        let mut b = phishinghook_artifact::ByteWriter::new();
-        extended.write_state(&mut a);
-        refit.write_state(&mut b);
-        assert_eq!(a.into_bytes(), b.into_bytes());
-        for c in all.iter() {
-            assert_eq!(extended.encode(c), refit.encode(c));
-        }
-        // Restored encoders have no counts to extend.
-        let mut w = phishinghook_artifact::ByteWriter::new();
-        refit.write_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored =
-            FreqImageEncoder::read_state(&mut phishinghook_artifact::ByteReader::new(&bytes))
-                .unwrap();
-        assert!(!restored.can_extend());
-        assert!(matches!(
-            restored.extend_fit(&new),
-            Err(ArtifactError::Mismatch(_))
-        ));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 use crate::featurizer::{FeatureVec, Featurizer};
 use phishinghook_artifact::{ArtifactError, ByteReader, ByteWriter};
-use phishinghook_evm::opcodes::opcode_by_mnemonic;
 use phishinghook_evm::{DisasmCache, OpId};
 
 /// Sentinel for "op id not in vocabulary" in the dense index table.
@@ -61,29 +60,9 @@ impl HistogramEncoder {
         HistogramEncoder { vocab, index }
     }
 
-    /// Folds freshly observed caches into the vocabulary, appending any op
-    /// id not yet seen in first-seen order — exactly the columns a full
-    /// refit on the concatenated fit set would append, so extending is
-    /// equivalent to refitting (existing feature columns never move).
-    pub fn extend_fit(&mut self, new: &[DisasmCache]) {
-        for cache in new {
-            for id in cache.op_ids() {
-                if self.index[id.index()] == ABSENT {
-                    self.index[id.index()] = self.vocab.len() as i32;
-                    self.vocab.push(id);
-                }
-            }
-        }
-    }
-
     /// Number of features (distinct training-set op ids).
     pub fn vocab_len(&self) -> usize {
         self.vocab.len()
-    }
-
-    /// The interned vocabulary, in feature-column order.
-    pub fn vocab_ids(&self) -> &[OpId] {
-        &self.vocab
     }
 
     /// Display-layer vocabulary: mnemonic names in feature-column order.
@@ -148,28 +127,6 @@ impl HistogramEncoder {
         }
         Ok(HistogramEncoder { vocab, index })
     }
-
-    /// Feature column of an op id, if in vocabulary.
-    pub fn feature_index_of(&self, id: OpId) -> Option<usize> {
-        match self.index[id.index()] {
-            ABSENT => None,
-            col => Some(col as usize),
-        }
-    }
-
-    /// Feature column of a mnemonic name (display layer), if in vocabulary.
-    /// Accepts both registry names (`"MSTORE"`) and the `UNKNOWN_0xXX`
-    /// rendering of unassigned bytes.
-    pub fn feature_index(&self, mnemonic: &str) -> Option<usize> {
-        let id = match opcode_by_mnemonic(mnemonic) {
-            Some(info) => OpId::from_byte(info.byte),
-            None => {
-                let hex = mnemonic.strip_prefix("UNKNOWN_0x")?;
-                OpId::from_byte(u8::from_str_radix(hex, 16).ok()?)
-            }
-        };
-        self.feature_index_of(id)
-    }
 }
 
 impl Featurizer for HistogramEncoder {
@@ -193,13 +150,18 @@ mod tests {
         DisasmCache::build(&Bytecode::from_hex(hex).unwrap())
     }
 
+    /// Feature column of a display-layer mnemonic.
+    fn column(enc: &HistogramEncoder, mnemonic: &str) -> usize {
+        enc.vocabulary().iter().position(|m| m == mnemonic).unwrap()
+    }
+
     #[test]
     fn counts_are_raw_not_normalized() {
         let train = vec![cache("0x60806040526080")]; // PUSH1 x3, MSTORE
         let enc = HistogramEncoder::fit(&train);
         let h = enc.encode(&train[0]);
-        let push1 = enc.feature_index("PUSH1").unwrap();
-        let mstore = enc.feature_index("MSTORE").unwrap();
+        let push1 = column(&enc, "PUSH1");
+        let mstore = column(&enc, "MSTORE");
         assert_eq!(h[push1], 3.0);
         assert_eq!(h[mstore], 1.0);
     }
@@ -243,30 +205,9 @@ mod tests {
         let train = vec![cache("0x0c0c01")]; // UNKNOWN_0x0C x2, ADD
         let enc = HistogramEncoder::fit(&train);
         let h = enc.encode(&train[0]);
-        let unk = enc.feature_index("UNKNOWN_0x0C").unwrap();
+        let unk = column(&enc, "UNKNOWN_0x0C");
         assert_eq!(h[unk], 2.0);
         assert_eq!(enc.vocabulary()[unk], "UNKNOWN_0x0C");
-    }
-
-    #[test]
-    fn extend_fit_equals_full_refit() {
-        let old = vec![cache("0x6080604052")];
-        let new = vec![cache("0x52020202"), cache("0x33ff")];
-        let mut extended = HistogramEncoder::fit(&old);
-        extended.extend_fit(&new);
-        let all: Vec<DisasmCache> = old.iter().chain(new.iter()).cloned().collect();
-        let refit = HistogramEncoder::fit(&all);
-        assert_eq!(extended.vocabulary(), refit.vocabulary());
-        let mut a = phishinghook_artifact::ByteWriter::new();
-        let mut b = phishinghook_artifact::ByteWriter::new();
-        extended.write_state(&mut a);
-        refit.write_state(&mut b);
-        assert_eq!(a.into_bytes(), b.into_bytes());
-        // Existing columns never move: old rows encode identically.
-        assert_eq!(
-            &extended.encode(&old[0])[..2],
-            &HistogramEncoder::fit(&old).encode(&old[0])[..]
-        );
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! // One histogram row per contract, fixed width across the dataset.
 //! let histogram = store.matrix(Encoding::Histogram);
 //! assert_eq!(histogram.rows(), 2);
-//! assert_eq!(histogram.dense_row(0).len(), store.histogram_width());
+//! assert_eq!(histogram.width(), Some(store.histogram_width()));
 //! // Only the histogram encoder was fitted.
 //! assert_eq!(
 //!     store.encoders_for(&[Encoding::Histogram]).encodings(),
@@ -366,23 +366,6 @@ impl FeatureMatrix {
         self.try_row(i).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Dense row accessor, or a typed error on the wrong layout.
-    pub fn try_dense_row(&self, i: usize) -> Result<&[f32], ArtifactError> {
-        match self.try_row(i)? {
-            FeatureRow::Dense(r) => Ok(r),
-            _ => Err(ArtifactError::Mismatch("not a dense matrix".into())),
-        }
-    }
-
-    /// Dense row accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout is not dense or `i` is out of bounds.
-    pub fn dense_row(&self, i: usize) -> &[f32] {
-        self.try_dense_row(i).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Borrowed row views for a fold, in index order, or a typed error on
     /// an out-of-bounds index or a spilled block.
     pub fn try_gather_rows(&self, indices: &[usize]) -> Result<Vec<FeatureRow<'_>>, ArtifactError> {
@@ -538,19 +521,6 @@ impl FeatureMatrix {
             Columns::SpilledWindows { id_offsets, .. } => {
                 id_offsets.last().copied().unwrap_or(0) as usize
             }
-        }
-    }
-
-    /// Scalars currently resident in RAM: the whole block unless spilled,
-    /// only the offset tables when spilled.
-    pub fn resident_scalar_count(&self) -> usize {
-        match &self.columns {
-            Columns::SpilledWindows {
-                offsets,
-                id_offsets,
-                ..
-            } => offsets.len() + id_offsets.len() * 2,
-            _ => self.scalar_count(),
         }
     }
 
@@ -710,71 +680,6 @@ impl FeatureMatrix {
             },
         })
     }
-
-    /// Opens an existing spill file as a spilled matrix, reading only the
-    /// offset tables — the cross-process form of [`FeatureMatrix::spill_to`].
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Format`] on a bad magic/version,
-    /// [`ArtifactError::Corrupt`] on a non-window payload or inconsistent
-    /// offsets, plus any I/O failure.
-    pub fn open_spilled(path: impl AsRef<Path>) -> Result<FeatureMatrix, ArtifactError> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = std::fs::File::open(&path)?;
-        let mut fixed = [0u8; 4 + 4 + 8 + 1];
-        file.read_exact(&mut fixed)?;
-        if fixed[..4] != SPILL_MAGIC {
-            return Err(ArtifactError::Format(format!(
-                "bad spill magic {:02X?}, expected {SPILL_MAGIC:02X?} (\"PHKS\")",
-                &fixed[..4]
-            )));
-        }
-        let version = u32::from_le_bytes(fixed[4..8].try_into().unwrap());
-        if version != SPILL_VERSION {
-            return Err(ArtifactError::Format(format!(
-                "spill version {version} not supported (reader knows {SPILL_VERSION})"
-            )));
-        }
-        let rows = u64::from_le_bytes(fixed[8..16].try_into().unwrap()) as usize;
-        if fixed[16] != 2 {
-            return Err(ArtifactError::Corrupt(format!(
-                "spill file holds layout tag {}, expected windows (2)",
-                fixed[16]
-            )));
-        }
-        let offsets64 = read_u64_slice_from(&mut file)?;
-        let id_offsets = read_u64_slice_from(&mut file)?;
-        let mut total_raw = [0u8; 8];
-        file.read_exact(&mut total_raw)?;
-        let total = u64::from_le_bytes(total_raw);
-        let (offsets, _) = validate_window_offsets(rows, &offsets64, &id_offsets, total)?;
-        let data_start = spill_data_start(offsets64.len(), id_offsets.len());
-        // Checked arithmetic: a crafted total must fail here with a typed
-        // error, not wrap the expected length (release) or panic (debug)
-        // and mis-validate the file.
-        let expected_len = total
-            .checked_mul(4)
-            .and_then(|b| b.checked_add(data_start))
-            .ok_or_else(|| {
-                ArtifactError::Corrupt(format!("spill file claims an absurd id count {total}"))
-            })?;
-        if file.metadata()?.len() != expected_len {
-            return Err(ArtifactError::Corrupt(format!(
-                "spill file is {} bytes, layout requires {expected_len}",
-                file.metadata()?.len()
-            )));
-        }
-        Ok(FeatureMatrix {
-            rows,
-            columns: Columns::SpilledWindows {
-                path,
-                offsets,
-                id_offsets,
-                data_start,
-            },
-        })
-    }
 }
 
 /// Cumulative per-window id counts (`id_offsets[w]..id_offsets[w + 1]` =
@@ -841,25 +746,6 @@ fn validate_window_offsets(
         )));
     }
     Ok((offsets64.iter().map(|&o| o as usize).collect(), n_windows))
-}
-
-/// Reads one `u64`-count-prefixed `u64` slice straight from a file.
-fn read_u64_slice_from(file: &mut std::fs::File) -> Result<Vec<u64>, ArtifactError> {
-    let mut raw = [0u8; 8];
-    file.read_exact(&mut raw)?;
-    let len = u64::from_le_bytes(raw) as usize;
-    let cap = file.metadata()?.len() as usize / 8;
-    if len > cap {
-        return Err(ArtifactError::Corrupt(format!(
-            "offset table claims {len} entries in a {cap}-word file"
-        )));
-    }
-    let mut bytes = vec![0u8; len * 8];
-    file.read_exact(&mut bytes)?;
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect())
 }
 
 /// Incremental spill writer: accepts one sample's window list at a time
@@ -1491,8 +1377,8 @@ mod tests {
         let tok = OpcodeTokenizer::new(cfg.context);
         for (i, c) in caches.iter().enumerate() {
             assert_eq!(
-                store.matrix(Encoding::Histogram).dense_row(i),
-                &hist.encode(c)[..]
+                store.matrix(Encoding::Histogram).row(i),
+                FeatureRow::Dense(&hist.encode(c)[..])
             );
             assert_eq!(
                 store.matrix(Encoding::Bigram).row(i),
@@ -1517,7 +1403,9 @@ mod tests {
         // Borrowed and flat gathers follow index order.
         assert_eq!(hist.gather_rows(&[2, 0]), [hist.row(2), hist.row(0)]);
         let flat = hist.gather_dense_flat(&[2, 0]);
-        assert_eq!(flat, [hist.dense_row(2), hist.dense_row(0)].concat());
+        let w = hist.width().unwrap();
+        assert_eq!(FeatureRow::Dense(&flat[..w]), hist.row(2));
+        assert_eq!(FeatureRow::Dense(&flat[w..]), hist.row(0));
     }
 
     #[test]
@@ -1668,7 +1556,6 @@ mod tests {
             assert_eq!(spilled.rows(), resident.rows());
             assert_eq!(spilled.width(), None);
             assert_eq!(spilled.scalar_count(), resident.scalar_count());
-            assert!(spilled.resident_scalar_count() < spilled.scalar_count() * 2);
             let idx = [2usize, 0, 1];
             assert_eq!(
                 spilled.gather_windows(&idx),
@@ -1684,9 +1571,6 @@ mod tests {
                 spilled.try_row(0),
                 Err(ArtifactError::Mismatch(_))
             ));
-            // Reopening the spill file from a "fresh process" matches too.
-            let reopened = FeatureMatrix::open_spilled(spilled.spill_path().unwrap()).unwrap();
-            assert_eq!(reopened.gather_windows(&idx), resident.gather_windows(&idx));
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1846,10 +1730,6 @@ mod tests {
             Err(ArtifactError::Mismatch(_))
         ));
         assert!(matches!(
-            store.matrix(Encoding::Bigram).try_dense_row(0),
-            Err(ArtifactError::Mismatch(_))
-        ));
-        assert!(matches!(
             store.matrix(Encoding::Bigram).try_gather_dense_flat(&[0]),
             Err(ArtifactError::Mismatch(_))
         ));
@@ -1858,7 +1738,6 @@ mod tests {
             Err(ArtifactError::Mismatch(_))
         ));
         // The Ok sides agree with the panicking accessors.
-        assert_eq!(hist.try_dense_row(1).unwrap(), hist.dense_row(1));
         assert_eq!(
             store
                 .matrix(Encoding::Bigram)

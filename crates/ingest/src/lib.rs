@@ -27,13 +27,19 @@
 //!
 //! The pieces compose from the substrate crates: the drift statistics
 //! live in [`phishinghook::drift`], atomic generation-counted publication
-//! in [`phishinghook_artifact::publish`], the serving hot-swap seam in
-//! `phishinghook_serve::swap`, and the durable ingestion journal in
-//! [`phishinghook_evm::stream`] (the `CodeLog` append-only format whose
-//! cursor survives truncated and corrupt tails with typed errors).
+//! in [`phishinghook_artifact::publish`], and the durable ingestion
+//! journal in [`phishinghook_evm::stream`] (the `CodeLog` append-only
+//! format whose cursor survives truncated and corrupt tails with typed
+//! errors). The hot swap is the caller's: `phishinghook_serve::swap`
+//! installs each published generation.
 //!
 //! [`scenario::DriftScenario`] builds the reproducible drifted chain the
-//! tests, benches and the `phishinghook-ingestd` demo daemon replay.
+//! tests and benches replay. Across processes the loop is split between
+//! two daemons: `phishinghook-scannerd` appends labeled bytecode to a
+//! `CodeLog` journal, and `phishinghook-ingestd tail` follows it through
+//! [`run_tail_pipeline`] and publishes each generation for watching
+//! `phishinghook-served` replicas. The crate does not link the serving
+//! tier: the hand-off is the publish directory.
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,5 @@
 //! Row-major dense `f32` matrix.
 
-use rand::Rng;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -81,14 +80,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Fills with uniform random values in `[-scale, scale]`.
-    pub fn random_uniform<R: Rng>(rows: usize, cols: usize, scale: f32, rng: &mut R) -> Self {
-        let data = (0..rows * cols)
-            .map(|_| rng.gen_range(-scale..=scale))
-            .collect();
-        Matrix { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -113,15 +104,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable view of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of bounds.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Copies column `c` into a new vector.
     pub fn col(&self, c: usize) -> Vec<f32> {
         (0..self.rows).map(|r| self[(r, c)]).collect()
@@ -130,16 +112,6 @@ impl Matrix {
     /// Flat row-major data slice.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
-    }
-
-    /// Flat row-major mutable data slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Consumes the matrix, returning its flat data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Matrix product `self * rhs` through the blocked
@@ -226,11 +198,6 @@ impl Matrix {
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -266,7 +233,14 @@ impl fmt::Debug for Matrix {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    fn random(rows: usize, cols: usize, scale: f32, rng: &mut StdRng) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|_| rng.gen_range(-scale..=scale))
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
 
     #[test]
     fn matmul_known_product() {
@@ -282,7 +256,7 @@ mod tests {
     #[test]
     fn identity_is_neutral() {
         let mut rng = StdRng::seed_from_u64(7);
-        let a = Matrix::random_uniform(4, 4, 1.0, &mut rng);
+        let a = random(4, 4, 1.0, &mut rng);
         assert_eq!(a.matmul(&Matrix::identity(4)), a);
         assert_eq!(Matrix::identity(4).matmul(&a), a);
     }
@@ -290,7 +264,7 @@ mod tests {
     #[test]
     fn transpose_involution() {
         let mut rng = StdRng::seed_from_u64(3);
-        let a = Matrix::random_uniform(3, 5, 2.0, &mut rng);
+        let a = random(3, 5, 2.0, &mut rng);
         assert_eq!(a.transpose().transpose(), a);
     }
 

@@ -10,7 +10,7 @@
 //! exactly what the paper's six deep models need: dense algebra,
 //! attention (matmul/transpose/softmax), normalization, embeddings, small
 //! convolutions, the ECA channel-attention pieces, and the batched loss head
-//! ([`Tape::stack_rows`] + [`Tape::bce_with_logits_batch`]).
+//! ([`Tape::stack_rows`] + [`Tape::bce_with_logits_batch_scaled`]).
 //!
 //! Gradient correctness is validated against central finite differences in
 //! the test module — every op is covered by at least one composite check.
@@ -479,26 +479,14 @@ impl Tape {
     }
 
     /// Binary cross-entropy over a `(B, 1)` logit column against one 0/1
-    /// target per row, reduced to the **mean** scalar loss — the one-node
-    /// loss head of the batched trainer. The per-sample losses are summed
-    /// in row order and divided by `B` once, so the reduction order is
-    /// fixed regardless of how the batch was assembled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the logit count and target count disagree.
-    pub fn bce_with_logits_batch(&mut self, logits: Var, targets: &[f32]) -> Var {
-        self.bce_with_logits_batch_scaled(logits, targets, targets.len())
-    }
-
-    /// [`Tape::bce_with_logits_batch`] with an explicit mean denominator:
-    /// the node's value is `Σ per-sample loss / denom` and each logit's
+    /// target per row, reduced to `Σ per-sample loss / denom` — the
+    /// one-node loss head of the batched trainer. The per-sample losses
+    /// are summed in row order and divided once, so the reduction order is
+    /// fixed regardless of how the batch was assembled, and each logit's
     /// gradient is `(σ(z) − t)/denom`. The data-parallel trainer records
     /// one of these per **shard** with `denom = B` (the full mini-batch
     /// size), so shard losses and gradients sum to exactly the whole-batch
-    /// mean — same optimization semantics, shard by shard. With
-    /// `denom == targets.len()` this is bit-identical to the plain batch
-    /// loss.
+    /// mean — same optimization semantics, shard by shard.
     ///
     /// # Panics
     ///
@@ -1431,7 +1419,7 @@ mod tests {
                     })
                     .collect();
                 let z = t.stack_rows(&logits);
-                t.bce_with_logits_batch(z, &[1.0, 0.0, 1.0, 0.0])
+                t.bce_with_logits_batch_scaled(z, &[1.0, 0.0, 1.0, 0.0], 4)
             },
             2e-2,
         );
@@ -1450,7 +1438,7 @@ mod tests {
                     ],
                 ));
                 let z = t.matmul(x, p);
-                t.bce_with_logits_batch(z, &[1.0, 0.0, 1.0])
+                t.bce_with_logits_batch_scaled(z, &[1.0, 0.0, 1.0], 3)
             },
             2e-2,
         );
@@ -1462,7 +1450,7 @@ mod tests {
         let ts = [1.0f32, 0.0, 1.0];
         let mut tape = Tape::new();
         let z = tape.input(Tensor::from_vec(&[3, 1], zs.to_vec()));
-        let batched = tape.bce_with_logits_batch(z, &ts);
+        let batched = tape.bce_with_logits_batch_scaled(z, &ts, ts.len());
         let mut want = 0.0f32;
         for (&zv, &tv) in zs.iter().zip(&ts) {
             let mut t2 = Tape::new();
@@ -1579,7 +1567,7 @@ mod tests {
         let ts = [1.0f32, 0.0, 1.0, 0.0, 1.0];
         let mut whole = Tape::new();
         let z = whole.input(Tensor::from_vec(&[5, 1], zs.to_vec()));
-        let l = whole.bce_with_logits_batch(z, &ts);
+        let l = whole.bce_with_logits_batch_scaled(z, &ts, ts.len());
         let want = whole.value(l).item();
 
         let mut got = 0.0f32;
@@ -1590,12 +1578,6 @@ mod tests {
             got += t.value(l).item();
         }
         assert!((got - want).abs() < 1e-6, "{got} vs {want}");
-
-        // And with denom == n the scaled node is the plain batch loss.
-        let mut t = Tape::new();
-        let zv = t.input(Tensor::from_vec(&[5, 1], zs.to_vec()));
-        let l2 = t.bce_with_logits_batch_scaled(zv, &ts, ts.len());
-        assert_eq!(t.value(l2).item().to_bits(), want.to_bits());
     }
 
     #[test]
@@ -1620,7 +1602,7 @@ mod tests {
     #[test]
     fn grads_accumulate_across_backwards() {
         let mut store = ParamStore::new();
-        let p = store.param(Tensor::scalar(0.5).reshaped(&[1, 1]));
+        let p = store.param(Tensor::from_vec(&[1, 1], vec![0.5]));
         for _ in 0..2 {
             let mut tape = Tape::new();
             let pv = tape.param(&store, p);

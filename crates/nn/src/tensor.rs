@@ -111,15 +111,6 @@ impl Tensor {
         self.data
     }
 
-    /// Reinterprets the data under a new shape (same element count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshaped(&self, shape: &[usize]) -> Tensor {
-        Tensor::from_vec(shape, self.data.clone())
-    }
-
     /// Rows × cols view check for 2-D ops.
     pub fn dims2(&self) -> (usize, usize) {
         assert_eq!(
@@ -152,13 +143,5 @@ mod tests {
     #[should_panic(expected = "shape/data mismatch")]
     fn bad_shape_panics() {
         Tensor::from_vec(&[2, 3], vec![0.0; 5]);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(&[4], vec![1.0, 2.0, 3.0, 4.0]);
-        let r = t.reshaped(&[2, 2]);
-        assert_eq!(r.shape(), &[2, 2]);
-        assert_eq!(r.data(), t.data());
     }
 }

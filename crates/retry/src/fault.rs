@@ -101,12 +101,6 @@ impl FaultPlan {
         (splitmix64(&mut self.state) % n as u64) as usize
     }
 
-    /// True with probability `p` (clamped into `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        let unit = splitmix64(&mut self.state) as f64 / u64::MAX as f64;
-        unit < p.clamp(0.0, 1.0)
-    }
-
     /// A torn prefix of `bytes`: cut at a seeded point strictly inside
     /// the buffer (empty in, empty out).
     pub fn tear(&mut self, bytes: &[u8]) -> Vec<u8> {
@@ -180,7 +174,6 @@ mod tests {
         let mut b = FaultPlan::new(7);
         assert_eq!(a.tear(&payload), b.tear(&payload));
         assert_eq!(a.choice(100), b.choice(100));
-        assert_eq!(a.chance(0.5), b.chance(0.5));
 
         let mut plan = FaultPlan::new(9);
         let torn = plan.tear(&payload);

@@ -5,10 +5,9 @@
 //! Four pieces:
 //!
 //! * [`policy`] — [`RetryPolicy`] (jittered exponential backoff with a
-//!   cap, an optional attempt budget and an optional deadline), the
-//!   [`Backoff`] schedule iterator, the typed [`RetryError`], and the
-//!   [`retry`] driver. Every delay is derived deterministically from a
-//!   seed, so two runs of the same plan back off identically.
+//!   cap) and the [`Backoff`] schedule iterator. Every delay is derived
+//!   deterministically from a seed, so two runs of the same plan back off
+//!   identically.
 //! * [`policy::Clock`] — the injectable time source ([`SystemClock`] in
 //!   production, [`FakeClock`] in tests) that makes every retry loop in
 //!   the workspace testable without real sleeps.
@@ -33,6 +32,4 @@ pub mod knob;
 pub mod policy;
 
 pub use fault::{crash_point, fault_env_name, fault_hit, FaultPlan};
-pub use policy::{
-    retry, Backoff, Clock, FakeClock, RetryError, RetryPolicy, SystemClock, Transient,
-};
+pub use policy::{Backoff, Clock, FakeClock, RetryPolicy, SystemClock};

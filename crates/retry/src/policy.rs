@@ -1,8 +1,7 @@
-//! Jittered exponential backoff with a deadline, behind an injectable
-//! clock so every retry loop in the workspace runs deterministically (and
-//! instantly) under test.
+//! Jittered exponential backoff behind an injectable clock, so every
+//! retry loop in the workspace runs deterministically (and instantly)
+//! under test.
 
-use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -31,8 +30,8 @@ impl Clock for SystemClock {
 }
 
 /// A deterministic clock for tests: time advances only when something
-/// sleeps (or the test calls [`FakeClock::advance`]), and every sleep is
-/// recorded so a test can assert the exact backoff schedule.
+/// sleeps, and every sleep is recorded so a test can assert the exact
+/// backoff schedule.
 #[derive(Debug, Clone)]
 pub struct FakeClock {
     base: Instant,
@@ -63,11 +62,6 @@ impl FakeClock {
     /// sleeps).
     pub fn total_slept(&self) -> Duration {
         self.state.lock().unwrap().sleeps.iter().sum()
-    }
-
-    /// Advances the clock without recording a sleep.
-    pub fn advance(&self, by: Duration) {
-        self.state.lock().unwrap().offset += by;
     }
 }
 
@@ -101,8 +95,6 @@ fn splitmix64(mut x: u64) -> u64 {
 /// A jittered exponential backoff policy: attempt `k` waits
 /// `initial * multiplier^k`, capped at `max_delay`, then spread by
 /// `± jitter` (a fraction of the delay) using a seed-deterministic draw.
-/// Optional budgets — a max attempt count and a wall-clock deadline —
-/// bound how long [`retry`] keeps going.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Delay before the first retry.
@@ -114,42 +106,23 @@ pub struct RetryPolicy {
     /// Jitter fraction in `[0, 1]`: each delay is scaled by a
     /// deterministic factor in `[1 - jitter, 1 + jitter]`.
     pub jitter: f64,
-    /// Give up after this many failed attempts (`None` = unbounded).
-    pub max_attempts: Option<u32>,
-    /// Give up once this much time has elapsed since the first attempt
-    /// (`None` = unbounded).
-    pub deadline: Option<Duration>,
 }
 
 impl RetryPolicy {
     /// A policy growing from `initial` to `max_delay` by doubling, with
-    /// 20 % jitter and no attempt/deadline budget.
+    /// 20 % jitter.
     pub fn new(initial: Duration, max_delay: Duration) -> Self {
         RetryPolicy {
             initial,
             multiplier: 2.0,
             max_delay,
             jitter: 0.2,
-            max_attempts: None,
-            deadline: None,
         }
     }
 
     /// Sets the jitter fraction (clamped into `[0, 1]`).
     pub fn with_jitter(mut self, jitter: f64) -> Self {
         self.jitter = jitter.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the attempt budget.
-    pub fn with_max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = Some(attempts);
-        self
-    }
-
-    /// Sets the wall-clock deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 
@@ -209,89 +182,6 @@ impl Backoff {
     }
 }
 
-/// What one attempt of a retried operation produced, when it failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Transient<E> {
-    /// Worth retrying (the "wait for the writer" class of failure).
-    Retry(E),
-    /// Not worth retrying (corruption, logic errors): [`retry`] stops
-    /// immediately and surfaces [`RetryError::Fatal`].
-    Fatal(E),
-}
-
-/// Why a retried operation ultimately failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RetryError<E> {
-    /// An attempt failed with a non-retryable error.
-    Fatal(E),
-    /// Every allowed attempt failed (attempt budget or deadline hit).
-    Exhausted {
-        /// Attempts made.
-        attempts: u32,
-        /// Time spent across attempts and sleeps.
-        elapsed: Duration,
-        /// The last transient error observed.
-        last: E,
-    },
-}
-
-impl<E: fmt::Display> fmt::Display for RetryError<E> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RetryError::Fatal(e) => write!(f, "fatal: {e}"),
-            RetryError::Exhausted {
-                attempts,
-                elapsed,
-                last,
-            } => write!(
-                f,
-                "retries exhausted after {attempts} attempts over {elapsed:?}: {last}"
-            ),
-        }
-    }
-}
-
-impl<E: fmt::Debug + fmt::Display> std::error::Error for RetryError<E> {}
-
-/// Drives `op` under `policy`: run, and on a [`Transient::Retry`] failure
-/// sleep the next jittered delay and try again until the attempt budget
-/// or deadline runs out. `op` receives the 0-based attempt number.
-///
-/// # Errors
-///
-/// [`RetryError::Fatal`] the moment `op` reports a fatal failure;
-/// [`RetryError::Exhausted`] when the budget or the deadline runs out.
-pub fn retry<T, E>(
-    policy: &RetryPolicy,
-    clock: &impl Clock,
-    seed: u64,
-    mut op: impl FnMut(u32) -> Result<T, Transient<E>>,
-) -> Result<T, RetryError<E>> {
-    let started = clock.now();
-    let mut attempt = 0u32;
-    loop {
-        match op(attempt) {
-            Ok(value) => return Ok(value),
-            Err(Transient::Fatal(e)) => return Err(RetryError::Fatal(e)),
-            Err(Transient::Retry(e)) => {
-                let attempts = attempt + 1;
-                let elapsed = clock.now().duration_since(started);
-                let out_of_attempts = policy.max_attempts.is_some_and(|max| attempts >= max);
-                let out_of_time = policy.deadline.is_some_and(|d| elapsed >= d);
-                if out_of_attempts || out_of_time {
-                    return Err(RetryError::Exhausted {
-                        attempts,
-                        elapsed,
-                        last: e,
-                    });
-                }
-                clock.sleep(policy.delay(attempt, seed));
-                attempt = attempts;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,77 +207,6 @@ mod tests {
         // seeds decorrelate.
         assert_eq!(d, j.delay(2, 42));
         assert_ne!(j.delay(2, 42), j.delay(2, 43));
-    }
-
-    #[test]
-    fn retry_returns_first_success_and_sleeps_between_attempts() {
-        let clock = FakeClock::new();
-        let mut calls = 0;
-        let out = retry(&policy().with_jitter(0.0), &clock, 7, |attempt| {
-            calls += 1;
-            if attempt < 3 {
-                Err(Transient::Retry("not yet"))
-            } else {
-                Ok(attempt)
-            }
-        });
-        assert_eq!(out, Ok(3));
-        assert_eq!(calls, 4);
-        assert_eq!(
-            clock.sleeps(),
-            vec![
-                Duration::from_millis(10),
-                Duration::from_millis(20),
-                Duration::from_millis(40)
-            ]
-        );
-    }
-
-    #[test]
-    fn fatal_short_circuits_without_sleeping() {
-        let clock = FakeClock::new();
-        let out: Result<(), _> = retry(&policy(), &clock, 7, |_| Err(Transient::Fatal("corrupt")));
-        assert_eq!(out, Err(RetryError::Fatal("corrupt")));
-        assert!(clock.sleeps().is_empty());
-    }
-
-    #[test]
-    fn attempt_budget_exhausts() {
-        let clock = FakeClock::new();
-        let out: Result<(), _> = retry(
-            &policy().with_max_attempts(3).with_jitter(0.0),
-            &clock,
-            7,
-            |_| Err(Transient::Retry("still down")),
-        );
-        match out {
-            Err(RetryError::Exhausted { attempts, last, .. }) => {
-                assert_eq!(attempts, 3);
-                assert_eq!(last, "still down");
-            }
-            other => panic!("expected exhaustion, got {other:?}"),
-        }
-        // Two sleeps for three attempts: no pointless sleep after the last.
-        assert_eq!(clock.sleeps().len(), 2);
-    }
-
-    #[test]
-    fn deadline_exhausts_via_the_fake_clock() {
-        let clock = FakeClock::new();
-        let out: Result<(), _> = retry(
-            &policy()
-                .with_deadline(Duration::from_millis(25))
-                .with_jitter(0.0),
-            &clock,
-            7,
-            |_| Err(Transient::Retry("slow")),
-        );
-        let Err(RetryError::Exhausted { elapsed, .. }) = out else {
-            panic!("expected exhaustion, got {out:?}");
-        };
-        assert!(elapsed >= Duration::from_millis(25));
-        // 10 + 20 ms of sleeping crosses the 25 ms deadline.
-        assert_eq!(clock.sleeps().len(), 2);
     }
 
     #[test]

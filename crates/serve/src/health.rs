@@ -11,8 +11,7 @@
 //! only when *no* streak is tripped, and every recovery is counted.
 //!
 //! The monotone counters (`reload_attempts`, `reload_failures`,
-//! `worker_panics`, `drift_signals`, `retrains`, `recoveries`) are the
-//! observability the ROADMAP's fleet item asks for; they only ever grow.
+//! `worker_panics`, `recoveries`) only ever grow.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -37,8 +36,6 @@ pub struct HealthState {
     reload_failures: AtomicU64,
     worker_panics: AtomicU64,
     recoveries: AtomicU64,
-    drift_signals: AtomicU64,
-    retrains: AtomicU64,
 }
 
 /// A point-in-time copy of the health state, as `/healthz` reports it.
@@ -57,10 +54,6 @@ pub struct HealthSnapshot {
     pub worker_panics: u64,
     /// Degraded → ok transitions.
     pub recoveries: u64,
-    /// Drift signals observed by the co-located ingest loop.
-    pub drift_signals: u64,
-    /// Retrains completed by the co-located ingest loop.
-    pub retrains: u64,
 }
 
 impl HealthState {
@@ -74,8 +67,6 @@ impl HealthState {
             reload_failures: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
-            drift_signals: AtomicU64::new(0),
-            retrains: AtomicU64::new(0),
         }
     }
 
@@ -131,21 +122,6 @@ impl HealthState {
         self.update(|s| s.reload_failures = 0);
     }
 
-    /// The co-located ingest loop observed a drift signal.
-    pub fn record_drift(&self) {
-        self.drift_signals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The co-located ingest loop completed a retrain.
-    pub fn record_retrain(&self) {
-        self.retrains.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Whether the breaker is currently tripped.
-    pub fn is_degraded(&self) -> bool {
-        self.tripped(&self.streaks.lock().unwrap())
-    }
-
     /// A consistent point-in-time copy for `/healthz`.
     pub fn snapshot(&self) -> HealthSnapshot {
         let streaks = self.streaks.lock().unwrap();
@@ -156,8 +132,6 @@ impl HealthState {
             reload_failures: self.reload_failures.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
             recoveries: self.recoveries.load(Ordering::Relaxed),
-            drift_signals: self.drift_signals.load(Ordering::Relaxed),
-            retrains: self.retrains.load(Ordering::Relaxed),
         }
     }
 }
@@ -169,16 +143,16 @@ mod tests {
     #[test]
     fn panic_streak_trips_and_success_rearms() {
         let health = HealthState::new(2);
-        assert!(!health.is_degraded());
+        assert!(!health.snapshot().degraded);
         health.record_worker_panic("boom");
-        assert!(!health.is_degraded());
+        assert!(!health.snapshot().degraded);
         health.record_worker_panic("boom again");
-        assert!(health.is_degraded());
+        assert!(health.snapshot().degraded);
         let snap = health.snapshot();
         assert_eq!(snap.worker_panics, 2);
         assert!(snap.last_error.unwrap().contains("boom again"));
         health.record_batch_success();
-        assert!(!health.is_degraded());
+        assert!(!health.snapshot().degraded);
         assert_eq!(health.snapshot().recoveries, 1);
         // Monotone counter is untouched by recovery.
         assert_eq!(health.snapshot().worker_panics, 2);
@@ -191,12 +165,12 @@ mod tests {
         health.record_reload_failure("bad gen 7");
         health.record_reload_attempt();
         health.record_reload_failure("bad gen 7 again");
-        assert!(health.is_degraded());
+        assert!(health.snapshot().degraded);
         // Scoring traffic flowing does NOT clear a reload crash loop.
         health.record_batch_success();
-        assert!(health.is_degraded());
+        assert!(health.snapshot().degraded);
         health.record_reload_success();
-        assert!(!health.is_degraded());
+        assert!(!health.snapshot().degraded);
         let snap = health.snapshot();
         assert_eq!((snap.reload_attempts, snap.reload_failures), (2, 2));
         assert_eq!(snap.recoveries, 1);
@@ -207,24 +181,13 @@ mod tests {
         let health = HealthState::new(1);
         health.record_worker_panic("p");
         health.record_reload_failure("r");
-        assert!(health.is_degraded());
+        assert!(health.snapshot().degraded);
         health.record_batch_success();
         // Reload streak still tripped.
-        assert!(health.is_degraded());
+        assert!(health.snapshot().degraded);
         assert_eq!(health.snapshot().recoveries, 0);
         health.record_reload_success();
-        assert!(!health.is_degraded());
+        assert!(!health.snapshot().degraded);
         assert_eq!(health.snapshot().recoveries, 1);
-    }
-
-    #[test]
-    fn drift_and_retrain_counters_accumulate() {
-        let health = HealthState::new(3);
-        health.record_drift();
-        health.record_drift();
-        health.record_retrain();
-        let snap = health.snapshot();
-        assert_eq!((snap.drift_signals, snap.retrains), (2, 1));
-        assert!(!snap.degraded);
     }
 }

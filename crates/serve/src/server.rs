@@ -204,8 +204,8 @@ impl Server {
     }
 
     /// The crash-loop breaker and health counters this server reports on
-    /// `/healthz`. Shared: a co-located reload or ingest loop records its
-    /// attempts/failures/drift/retrains here.
+    /// `/healthz`. Shared: a co-located reload loop records its
+    /// attempts and failures here.
     pub fn health(&self) -> Arc<HealthState> {
         Arc::clone(&self.inner.health)
     }
@@ -383,8 +383,6 @@ fn healthz(inner: &Inner) -> Value {
         ("reload_failures".into(), num(health.reload_failures)),
         ("worker_panics".into(), num(health.worker_panics)),
         ("recoveries".into(), num(health.recoveries)),
-        ("drift_signals".into(), num(health.drift_signals)),
-        ("retrains".into(), num(health.retrains)),
         ("screen_model".into(), Value::Str(screen.into())),
         (
             "confirm_model".into(),

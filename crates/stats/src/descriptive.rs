@@ -8,20 +8,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Unbiased sample variance (`n − 1` denominator); `NaN` for n < 2.
-pub fn sample_variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return f64::NAN;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
-}
-
-/// Sample standard deviation.
-pub fn sample_std(xs: &[f64]) -> f64 {
-    sample_variance(xs).sqrt()
-}
-
 /// Median (average of the two central order statistics for even n); `NaN`
 /// for empty input.
 pub fn median(xs: &[f64]) -> f64 {
@@ -56,7 +42,6 @@ mod tests {
     fn basic_values() {
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&v), 5.0);
-        assert!((sample_variance(&v) - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(median(&v), 4.5);
         assert_eq!(min(&v), 2.0);
         assert_eq!(max(&v), 9.0);
@@ -71,6 +56,5 @@ mod tests {
     fn empty_inputs_are_nan() {
         assert!(mean(&[]).is_nan());
         assert!(median(&[]).is_nan());
-        assert!(sample_variance(&[1.0]).is_nan());
     }
 }

@@ -50,19 +50,6 @@ impl DunnTest {
             .iter()
             .find(|p| p.group_a == lo && p.group_b == hi)
     }
-
-    /// Fraction of pairs significant at `alpha`, the summary number the paper
-    /// reports (e.g. "65.38% of model pairs differ significantly").
-    pub fn significant_fraction(&self, alpha: f64) -> f64 {
-        if self.pairs.is_empty() {
-            return 0.0;
-        }
-        self.pairs
-            .iter()
-            .filter(|p| p.is_significant(alpha))
-            .count() as f64
-            / self.pairs.len() as f64
-    }
 }
 
 /// Runs Dunn's test over `k >= 2` groups.
@@ -164,7 +151,6 @@ mod tests {
         assert!(!r.pair(0, 1).unwrap().is_significant(0.05));
         assert!(r.pair(0, 2).unwrap().is_significant(0.05));
         assert!(r.pair(1, 2).unwrap().is_significant(0.05));
-        assert!((r.significant_fraction(0.05) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

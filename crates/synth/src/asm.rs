@@ -78,11 +78,6 @@ impl Asm {
         self.op(op::PUSH1).byte(v)
     }
 
-    /// Emits `PUSH2` with a big-endian 16-bit immediate (jump targets).
-    pub fn push2(&mut self, v: u16) -> &mut Self {
-        self.op(op::PUSH2).raw(&v.to_be_bytes())
-    }
-
     /// Emits `PUSH4` with a function selector.
     pub fn push_selector(&mut self, selector: u32) -> &mut Self {
         self.op(op::PUSH4).raw(&selector.to_be_bytes())

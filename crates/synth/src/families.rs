@@ -99,15 +99,6 @@ impl Family {
             | Family::HoneypotVault => ContractClass::Phishing,
         }
     }
-
-    /// Families of one class.
-    pub fn of_class(class: ContractClass) -> Vec<Family> {
-        Family::ALL
-            .iter()
-            .copied()
-            .filter(|f| f.class() == class)
-            .collect()
-    }
 }
 
 impl fmt::Display for Family {
@@ -556,10 +547,9 @@ mod tests {
 
     #[test]
     fn class_split() {
-        let benign = Family::of_class(ContractClass::Benign);
-        let phishing = Family::of_class(ContractClass::Phishing);
-        assert_eq!(benign.len(), 7);
-        assert_eq!(phishing.len(), 5);
+        let count = |class| Family::ALL.iter().filter(|f| f.class() == class).count();
+        assert_eq!(count(ContractClass::Benign), 7);
+        assert_eq!(count(ContractClass::Phishing), 5);
     }
 
     #[test]

@@ -388,6 +388,35 @@ fn cascade_http_server_serves_verdicts_and_routing_counters() {
     assert_eq!(json_num(&health, "cascade_screened"), 0.0);
     assert_eq!(json_num(&health, "cascade_escalated"), 0.0);
     assert_eq!(json_num(&health, "cascade_escalation_rate"), 0.0);
+    // The exact key set, so a counter nothing feeds cannot come back
+    // unnoticed.
+    let Value::Obj(fields) = &health else {
+        panic!("/healthz is not an object: {body}")
+    };
+    let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    assert_eq!(
+        keys,
+        [
+            "cascade_escalated",
+            "cascade_escalation_rate",
+            "cascade_screened",
+            "confirm_model",
+            "generation",
+            "last_error",
+            "max_batch",
+            "model",
+            "queue_depth",
+            "recoveries",
+            "reload_attempts",
+            "reload_failures",
+            "screen_model",
+            "status",
+            "uptime_seconds",
+            "worker_panics",
+            "workers",
+        ]
+    );
 
     // Single predict: probability + escalated flag bit-match the solo
     // cascade across the TCP boundary.

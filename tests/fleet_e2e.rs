@@ -537,7 +537,9 @@ fn daemons_reject_malformed_knobs_and_arguments_with_exit_2() {
     // Each daemon must exit 2, naming the bad knob or the bad (last)
     // argument, before it creates the journal, the publish directory or
     // the work directory. A daemon that wrongly accepted them would still
-    // exit: the scan and the demo finish, the tail and the watch time out.
+    // exit: the scan finishes, the tail and the watch time out. ingestd's
+    // only mode is `tail`, so a work directory as its first argument is
+    // rejected too, with every argument named.
     #[rustfmt::skip]
     let cases = [
         ("phishinghook-scannerd", vec![log], Some(("PHISHINGHOOK_SCAN_THROTTLE_US", "1.5ms"))),
