@@ -102,14 +102,6 @@ impl ByteWriter {
         }
     }
 
-    /// Appends a `u64`-count-prefixed `u64` slice.
-    pub fn put_u64_slice(&mut self, vs: &[u64]) {
-        self.put_usize(vs.len());
-        for &v in vs {
-            self.put_u64(v);
-        }
-    }
-
     /// Appends a `u64`-count-prefixed `f32` slice (bit-exact).
     pub fn put_f32_slice(&mut self, vs: &[f32]) {
         self.put_usize(vs.len());
@@ -232,16 +224,6 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
-    /// Reads a `u64`-count-prefixed `u64` slice.
-    pub fn take_u64_slice(&mut self) -> Result<Vec<u64>, ArtifactError> {
-        let len = self.take_count(8)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.take_u64()?);
-        }
-        Ok(out)
-    }
-
     /// Reads a `u64`-count-prefixed `f32` slice (bit-exact).
     pub fn take_f32_slice(&mut self) -> Result<Vec<f32>, ArtifactError> {
         let len = self.take_count(4)?;
@@ -302,7 +284,6 @@ mod tests {
         w.put_str("opcode");
         w.put_bytes(&[1, 2, 3]);
         w.put_u32_slice(&[4, 5]);
-        w.put_u64_slice(&[6]);
         w.put_f32_slice(&[f32::NAN, 1.5]);
 
         let bytes = w.into_bytes();
@@ -317,7 +298,6 @@ mod tests {
         assert_eq!(r.take_str().unwrap(), "opcode");
         assert_eq!(r.take_bytes().unwrap(), &[1, 2, 3]);
         assert_eq!(r.take_u32_slice().unwrap(), vec![4, 5]);
-        assert_eq!(r.take_u64_slice().unwrap(), vec![6]);
         let fs = r.take_f32_slice().unwrap();
         assert!(fs[0].is_nan());
         assert_eq!(fs[1], 1.5);

@@ -24,11 +24,16 @@ proptest! {
         let name: String = "section_".chars().chain("x".repeat(n).chars()).collect();
         let mut w = ByteWriter::new();
         w.put_str(&name);
-        w.put_u64_slice(&vs);
+        for &v in &vs {
+            w.put_u64(v);
+        }
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         prop_assert_eq!(r.take_str().unwrap(), name);
-        prop_assert_eq!(r.take_u64_slice().unwrap(), vs);
+        for &v in &vs {
+            prop_assert_eq!(r.take_u64().unwrap(), v);
+        }
+        r.expect_exhausted("u64 fields").unwrap();
     }
 
     #[test]

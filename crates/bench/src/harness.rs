@@ -84,8 +84,27 @@ pub fn baseline_doc(bench: &str, fields: Vec<(&str, Value)>) -> Value {
 
 /// The workspace root, where the committed baselines live. Benches run
 /// with the package as cwd, so every baseline path is anchored here.
+///
+/// Resolved at run time as the nearest ancestor of the running executable
+/// whose `Cargo.toml` declares `[workspace]`, so a copied checkout that
+/// kept its `target/` writes its own files; an executable built outside
+/// any workspace falls back to the root this crate was compiled in.
 pub fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    std::env::current_exe()
+        .ok()
+        .and_then(|exe| workspace_above(&exe))
+        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
+}
+
+/// The nearest strict ancestor of `path` holding a workspace `Cargo.toml`.
+fn workspace_above(path: &Path) -> Option<PathBuf> {
+    path.ancestors()
+        .skip(1)
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|line| line.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
 }
 
 /// Writes `file` at the workspace root from [`baseline_doc`]. Smoke runs
@@ -146,6 +165,33 @@ mod tests {
         assert!(back.get("simd").and_then(Value::as_str).is_some());
         assert!(back.get("linalg_pool").and_then(Value::as_f64).unwrap() >= 1.0);
         assert_eq!(back.get("speedup").and_then(Value::as_f64), Some(2.5));
+    }
+
+    #[test]
+    fn workspace_root_is_the_nearest_workspace_above_the_executable() {
+        let tmp = std::env::temp_dir().join(format!("phk_ws_root_{}", std::process::id()));
+        let ws = tmp.join("checkout");
+        let deps = ws.join("target/release/deps");
+        let member = ws.join("crates/bench");
+        std::fs::create_dir_all(&deps).unwrap();
+        std::fs::create_dir_all(&member).unwrap();
+        std::fs::write(
+            ws.join("Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/*\"]\n",
+        )
+        .unwrap();
+        std::fs::write(member.join("Cargo.toml"), "[package]\nname = \"bench\"\n").unwrap();
+        // A build tree inside the checkout resolves to the checkout.
+        assert_eq!(workspace_above(&deps.join("reproduce")), Some(ws.clone()));
+        // A member manifest without `[workspace]` is skipped.
+        assert_eq!(
+            workspace_above(&member.join("src/main.rs")),
+            Some(ws.clone())
+        );
+        // Outside any workspace there is nothing to find.
+        let stray = tmp.join("elsewhere/target/release/reproduce");
+        assert_eq!(workspace_above(&stray), None);
+        std::fs::remove_dir_all(&tmp).unwrap();
     }
 
     #[test]

@@ -207,22 +207,6 @@ impl Dataset {
                 .collect(),
         )
     }
-
-    /// Serializes to the `hash,label,month,bytecode` CSV shape the paper
-    /// releases.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("content_hash,label,month,bytecode\n");
-        for s in &self.samples {
-            out.push_str(&format!(
-                "{:016x},{},{},{}\n",
-                s.bytecode.content_hash(),
-                s.label,
-                s.month,
-                s.bytecode.to_hex()
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -281,14 +265,6 @@ mod tests {
         assert!(!train.is_empty());
         let total: usize = train.len() + tests.iter().map(|(_, t)| t.len()).sum::<usize>();
         assert_eq!(total, 130);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let d = toy_dataset(3);
-        let csv = d.to_csv();
-        assert_eq!(csv.lines().count(), 4);
-        assert!(csv.starts_with("content_hash,label,month,bytecode\n"));
     }
 
     #[test]

@@ -613,16 +613,6 @@ impl ModelZoo {
         self.models.iter().map(|(k, _)| *k).collect()
     }
 
-    /// Number of models in the zoo.
-    pub fn len(&self) -> usize {
-        self.models.len()
-    }
-
-    /// `true` when the zoo holds no models (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
-    }
-
     /// The capacity profile the zoo was trained with.
     pub fn profile(&self) -> &EvalProfile {
         &self.profile
@@ -786,7 +776,6 @@ mod tests {
         let ctx = EvalContext::new(&dataset, &EvalProfile::quick());
         let kinds = [ModelKind::RandomForest, ModelKind::Knn, ModelKind::Svm];
         let zoo = ModelZoo::train(&ctx, &kinds, 5);
-        assert_eq!(zoo.len(), 3);
         assert_eq!(zoo.kinds(), kinds.to_vec());
 
         let caches: Vec<DisasmCache> = ctx.caches().as_slice()[..5].to_vec();

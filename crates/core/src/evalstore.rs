@@ -31,10 +31,9 @@
 use crate::dataset::Dataset;
 use crate::mem::EvalProfile;
 use crate::par::parallel_map;
-use phishinghook_artifact::ArtifactError;
 use phishinghook_evm::opcodes::op;
 use phishinghook_evm::{CacheBatch, DisasmCache};
-use phishinghook_features::store::{FeatureStore, SpillConfig, StoreConfig, StreamBudget};
+use phishinghook_features::store::{FeatureStore, StoreConfig};
 use std::sync::OnceLock;
 
 /// The geometry slice of an [`EvalProfile`] that shapes the feature store.
@@ -99,32 +98,6 @@ impl EvalContext {
         let fit: Vec<DisasmCache> = fit_idx.iter().map(|&i| caches[i].clone()).collect();
         let store = FeatureStore::new(caches, Some(fit), &store_config(profile));
         Self::assemble(data.labels(), store, profile)
-    }
-
-    /// Like [`EvalContext::new`], but spills the token-window feature
-    /// blocks — the largest matrices a store holds — to their on-disk
-    /// columnar form under `spill` during the build. Trials gather spilled
-    /// rows lazily per (model, run, fold), so corpora whose window blocks
-    /// exceed RAM evaluate with unchanged results and no layout changes in
-    /// the evaluation engine.
-    ///
-    /// # Errors
-    ///
-    /// Spill-file I/O failures, as [`ArtifactError::Io`].
-    pub fn spilled(
-        data: &Dataset,
-        profile: &EvalProfile,
-        spill: &SpillConfig,
-    ) -> Result<Self, ArtifactError> {
-        let caches = CacheBatch::from_caches(data.disasm_batch());
-        // One chunk of every row: the same fan-out as the resident build.
-        let budget = StreamBudget {
-            spill: spill.clone(),
-            resident_rows: caches.len(),
-        };
-        let (store, _) =
-            FeatureStore::build_streaming(caches, None, &store_config(profile), &budget)?;
-        Ok(Self::assemble(data.labels(), store, profile))
     }
 
     /// Builds a context over caches that were already decoded (the batch
@@ -274,29 +247,6 @@ mod tests {
         let labels = vulnerability_labels(&DisasmCache::build(&code));
         assert_eq!(labels[0], 1);
         assert_eq!(labels[1], 0);
-    }
-
-    #[test]
-    fn spilled_context_evaluates_bit_identically() {
-        use crate::mem::{evaluate_trial, ModelKind};
-        let data = dataset();
-        let p = EvalProfile::quick();
-        let resident = EvalContext::new(&data, &p);
-        let dir = std::env::temp_dir().join(format!("phk_evalspill_{}", std::process::id()));
-        let spilled = EvalContext::spilled(&data, &p, &SpillConfig::all(&dir)).unwrap();
-        assert_eq!(
-            spilled.store().spilled_encodings().len(),
-            2,
-            "both token blocks should spill"
-        );
-        let folds = data.stratified_folds(3, 2);
-        let (train_idx, test_idx) = Dataset::fold_indices(&folds, 0);
-        // A token-window model trains and scores straight off the spill
-        // files with metrics bit-identical to the resident store.
-        let a = evaluate_trial(&resident, ModelKind::Gpt2Alpha, &train_idx, &test_idx, 4);
-        let b = evaluate_trial(&spilled, ModelKind::Gpt2Alpha, &train_idx, &test_idx, 4);
-        assert_eq!(a.metrics, b.metrics);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -450,10 +450,7 @@ pub fn evaluate_trial_with(
     assert!(!train_idx.is_empty() && !test_idx.is_empty(), "empty split");
     let (model, train_seconds) = fit_kind(ctx, kind, train_idx, profile, seed);
     let y_test = ctx.gather_labels(test_idx);
-    // Layout-agnostic gather: borrowed views from a resident store, owned
-    // window lists read back from disk when the block is spilled.
-    let gathered = ctx.store().matrix(kind.encoding()).gather(test_idx);
-    let rows_test = gathered.rows();
+    let rows_test = ctx.store().matrix(kind.encoding()).gather_rows(test_idx);
     let t1 = Instant::now();
     let probs = model.predict_proba(&rows_test);
     let infer_seconds = t1.elapsed().as_secs_f64();
@@ -487,8 +484,7 @@ pub(crate) fn fit_kind(
         "profile feature geometry must match the context's store"
     );
     let store = ctx.store();
-    let gathered = store.matrix(kind.encoding()).gather(train_idx);
-    let rows = gathered.rows();
+    let rows = store.matrix(kind.encoding()).gather_rows(train_idx);
     let labels = ctx.gather_labels(train_idx);
     let mut model = kind.build(&store.encoders_for(&[kind.encoding()]), profile, seed);
     let aux = model

@@ -48,10 +48,7 @@ pub use featurizer::{FeatureRow, FeatureVec, Featurizer};
 pub use freq_image::FreqImageEncoder;
 pub use histogram::HistogramEncoder;
 pub use image::R2d2Encoder;
-pub use store::{
-    Encoding, FeatureMatrix, FeatureStore, FittedEncoders, GatheredRows, SpillConfig, StoreConfig,
-    StreamBudget, StreamReport, StreamingSpillWriter,
-};
+pub use store::{Encoding, FeatureMatrix, FeatureStore, FittedEncoders, StoreConfig};
 pub use tokens::{OpcodeTokenizer, SequenceVariant};
 
 // NOTE: the six-encoders-one-decode acceptance test lives in the

@@ -56,8 +56,6 @@ use crate::tokens::{OpcodeTokenizer, SequenceVariant};
 use phishinghook_artifact::{ArtifactError, ByteReader, ByteWriter};
 use phishinghook_evm::{CacheBatch, DisasmCache};
 use phishinghook_linalg::par::parallel_map;
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 /// Geometry knobs of the six encoders (the feature-relevant subset of the
@@ -179,63 +177,6 @@ enum Columns {
         offsets: Vec<usize>,
         windows: Vec<Vec<u32>>,
     },
-    /// A window block spilled to its on-disk columnar form: only the
-    /// offset tables stay resident; window ids are read back per gathered
-    /// row. This is what lets token-window blocks — the largest matrices a
-    /// store holds — leave RAM between trials.
-    SpilledWindows {
-        /// The spill file ([`SPILL_MAGIC`]-headed matrix payload).
-        path: PathBuf,
-        /// `offsets[i]..offsets[i + 1]` = sample `i`'s window range.
-        offsets: Vec<usize>,
-        /// `id_offsets[w]..id_offsets[w + 1]` = window `w`'s id range in
-        /// the file's flat id block.
-        id_offsets: Vec<u64>,
-        /// Byte position of the flat id block inside the file.
-        data_start: u64,
-    },
-}
-
-/// Magic of a standalone spill file: **P**hishing**H**oo**K** **S**pill.
-pub const SPILL_MAGIC: [u8; 4] = *b"PHKS";
-
-/// Spill-file format version (the payload is the [`FeatureMatrix`]
-/// columnar codec, versioned independently of the artifact container).
-pub const SPILL_VERSION: u32 = 1;
-
-/// Rows gathered out of a [`FeatureMatrix`]: borrowed views when the block
-/// is resident, owned window lists freshly read from disk when it is
-/// spilled. Either way, [`GatheredRows::rows`] yields the `FeatureRow`
-/// slice the model layer consumes — callers stay layout-agnostic.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GatheredRows<'a> {
-    /// Borrowed views into a resident matrix.
-    Views(Vec<FeatureRow<'a>>),
-    /// Window lists materialized from a spill file.
-    OwnedWindows(Vec<Vec<Vec<u32>>>),
-}
-
-impl GatheredRows<'_> {
-    /// The gathered row views, in gather order.
-    pub fn rows(&self) -> Vec<FeatureRow<'_>> {
-        match self {
-            GatheredRows::Views(v) => v.clone(),
-            GatheredRows::OwnedWindows(ws) => ws.iter().map(|w| FeatureRow::Windows(w)).collect(),
-        }
-    }
-
-    /// Number of gathered rows.
-    pub fn len(&self) -> usize {
-        match self {
-            GatheredRows::Views(v) => v.len(),
-            GatheredRows::OwnedWindows(ws) => ws.len(),
-        }
-    }
-
-    /// `true` when nothing was gathered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// One encoding of every sample, indexed by sample, sliceable by fold.
@@ -243,6 +184,10 @@ impl GatheredRows<'_> {
 /// Dense and id encodings are packed row-major into a single flat buffer;
 /// window encodings keep a ragged offset table. Rows are borrowed out as
 /// [`FeatureRow`] views and gathered per fold without touching an encoder.
+///
+/// Every index a matrix is asked for is computed inside the process (fold
+/// plans, test splits), so the accessors panic on an out-of-bounds index
+/// or the wrong layout: either is a bug in the caller.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeatureMatrix {
     rows: usize,
@@ -310,66 +255,28 @@ impl FeatureMatrix {
     pub fn width(&self) -> Option<usize> {
         match &self.columns {
             Columns::Dense { width, .. } | Columns::Ids { width, .. } => Some(*width),
-            Columns::Windows { .. } | Columns::SpilledWindows { .. } => None,
+            Columns::Windows { .. } => None,
         }
     }
 
-    /// `true` when this block lives in its on-disk columnar form and rows
-    /// must be materialized through the gather APIs.
-    pub fn is_spilled(&self) -> bool {
-        matches!(self.columns, Columns::SpilledWindows { .. })
-    }
-
-    /// The spill file backing this matrix, when spilled.
-    pub fn spill_path(&self) -> Option<&Path> {
-        match &self.columns {
-            Columns::SpilledWindows { path, .. } => Some(path),
-            _ => None,
-        }
-    }
-
-    fn check_bounds(&self, i: usize) -> Result<(), ArtifactError> {
-        if i < self.rows {
-            Ok(())
-        } else {
-            Err(ArtifactError::Mismatch(format!(
-                "row {i} out of bounds ({} rows)",
-                self.rows
-            )))
-        }
-    }
-
-    /// Borrowed view of sample `i`, or a typed error when `i` is out of
-    /// bounds or the block is spilled (disk rows cannot be borrowed).
-    pub fn try_row(&self, i: usize) -> Result<FeatureRow<'_>, ArtifactError> {
-        self.check_bounds(i)?;
-        match &self.columns {
-            Columns::Dense { width, data } => {
-                Ok(FeatureRow::Dense(&data[i * width..(i + 1) * width]))
-            }
-            Columns::Ids { width, data } => Ok(FeatureRow::Ids(&data[i * width..(i + 1) * width])),
-            Columns::Windows { offsets, windows } => {
-                Ok(FeatureRow::Windows(&windows[offsets[i]..offsets[i + 1]]))
-            }
-            Columns::SpilledWindows { .. } => Err(ArtifactError::Mismatch(
-                "spilled window matrix: rows must be gathered, not borrowed".into(),
-            )),
-        }
+    fn check_bounds(&self, i: usize) {
+        assert!(i < self.rows, "row {i} out of bounds ({} rows)", self.rows);
     }
 
     /// Borrowed view of sample `i`.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of bounds or the block is spilled.
+    /// Panics if `i` is out of bounds.
     pub fn row(&self, i: usize) -> FeatureRow<'_> {
-        self.try_row(i).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Borrowed row views for a fold, in index order, or a typed error on
-    /// an out-of-bounds index or a spilled block.
-    pub fn try_gather_rows(&self, indices: &[usize]) -> Result<Vec<FeatureRow<'_>>, ArtifactError> {
-        indices.iter().map(|&i| self.try_row(i)).collect()
+        self.check_bounds(i);
+        match &self.columns {
+            Columns::Dense { width, data } => FeatureRow::Dense(&data[i * width..(i + 1) * width]),
+            Columns::Ids { width, data } => FeatureRow::Ids(&data[i * width..(i + 1) * width]),
+            Columns::Windows { offsets, windows } => {
+                FeatureRow::Windows(&windows[offsets[i]..offsets[i + 1]])
+            }
+        }
     }
 
     /// Borrowed row views for a fold, in index order — the zero-copy
@@ -377,46 +284,9 @@ impl FeatureMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if an index is out of bounds or the block is spilled.
+    /// Panics if an index is out of bounds.
     pub fn gather_rows(&self, indices: &[usize]) -> Vec<FeatureRow<'_>> {
-        self.try_gather_rows(indices)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Layout-agnostic gather: borrowed views for resident blocks, owned
-    /// window lists read back from disk for spilled blocks. This is the
-    /// one entry point the evaluation engine uses, which is why spilling a
-    /// store requires no changes anywhere above it.
-    pub fn try_gather(&self, indices: &[usize]) -> Result<GatheredRows<'_>, ArtifactError> {
-        match &self.columns {
-            Columns::SpilledWindows { .. } => Ok(GatheredRows::OwnedWindows(
-                self.try_gather_windows(indices)?,
-            )),
-            _ => Ok(GatheredRows::Views(self.try_gather_rows(indices)?)),
-        }
-    }
-
-    /// [`FeatureMatrix::try_gather`] for infallible callers.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-bounds index or a spill-file read failure.
-    pub fn gather(&self, indices: &[usize]) -> GatheredRows<'_> {
-        self.try_gather(indices).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Gathers dense rows into one row-major flat buffer, or a typed error
-    /// on the wrong layout.
-    pub fn try_gather_dense_flat(&self, indices: &[usize]) -> Result<Vec<f32>, ArtifactError> {
-        let Columns::Dense { width, data } = &self.columns else {
-            return Err(ArtifactError::Mismatch("not a dense matrix".into()));
-        };
-        let mut out = Vec::with_capacity(indices.len() * width);
-        for &i in indices {
-            self.check_bounds(i)?;
-            out.extend_from_slice(&data[i * width..(i + 1) * width]);
-        }
-        Ok(out)
+        indices.iter().map(|&i| self.row(i)).collect()
     }
 
     /// Gathers dense rows for a fold into one row-major flat buffer — the
@@ -426,20 +296,15 @@ impl FeatureMatrix {
     ///
     /// Panics if the layout is not dense or an index is out of bounds.
     pub fn gather_dense_flat(&self, indices: &[usize]) -> Vec<f32> {
-        self.try_gather_dense_flat(indices)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Gathers id rows for a fold, in index order, or a typed error on the
-    /// wrong layout.
-    pub fn try_gather_ids(&self, indices: &[usize]) -> Result<Vec<Vec<u32>>, ArtifactError> {
-        indices
-            .iter()
-            .map(|&i| match self.try_row(i)? {
-                FeatureRow::Ids(r) => Ok(r.to_vec()),
-                _ => Err(ArtifactError::Mismatch("not an id matrix".into())),
-            })
-            .collect()
+        let Columns::Dense { width, data } = &self.columns else {
+            panic!("not a dense matrix");
+        };
+        let mut out = Vec::with_capacity(indices.len() * width);
+        for &i in indices {
+            self.check_bounds(i);
+            out.extend_from_slice(&data[i * width..(i + 1) * width]);
+        }
+        out
     }
 
     /// Gathers id rows for a fold, in index order.
@@ -448,459 +313,28 @@ impl FeatureMatrix {
     ///
     /// Panics if the layout is not ids or an index is out of bounds.
     pub fn gather_ids(&self, indices: &[usize]) -> Vec<Vec<u32>> {
-        self.try_gather_ids(indices)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Gathers per-sample window lists for a fold, in index order. For a
-    /// spilled block this reads exactly the requested rows back from the
-    /// spill file; resident blocks copy out of RAM.
-    pub fn try_gather_windows(
-        &self,
-        indices: &[usize],
-    ) -> Result<Vec<Vec<Vec<u32>>>, ArtifactError> {
-        match &self.columns {
-            Columns::SpilledWindows {
-                path,
-                offsets,
-                id_offsets,
-                data_start,
-            } => {
-                let mut file = std::fs::File::open(path)?;
-                let mut out = Vec::with_capacity(indices.len());
-                for &i in indices {
-                    self.check_bounds(i)?;
-                    let (w0, w1) = (offsets[i], offsets[i + 1]);
-                    let (first, last) = (id_offsets[w0], id_offsets[w1]);
-                    let mut raw = vec![0u8; (last - first) as usize * 4];
-                    file.seek(SeekFrom::Start(data_start + first * 4))?;
-                    file.read_exact(&mut raw)?;
-                    let ids: Vec<u32> = raw
-                        .chunks_exact(4)
-                        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                        .collect();
-                    let row: Vec<Vec<u32>> = (w0..w1)
-                        .map(|w| {
-                            let a = (id_offsets[w] - first) as usize;
-                            let b = (id_offsets[w + 1] - first) as usize;
-                            ids[a..b].to_vec()
-                        })
-                        .collect();
-                    out.push(row);
-                }
-                Ok(out)
-            }
-            _ => indices
-                .iter()
-                .map(|&i| match self.try_row(i)? {
-                    FeatureRow::Windows(w) => Ok(w.to_vec()),
-                    _ => Err(ArtifactError::Mismatch("not a window matrix".into())),
-                })
-                .collect(),
-        }
+        indices
+            .iter()
+            .map(|&i| match self.row(i) {
+                FeatureRow::Ids(r) => r.to_vec(),
+                _ => panic!("not an id matrix"),
+            })
+            .collect()
     }
 
     /// Gathers per-sample window lists for a fold, in index order.
     ///
     /// # Panics
     ///
-    /// Panics if the layout is not windows, an index is out of bounds, or
-    /// a spill-file read fails.
+    /// Panics if the layout is not windows or an index is out of bounds.
     pub fn gather_windows(&self, indices: &[usize]) -> Vec<Vec<Vec<u32>>> {
-        self.try_gather_windows(indices)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Total scalar count held by the store (diagnostics/benches). Spilled
-    /// blocks report their on-disk scalar count.
-    pub fn scalar_count(&self) -> usize {
-        match &self.columns {
-            Columns::Dense { data, .. } => data.len(),
-            Columns::Ids { data, .. } => data.len(),
-            Columns::Windows { windows, .. } => windows.iter().map(Vec::len).sum(),
-            Columns::SpilledWindows { id_offsets, .. } => {
-                id_offsets.last().copied().unwrap_or(0) as usize
-            }
-        }
-    }
-
-    /// Serializes the matrix in its on-disk columnar form — the same
-    /// layout [`FeatureMatrix::spill_to`] writes, so an embedded artifact
-    /// section and a standalone spill file share one codec.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Mismatch`] when the block is already spilled (its
-    /// bytes are the spill file; re-encode by gathering).
-    pub fn write_state(&self, w: &mut ByteWriter) -> Result<(), ArtifactError> {
-        w.put_usize(self.rows);
-        match &self.columns {
-            Columns::Dense { width, data } => {
-                w.put_u8(0);
-                w.put_usize(*width);
-                w.put_f32_slice(data);
-            }
-            Columns::Ids { width, data } => {
-                w.put_u8(1);
-                w.put_usize(*width);
-                w.put_u32_slice(data);
-            }
-            Columns::Windows { offsets, windows } => {
-                let id_offsets = window_id_offsets(windows);
-                write_windows_header(w, offsets, &id_offsets);
-                for win in windows {
-                    for &id in win {
-                        w.put_u32(id);
-                    }
-                }
-            }
-            Columns::SpilledWindows { .. } => {
-                return Err(ArtifactError::Mismatch(
-                    "matrix is spilled; its on-disk form is the spill file itself".into(),
-                ))
-            }
-        }
-        Ok(())
-    }
-
-    /// Decodes a matrix from its on-disk columnar form into RAM.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Corrupt`] on truncation, an unknown layout tag, or
-    /// inconsistent offset tables.
-    pub fn read_state(r: &mut ByteReader<'_>) -> Result<Self, ArtifactError> {
-        let rows = r.take_usize()?;
-        let tag = r.take_u8()?;
-        let columns = match tag {
-            0 => {
-                let width = r.take_usize()?;
-                let data = r.take_f32_slice()?;
-                if data.len() != rows * width {
-                    return Err(ArtifactError::Corrupt(format!(
-                        "dense block holds {} values for {rows}x{width}",
-                        data.len()
-                    )));
-                }
-                Columns::Dense { width, data }
-            }
-            1 => {
-                let width = r.take_usize()?;
-                let data = r.take_u32_slice()?;
-                if data.len() != rows * width {
-                    return Err(ArtifactError::Corrupt(format!(
-                        "id block holds {} values for {rows}x{width}",
-                        data.len()
-                    )));
-                }
-                Columns::Ids { width, data }
-            }
-            2 => {
-                let offsets64 = r.take_u64_slice()?;
-                let id_offsets = r.take_u64_slice()?;
-                let total = r.take_usize()?;
-                // Every id occupies 4 payload bytes; bounding the total
-                // keeps crafted offset tables from forcing huge
-                // per-window pre-allocations below.
-                if total.checked_mul(4).is_none_or(|b| b > r.remaining()) {
-                    return Err(ArtifactError::Corrupt(format!(
-                        "window block claims {total} ids beyond the payload"
-                    )));
-                }
-                let (offsets, n_windows) =
-                    validate_window_offsets(rows, &offsets64, &id_offsets, total as u64)?;
-                let mut windows = Vec::with_capacity(n_windows);
-                for w in 0..n_windows {
-                    let len = (id_offsets[w + 1] - id_offsets[w]) as usize;
-                    let mut win = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        win.push(r.take_u32()?);
-                    }
-                    windows.push(win);
-                }
-                Columns::Windows { offsets, windows }
-            }
-            other => {
-                return Err(ArtifactError::Corrupt(format!(
-                    "unknown matrix layout tag {other}"
-                )))
-            }
-        };
-        Ok(FeatureMatrix { rows, columns })
-    }
-
-    /// Writes a windows-layout matrix to `path` in its on-disk columnar
-    /// form and returns the spilled handle: offset tables resident, window
-    /// ids on disk, gathered lazily per trial.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Mismatch`] for non-window layouts (dense and id
-    /// blocks are small; spilling them is not supported), plus any I/O
-    /// failure.
-    pub fn spill_to(&self, path: impl AsRef<Path>) -> Result<FeatureMatrix, ArtifactError> {
-        let Columns::Windows { offsets, windows } = &self.columns else {
-            return Err(ArtifactError::Mismatch(
-                "only window blocks spill to disk".into(),
-            ));
-        };
-        let path = path.as_ref().to_path_buf();
-        let id_offsets = window_id_offsets(windows);
-
-        // The header is tiny (offset tables); only it is materialized.
-        // The id block — the part worth spilling — streams window by
-        // window, so spilling never doubles the block's RAM footprint.
-        let mut header = ByteWriter::new();
-        header.put_raw(&SPILL_MAGIC);
-        header.put_u32(SPILL_VERSION);
-        header.put_usize(self.rows);
-        write_windows_header(&mut header, offsets, &id_offsets);
-        let data_start = header.len() as u64;
-        debug_assert_eq!(
-            data_start,
-            spill_data_start(offsets.len(), id_offsets.len())
-        );
-        let file = std::fs::File::create(&path)?;
-        let mut out = std::io::BufWriter::new(file);
-        out.write_all(header.as_bytes())?;
-        for win in windows {
-            for &id in win {
-                out.write_all(&id.to_le_bytes())?;
-            }
-        }
-        out.into_inner().map_err(|e| e.into_error())?.sync_data()?;
-
-        Ok(FeatureMatrix {
-            rows: self.rows,
-            columns: Columns::SpilledWindows {
-                path,
-                offsets: offsets.clone(),
-                id_offsets,
-                data_start,
-            },
-        })
-    }
-}
-
-/// Cumulative per-window id counts (`id_offsets[w]..id_offsets[w + 1]` =
-/// window `w`'s id range), the second offset table of the windows layout.
-fn window_id_offsets(windows: &[Vec<u32>]) -> Vec<u64> {
-    let mut id_offsets = Vec::with_capacity(windows.len() + 1);
-    let mut total = 0u64;
-    id_offsets.push(0);
-    for win in windows {
-        total += win.len() as u64;
-        id_offsets.push(total);
-    }
-    id_offsets
-}
-
-/// The windows-layout wire prefix shared by the embedded codec
-/// ([`FeatureMatrix::write_state`]) and the streaming spill writer: layout
-/// tag, row-offset table, id-offset table, total id count. The flat `u32`
-/// id block follows immediately.
-fn write_windows_header(w: &mut ByteWriter, offsets: &[usize], id_offsets: &[u64]) {
-    w.put_u8(2);
-    let offsets64: Vec<u64> = offsets.iter().map(|&o| o as u64).collect();
-    w.put_u64_slice(&offsets64);
-    w.put_u64_slice(id_offsets);
-    w.put_usize(id_offsets.last().copied().unwrap_or(0) as usize);
-}
-
-/// Byte position of the flat id block inside a spill file, derived from
-/// the single place that knows the prefix layout: magic + version + rows +
-/// [`write_windows_header`]'s tag, two count-prefixed `u64` tables and the
-/// id-count field.
-fn spill_data_start(n_row_offsets: usize, n_id_offsets: usize) -> u64 {
-    (4 + 4) + (8 + 1) + (8 + 8 * n_row_offsets as u64) + (8 + 8 * n_id_offsets as u64) + 8
-}
-
-/// Checks the two window offset tables against each other: monotone,
-/// zero-based, mutually consistent, covering `total` ids.
-fn validate_window_offsets(
-    rows: usize,
-    offsets64: &[u64],
-    id_offsets: &[u64],
-    total: u64,
-) -> Result<(Vec<usize>, usize), ArtifactError> {
-    if offsets64.len() != rows + 1 || offsets64.first() != Some(&0) {
-        return Err(ArtifactError::Corrupt(format!(
-            "window offset table holds {} entries for {rows} rows",
-            offsets64.len()
-        )));
-    }
-    if offsets64.windows(2).any(|p| p[0] > p[1]) {
-        return Err(ArtifactError::Corrupt(
-            "window offsets are not monotone".into(),
-        ));
-    }
-    let n_windows = *offsets64.last().unwrap() as usize;
-    if id_offsets.len() != n_windows + 1
-        || id_offsets.first() != Some(&0)
-        || id_offsets.windows(2).any(|p| p[0] > p[1])
-        || *id_offsets.last().unwrap() != total
-    {
-        return Err(ArtifactError::Corrupt(format!(
-            "id offset table holds {} entries for {n_windows} windows ({total} ids)",
-            id_offsets.len()
-        )));
-    }
-    Ok((offsets64.iter().map(|&o| o as usize).collect(), n_windows))
-}
-
-/// Incremental spill writer: accepts one sample's window list at a time
-/// and produces a spill file **byte-identical** to
-/// [`FeatureMatrix::spill_to`]'s without ever materializing the window
-/// block in RAM.
-///
-/// The spill format puts the offset tables *before* the flat id block, so
-/// a single forward pass cannot write the final file directly (the tables
-/// are only complete at the end). Ids therefore stream into a sidecar
-/// `<path>.data` file as rows arrive — the only resident state is the two
-/// offset tables, which stay resident in the spilled handle anyway — and
-/// [`StreamingSpillWriter::finish`] assembles header + sidecar into the
-/// final file with a bounded copy buffer.
-#[derive(Debug)]
-pub struct StreamingSpillWriter {
-    path: PathBuf,
-    data_path: PathBuf,
-    data: std::io::BufWriter<std::fs::File>,
-    offsets: Vec<usize>,
-    id_offsets: Vec<u64>,
-}
-
-impl StreamingSpillWriter {
-    /// Opens a writer targeting `path`; the sidecar id file is created
-    /// next to it immediately.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O failure creating the sidecar, as [`ArtifactError::Io`].
-    pub fn create(path: impl AsRef<Path>) -> Result<Self, ArtifactError> {
-        let path = path.as_ref().to_path_buf();
-        let mut data_path = path.clone().into_os_string();
-        data_path.push(".data");
-        let data_path = PathBuf::from(data_path);
-        let data = std::io::BufWriter::new(std::fs::File::create(&data_path)?);
-        Ok(StreamingSpillWriter {
-            path,
-            data_path,
-            data,
-            offsets: vec![0],
-            id_offsets: vec![0],
-        })
-    }
-
-    /// Appends one sample's window list; its ids leave RAM immediately.
-    ///
-    /// # Errors
-    ///
-    /// Any sidecar write failure, as [`ArtifactError::Io`].
-    pub fn push_row(&mut self, windows: &[Vec<u32>]) -> Result<(), ArtifactError> {
-        for win in windows {
-            for &id in win {
-                self.data.write_all(&id.to_le_bytes())?;
-            }
-            let prev = *self.id_offsets.last().unwrap();
-            self.id_offsets.push(prev + win.len() as u64);
-        }
-        self.offsets
-            .push(self.offsets.last().unwrap() + windows.len());
-        Ok(())
-    }
-
-    /// Window ids streamed to the sidecar so far.
-    pub fn total_ids(&self) -> u64 {
-        *self.id_offsets.last().unwrap()
-    }
-
-    /// Flushes and closes the sidecar, handing back the writer's parts.
-    fn close_data(self) -> Result<(PathBuf, PathBuf, Vec<usize>, Vec<u64>), ArtifactError> {
-        let StreamingSpillWriter {
-            path,
-            data_path,
-            data,
-            offsets,
-            id_offsets,
-        } = self;
-        data.into_inner().map_err(|e| e.into_error())?;
-        Ok((path, data_path, offsets, id_offsets))
-    }
-
-    /// Assembles the final spill file — header (magic, version, offset
-    /// tables) followed by the streamed id block — removes the sidecar,
-    /// and returns the spilled handle. The file is byte-identical to what
-    /// [`FeatureMatrix::spill_to`] writes for the same rows.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O failure, as [`ArtifactError::Io`].
-    pub fn finish(self) -> Result<FeatureMatrix, ArtifactError> {
-        let (path, data_path, offsets, id_offsets) = self.close_data()?;
-        let rows = offsets.len() - 1;
-        let mut header = ByteWriter::new();
-        header.put_raw(&SPILL_MAGIC);
-        header.put_u32(SPILL_VERSION);
-        header.put_usize(rows);
-        write_windows_header(&mut header, &offsets, &id_offsets);
-        let data_start = header.len() as u64;
-        debug_assert_eq!(
-            data_start,
-            spill_data_start(offsets.len(), id_offsets.len())
-        );
-        let file = std::fs::File::create(&path)?;
-        let mut out = std::io::BufWriter::new(file);
-        out.write_all(header.as_bytes())?;
-        let mut src = std::fs::File::open(&data_path)?;
-        // io::copy moves the id block through a fixed-size buffer; the
-        // block itself never becomes resident.
-        std::io::copy(&mut src, &mut out)?;
-        out.into_inner().map_err(|e| e.into_error())?.sync_data()?;
-        drop(src);
-        std::fs::remove_file(&data_path)?;
-        Ok(FeatureMatrix {
-            rows,
-            columns: Columns::SpilledWindows {
-                path,
-                offsets,
-                id_offsets,
-                data_start,
-            },
-        })
-    }
-
-    /// Reads the streamed block back into a *resident* windows matrix and
-    /// removes the sidecar — the under-threshold exit, mirroring the batch
-    /// builder's decision to keep small blocks in RAM.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Corrupt`] if the sidecar length disagrees with the
-    /// offset tables, plus any I/O failure.
-    pub fn into_resident(self) -> Result<FeatureMatrix, ArtifactError> {
-        let (_path, data_path, offsets, id_offsets) = self.close_data()?;
-        let rows = offsets.len() - 1;
-        let total = *id_offsets.last().unwrap() as usize;
-        let bytes = std::fs::read(&data_path)?;
-        std::fs::remove_file(&data_path)?;
-        if bytes.len() != total * 4 {
-            return Err(ArtifactError::Corrupt(format!(
-                "spill sidecar holds {} bytes for {total} ids",
-                bytes.len()
-            )));
-        }
-        let ids: Vec<u32> = bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let windows: Vec<Vec<u32>> = id_offsets
-            .windows(2)
-            .map(|p| ids[p[0] as usize..p[1] as usize].to_vec())
-            .collect();
-        Ok(FeatureMatrix {
-            rows,
-            columns: Columns::Windows { offsets, windows },
-        })
+        indices
+            .iter()
+            .map(|&i| match self.row(i) {
+                FeatureRow::Windows(w) => w.to_vec(),
+                _ => panic!("not a window matrix"),
+            })
+            .collect()
     }
 }
 
@@ -1114,53 +548,6 @@ impl FittedEncoders {
     }
 }
 
-/// Where and when a [`FeatureStore`] spills window blocks to their
-/// on-disk columnar form during the build.
-#[derive(Debug, Clone)]
-pub struct SpillConfig {
-    /// Directory the spill files are written into (one file per spilled
-    /// encoding, named `<encoding>.phkspill`). The caller owns the
-    /// directory's lifetime; dropping the store does not delete files.
-    pub dir: PathBuf,
-    /// Blocks whose scalar payload is at least this many bytes are
-    /// spilled. `0` spills every window block (useful in tests).
-    pub threshold_bytes: usize,
-}
-
-impl SpillConfig {
-    /// Spills every window block into `dir`.
-    pub fn all(dir: impl Into<PathBuf>) -> Self {
-        SpillConfig {
-            dir: dir.into(),
-            threshold_bytes: 0,
-        }
-    }
-}
-
-/// RAM budget of a streaming store build
-/// ([`FeatureStore::build_streaming`]).
-#[derive(Debug, Clone)]
-pub struct StreamBudget {
-    /// Spill destination and threshold (see [`SpillConfig`]).
-    pub spill: SpillConfig,
-    /// Hard cap on how many samples' token-window blocks may be resident
-    /// at once during the build: windows are encoded in chunks of at most
-    /// this many rows and streamed to disk before the next chunk is
-    /// encoded. Clamped to at least 1.
-    pub resident_rows: usize,
-}
-
-/// What a streaming build actually did — the observability half of the
-/// RAM-bound contract (tests assert `peak_resident_rows` never exceeds
-/// the configured budget, at any chain length).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamReport {
-    /// Most token-window rows resident at any instant during the build.
-    pub peak_resident_rows: usize,
-    /// Encode-and-flush chunks across both token encodings.
-    pub flushes: usize,
-}
-
 /// One dataset's decoded caches plus, per encoding, its column store —
 /// each encoder fitted and each matrix packed on first use, so a store
 /// pays only for the encodings its consumers read.
@@ -1192,91 +579,6 @@ impl FeatureStore {
             encoders: Default::default(),
             matrices: Default::default(),
         }
-    }
-
-    /// Like [`FeatureStore::new`], but builds every matrix up front under a
-    /// **RAM bound**: the token-window blocks — the largest matrices a
-    /// store holds, and the only ones that grow with contract size rather
-    /// than staying O(rows × fixed width) — are encoded in chunks of at most `budget.resident_rows` samples
-    /// and streamed to disk through a [`StreamingSpillWriter`] before the
-    /// next chunk is encoded, so peak window residency is
-    /// `budget.resident_rows` no matter how long the chain is. Trials
-    /// gather spilled rows lazily through [`FeatureMatrix::gather`], so
-    /// corpora larger than RAM evaluate with no layout changes anywhere
-    /// above the store.
-    ///
-    /// The resulting store is **bit-identical** to [`FeatureStore::new`]
-    /// followed by [`FeatureMatrix::spill_to`] on each token block whose
-    /// payload reaches `budget.spill.threshold_bytes`: same encoder tables,
-    /// same matrices, same spill-file bytes. Blocks under the threshold
-    /// are read back resident at the end.
-    ///
-    /// Returns the store plus a [`StreamReport`] carrying the observed
-    /// peak residency.
-    ///
-    /// # Errors
-    ///
-    /// Any spill-file I/O failure, as [`ArtifactError::Io`].
-    pub fn build_streaming(
-        caches: CacheBatch,
-        fit: Option<Vec<DisasmCache>>,
-        config: &StoreConfig,
-        budget: &StreamBudget,
-    ) -> Result<(Self, StreamReport), ArtifactError> {
-        let store = FeatureStore::new(caches, fit, config);
-        std::fs::create_dir_all(&budget.spill.dir)?;
-        let chunk_rows = budget.resident_rows.max(1);
-        let mut report = StreamReport {
-            peak_resident_rows: 0,
-            flushes: 0,
-        };
-        for encoding in [Encoding::TokensTruncate, Encoding::TokensWindows] {
-            let encoders = store.encoder(encoding);
-            let path = budget
-                .spill
-                .dir
-                .join(format!("{}.phkspill", encoding.name()));
-            let mut writer = StreamingSpillWriter::create(&path)?;
-            for chunk in store.caches.as_slice().chunks(chunk_rows) {
-                let rows = parallel_map(chunk, |c| encoders.encode(c, encoding));
-                report.peak_resident_rows = report.peak_resident_rows.max(rows.len());
-                report.flushes += 1;
-                for row in &rows {
-                    match row {
-                        FeatureVec::Windows(w) => writer.push_row(w)?,
-                        _ => unreachable!("token encodings produce window rows"),
-                    }
-                }
-            }
-            // Blocks under the byte threshold stay in RAM.
-            let matrix =
-                if (writer.total_ids() as usize).saturating_mul(4) < budget.spill.threshold_bytes {
-                    writer.into_resident()?
-                } else {
-                    writer.finish()?
-                };
-            store.matrices[encoding.index()]
-                .set(matrix)
-                .expect("a fresh store has packed nothing");
-        }
-        // The five fixed-width encodings are O(rows × width) — kilobytes
-        // per thousand contracts — and stay resident.
-        for encoding in Encoding::ALL {
-            store.matrix(encoding);
-        }
-        Ok((store, report))
-    }
-
-    /// The encodings currently living in their on-disk spilled form.
-    pub fn spilled_encodings(&self) -> Vec<Encoding> {
-        Encoding::ALL
-            .into_iter()
-            .filter(|e| {
-                self.matrices[e.index()]
-                    .get()
-                    .is_some_and(FeatureMatrix::is_spilled)
-            })
-            .collect()
     }
 
     /// Number of samples in the store.
@@ -1421,7 +723,8 @@ mod tests {
         let g = m.gather_windows(&[1, 0]);
         assert_eq!(g[0], vec![vec![5, 6]]);
         assert_eq!(g[1], vec![vec![1, 2], vec![3, 4]]);
-        assert_eq!(m.scalar_count(), 6);
+        let scalars: usize = m.gather_rows(&[0, 1]).iter().map(FeatureRow::len).sum();
+        assert_eq!(scalars, 6);
     }
 
     #[test]
@@ -1497,254 +800,30 @@ mod tests {
         FeatureMatrix::from_vecs(vec![FeatureVec::Dense(vec![1.0]), FeatureVec::Ids(vec![1])]);
     }
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir()
-            .join("phk_store_tests")
-            .join(format!("{tag}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    #[test]
+    #[should_panic(expected = "row 3 out of bounds (3 rows)")]
+    fn out_of_bounds_row_panics() {
+        small_store().matrix(Encoding::Histogram).row(3);
     }
 
     #[test]
-    fn matrix_codec_round_trips_all_layouts() {
-        let store = small_store();
-        for encoding in Encoding::ALL {
-            let m = store.matrix(encoding);
-            let mut w = ByteWriter::new();
-            m.write_state(&mut w).unwrap();
-            let mut r = ByteReader::new(w.as_bytes());
-            let back = FeatureMatrix::read_state(&mut r).unwrap();
-            r.expect_exhausted("matrix").unwrap();
-            assert_eq!(&back, m, "{encoding:?}");
-        }
+    #[should_panic(expected = "not an id matrix")]
+    fn gather_ids_on_a_dense_matrix_panics() {
+        small_store().matrix(Encoding::Histogram).gather_ids(&[0]);
     }
 
     #[test]
-    fn corrupt_matrix_payload_is_an_error() {
-        let store = small_store();
-        let mut w = ByteWriter::new();
-        store
-            .matrix(Encoding::Histogram)
-            .write_state(&mut w)
-            .unwrap();
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes[..bytes.len() - 3]);
-        assert!(FeatureMatrix::read_state(&mut r).is_err());
-        // Unknown layout tag.
-        let mut bad = ByteWriter::new();
-        bad.put_usize(1);
-        bad.put_u8(9);
-        let bytes = bad.into_bytes();
-        assert!(matches!(
-            FeatureMatrix::read_state(&mut ByteReader::new(&bytes)),
-            Err(ArtifactError::Corrupt(_))
-        ));
+    #[should_panic(expected = "not a dense matrix")]
+    fn gather_dense_flat_on_an_id_matrix_panics() {
+        small_store()
+            .matrix(Encoding::Bigram)
+            .gather_dense_flat(&[0]);
     }
 
     #[test]
-    fn spilled_windows_gather_identically_and_lazily() {
-        let caches = caches();
-        let cfg = small_config();
-        let store = store_over(&caches, &cfg);
-        let dir = temp_dir("spill_gather");
-        for encoding in [Encoding::TokensTruncate, Encoding::TokensWindows] {
-            let resident = store.matrix(encoding);
-            let spilled = resident
-                .spill_to(dir.join(format!("{}.phkspill", encoding.name())))
-                .unwrap();
-            assert!(spilled.is_spilled() && !resident.is_spilled());
-            assert_eq!(spilled.rows(), resident.rows());
-            assert_eq!(spilled.width(), None);
-            assert_eq!(spilled.scalar_count(), resident.scalar_count());
-            let idx = [2usize, 0, 1];
-            assert_eq!(
-                spilled.gather_windows(&idx),
-                resident.gather_windows(&idx),
-                "{encoding:?}: spilled gather must be bit-identical"
-            );
-            // The layout-agnostic gather agrees row-for-row.
-            let a = spilled.gather(&idx);
-            let b = resident.gather(&idx);
-            assert_eq!(a.rows(), b.rows());
-            // Borrowed access is a typed error, not a panic.
-            assert!(matches!(
-                spilled.try_row(0),
-                Err(ArtifactError::Mismatch(_))
-            ));
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn streaming_spill_writer_matches_the_embedded_codec() {
-        // spill_to streams the id block instead of materializing the
-        // serialized form; the bytes it produces must stay identical to
-        // magic + version + write_state, or spilled gathers would read
-        // from the wrong offsets.
-        let store = small_store();
-        let dir = temp_dir("spill_sync");
-        let matrix = store.matrix(Encoding::TokensWindows);
-        let path = dir.join("sync.phkspill");
-        matrix.spill_to(&path).unwrap();
-        let mut expected = ByteWriter::new();
-        expected.put_raw(&SPILL_MAGIC);
-        expected.put_u32(SPILL_VERSION);
-        matrix.write_state(&mut expected).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), expected.into_bytes());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn build_spilled_store_evaluates_like_the_resident_store() {
-        let caches = caches();
-        let cfg = small_config();
-        let resident = store_over(&caches, &cfg);
-        let dir = temp_dir("spill_build");
-        let unbounded = |spill: SpillConfig| {
-            let budget = StreamBudget {
-                spill,
-                resident_rows: caches.len(),
-            };
-            FeatureStore::build_streaming(
-                CacheBatch::from_caches(caches.clone()),
-                None,
-                &cfg,
-                &budget,
-            )
-            .unwrap()
-            .0
-        };
-        let spilled = unbounded(SpillConfig::all(&dir));
-        assert_eq!(
-            spilled.spilled_encodings(),
-            vec![Encoding::TokensTruncate, Encoding::TokensWindows]
-        );
-        let idx: Vec<usize> = (0..caches.len()).collect();
-        for encoding in Encoding::ALL {
-            assert_eq!(
-                spilled.matrix(encoding).gather(&idx).rows(),
-                resident.matrix(encoding).gather(&idx).rows(),
-                "{encoding:?}"
-            );
-        }
-        // A large threshold spills nothing.
-        let none = unbounded(SpillConfig {
-            dir: dir.clone(),
-            threshold_bytes: usize::MAX,
-        });
-        assert!(none.spilled_encodings().is_empty());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn streaming_build_is_bit_identical_to_batch_build() {
-        let caches = caches();
-        let cfg = small_config();
-        let batch_dir = temp_dir("stream_batch");
-        let stream_dir = temp_dir("stream_stream");
-        // The reference: the resident build, then each token block
-        // spilled whole with `spill_to`.
-        let batch = store_over(&caches, &cfg);
-        let batch_spill_bytes = |encoding: Encoding| {
-            let path = batch_dir.join(format!("{}.phkspill", encoding.name()));
-            batch.matrix(encoding).spill_to(&path).unwrap();
-            std::fs::read(path).unwrap()
-        };
-        let batch_spills = [
-            batch_spill_bytes(Encoding::TokensTruncate),
-            batch_spill_bytes(Encoding::TokensWindows),
-        ];
-        for budget_rows in [1usize, 2, 7] {
-            let (streamed, report) = FeatureStore::build_streaming(
-                CacheBatch::from_caches(caches.clone()),
-                None,
-                &cfg,
-                &StreamBudget {
-                    spill: SpillConfig::all(&stream_dir),
-                    resident_rows: budget_rows,
-                },
-            )
-            .unwrap();
-            assert!(
-                report.peak_resident_rows <= budget_rows,
-                "budget {budget_rows}: peak {}",
-                report.peak_resident_rows
-            );
-            let idx: Vec<usize> = (0..caches.len()).collect();
-            for encoding in Encoding::ALL {
-                assert_eq!(
-                    streamed.matrix(encoding).gather(&idx).rows(),
-                    batch.matrix(encoding).gather(&idx).rows(),
-                    "{encoding:?} (budget {budget_rows})"
-                );
-            }
-            // The spill files themselves are byte-identical to spilling
-            // the resident build's blocks.
-            for (encoding, expected) in [Encoding::TokensTruncate, Encoding::TokensWindows]
-                .into_iter()
-                .zip(&batch_spills)
-            {
-                assert_eq!(
-                    &std::fs::read(streamed.matrix(encoding).spill_path().unwrap()).unwrap(),
-                    expected,
-                    "{encoding:?} spill bytes (budget {budget_rows})"
-                );
-            }
-            // No sidecar survives a finished build.
-            assert!(std::fs::read_dir(&stream_dir).unwrap().all(|e| !e
-                .unwrap()
-                .file_name()
-                .to_string_lossy()
-                .ends_with(".data")));
-        }
-        // Under-threshold blocks come back resident, bit-for-bit.
-        let (kept, _) = FeatureStore::build_streaming(
-            CacheBatch::from_caches(caches.clone()),
-            None,
-            &cfg,
-            &StreamBudget {
-                spill: SpillConfig {
-                    dir: stream_dir.clone(),
-                    threshold_bytes: usize::MAX,
-                },
-                resident_rows: 2,
-            },
-        )
-        .unwrap();
-        assert!(kept.spilled_encodings().is_empty());
-        for encoding in [Encoding::TokensTruncate, Encoding::TokensWindows] {
-            assert_eq!(kept.matrix(encoding), batch.matrix(encoding));
-        }
-        std::fs::remove_dir_all(&batch_dir).ok();
-        std::fs::remove_dir_all(&stream_dir).ok();
-    }
-
-    #[test]
-    fn try_accessors_return_typed_errors() {
-        let store = small_store();
-        let hist = store.matrix(Encoding::Histogram);
-        assert!(hist.try_row(0).is_ok());
-        assert!(matches!(hist.try_row(999), Err(ArtifactError::Mismatch(_))));
-        assert!(matches!(
-            hist.try_gather_ids(&[0]),
-            Err(ArtifactError::Mismatch(_))
-        ));
-        assert!(matches!(
-            store.matrix(Encoding::Bigram).try_gather_dense_flat(&[0]),
-            Err(ArtifactError::Mismatch(_))
-        ));
-        assert!(matches!(
-            store.matrix(Encoding::Escort).try_gather_windows(&[0]),
-            Err(ArtifactError::Mismatch(_))
-        ));
-        // The Ok sides agree with the panicking accessors.
-        assert_eq!(
-            store
-                .matrix(Encoding::Bigram)
-                .try_gather_ids(&[1, 0])
-                .unwrap(),
-            store.matrix(Encoding::Bigram).gather_ids(&[1, 0])
-        );
+    #[should_panic(expected = "not a window matrix")]
+    fn gather_windows_on_a_dense_matrix_panics() {
+        small_store().matrix(Encoding::Escort).gather_windows(&[0]);
     }
 
     #[test]

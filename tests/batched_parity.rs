@@ -19,8 +19,7 @@ fn batched_inference_is_bit_identical_for_all_sixteen_kinds() {
 
     for kind in ModelKind::ALL {
         // Train through the same factory + gather sequence as the engine.
-        let train_gathered = store.matrix(kind.encoding()).gather(&train_idx);
-        let train_rows = train_gathered.rows();
+        let train_rows = store.matrix(kind.encoding()).gather_rows(&train_idx);
         let labels: Vec<u8> = train_idx.iter().map(|&i| ctx.labels()[i]).collect();
         let mut model = kind.build(&store.encoders_for(&[kind.encoding()]), ctx.profile(), 8);
         if model.wants_pretraining() {
@@ -28,8 +27,7 @@ fn batched_inference_is_bit_identical_for_all_sixteen_kinds() {
         }
         model.fit(&train_rows, &labels);
 
-        let test_gathered = store.matrix(kind.encoding()).gather(&test_idx);
-        let test_rows = test_gathered.rows();
+        let test_rows = store.matrix(kind.encoding()).gather_rows(&test_idx);
         let batched = model.predict_proba(&test_rows);
         assert_eq!(batched.len(), test_rows.len(), "{kind}: one score per row");
         // A sample's score is invariant to the batch it rides in.

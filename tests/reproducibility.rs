@@ -51,16 +51,3 @@ fn different_seeds_change_the_folds() {
     let b = dataset.stratified_folds(5, 2);
     assert_ne!(a, b);
 }
-
-#[test]
-fn dataset_csv_round_trips_content_hash() {
-    let corpus = generate_corpus(&CorpusConfig::small(11));
-    let chain = SimulatedChain::from_corpus(&corpus);
-    let (dataset, _) = extract_dataset(&chain, &BemConfig::default());
-    let csv = dataset.to_csv();
-    // Every row's hash column matches the recomputed content hash.
-    for (line, sample) in csv.lines().skip(1).zip(&dataset.samples) {
-        let hash = line.split(',').next().unwrap();
-        assert_eq!(hash, format!("{:016x}", sample.bytecode.content_hash()));
-    }
-}

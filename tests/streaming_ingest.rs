@@ -1,20 +1,15 @@
 //! End-to-end streaming ingestion & online adaptation: the injected
 //! drift scenario runs shift → `DriftSignal` → sliding-window retrain →
 //! atomic republish → live hot-swap, with client traffic in flight the
-//! whole time and zero dropped requests; plus property tests pinning the
-//! bounded-RAM streaming store build bit-identical to the batch build
-//! across random corpora and budgets.
+//! whole time and zero dropped requests.
 
 use phishinghook::drift::DriftConfig;
 use phishinghook::json::Value;
 use phishinghook::prelude::*;
 use phishinghook::EvalProfile;
 use phishinghook_artifact::publish::ArtifactPublisher;
-use phishinghook_evm::{CacheBatch, DisasmCache};
-use phishinghook_features::{Encoding, FeatureStore, SpillConfig, StoreConfig, StreamBudget};
 use phishinghook_ingest::{baseline_detector, DriftScenario, IngestConfig, OnlinePipeline};
 use phishinghook_serve::{Server, ServerConfig};
-use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -222,87 +217,4 @@ fn drift_retrain_republish_hot_swap_with_zero_dropped_requests() {
         Err(_) => panic!("server still shared"),
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-proptest! {
-    #![proptest_config(proptest::test_runner::Config::with_cases(8))]
-
-    /// Satellite: across random corpora, spill thresholds, and resident
-    /// budgets, the streaming store build is bit-identical to the batch
-    /// build and never holds more than the budgeted rows resident.
-    #[test]
-    fn streaming_store_build_matches_batch_for_any_budget(
-        codes in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..160), 2..10),
-        resident_rows in 1usize..8,
-        threshold_sel in 0usize..2,
-    ) {
-        static CASE: AtomicUsize = AtomicUsize::new(0);
-        let case = CASE.fetch_add(1, Ordering::SeqCst);
-        let caches: Vec<DisasmCache> = codes
-            .iter()
-            .map(|bytes| DisasmCache::build(&phishinghook_evm::Bytecode::new(bytes.clone())))
-            .collect();
-        let cfg = StoreConfig {
-            image_side: 8,
-            context: 16,
-            bigram_vocab: 32,
-            bigram_len: 16,
-            escort_dim: 8,
-        };
-        let threshold = if threshold_sel == 0 { 0 } else { usize::MAX };
-        let batch_dir = temp_dir(&format!("prop_batch_{case}"));
-        let stream_dir = temp_dir(&format!("prop_stream_{case}"));
-        std::fs::remove_dir_all(&batch_dir).ok();
-        std::fs::remove_dir_all(&stream_dir).ok();
-
-        // The reference: the resident build, with each token block whose
-        // payload reaches the threshold spilled whole by `spill_to`.
-        let batch = FeatureStore::new(CacheBatch::from_caches(caches.clone()), None, &cfg);
-        std::fs::create_dir_all(&batch_dir).unwrap();
-        let (streamed, stream_report) = FeatureStore::build_streaming(
-            CacheBatch::from_caches(caches.clone()),
-            None,
-            &cfg,
-            &StreamBudget {
-                spill: SpillConfig { dir: stream_dir.clone(), threshold_bytes: threshold },
-                resident_rows,
-            },
-        )
-        .unwrap();
-
-        // The RAM bound holds at any corpus length.
-        prop_assert!(
-            stream_report.peak_resident_rows <= resident_rows,
-            "peak {} > budget {}", stream_report.peak_resident_rows, resident_rows
-        );
-        // Every encoding gathers identically.
-        let idx: Vec<usize> = (0..caches.len()).collect();
-        for encoding in Encoding::ALL {
-            prop_assert_eq!(
-                streamed.matrix(encoding).gather(&idx).rows(),
-                batch.matrix(encoding).gather(&idx).rows(),
-                "encoding {:?}", encoding
-            );
-        }
-        // The spill decision: both token blocks at a zero threshold, none
-        // at an unreachable one.
-        let expected_spills = if threshold == 0 {
-            vec![Encoding::TokensTruncate, Encoding::TokensWindows]
-        } else {
-            Vec::new()
-        };
-        prop_assert_eq!(streamed.spilled_encodings(), expected_spills);
-        // Byte-identical spill files.
-        for encoding in streamed.spilled_encodings() {
-            let reference = batch_dir.join(format!("{}.phkspill", encoding.name()));
-            batch.matrix(encoding).spill_to(&reference).unwrap();
-            prop_assert_eq!(
-                std::fs::read(streamed.matrix(encoding).spill_path().unwrap()).unwrap(),
-                std::fs::read(&reference).unwrap(),
-                "spill bytes {:?}", encoding
-            );
-        }
-        std::fs::remove_dir_all(&batch_dir).ok();
-        std::fs::remove_dir_all(&stream_dir).ok();
-    }
 }
