@@ -85,7 +85,7 @@ impl ArtifactWriter {
 /// Section payloads are *borrowed* slices of the input buffer — parsing a
 /// multi-megabyte model artifact allocates only the section index, never a
 /// second copy of the tensors. Keep the source bytes alive for the
-/// reader's lifetime (the `Detector`/`ModelZoo` load paths do).
+/// reader's lifetime (the `Detector`/`CascadeDetector` load paths do).
 #[derive(Debug, Clone)]
 pub struct ArtifactReader<'a> {
     sections: Vec<(String, &'a [u8])>,

@@ -50,8 +50,12 @@ use phishinghook_artifact::{
 };
 use phishinghook_evm::{Bytecode, DisasmCache};
 use phishinghook_features::{FeatureRow, FeatureVec};
-use phishinghook_ml::{CalibrationMethod, Calibrator};
+use phishinghook_ml::Calibrator;
 use std::path::Path;
+
+/// Fraction of the training context held out for calibration and band
+/// fitting. The stages never train on these samples.
+const HOLDOUT_FRACTION: f32 = 0.25;
 
 /// Training-time knobs of a cascade.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,20 +65,12 @@ pub struct CascadeConfig {
     /// rate lands on this; live traffic drawn from the same distribution
     /// tracks it.
     pub escalate_budget: f32,
-    /// Calibration fitter for both stages (default Platt — the right
-    /// choice for the small holdout slices quick profiles produce).
-    pub method: CalibrationMethod,
-    /// Fraction of the training context held out for calibration + band
-    /// fitting (default 0.25). The stages never train on these samples.
-    pub holdout_fraction: f32,
 }
 
 impl Default for CascadeConfig {
     fn default() -> Self {
         CascadeConfig {
             escalate_budget: 0.15,
-            method: CalibrationMethod::Platt,
-            holdout_fraction: 0.25,
         }
     }
 }
@@ -153,11 +149,11 @@ pub fn pick_band(probs: &[f32], budget: f32) -> (f32, f32) {
 
 /// Deterministic stratified calibration split: walks the context in index
 /// order keeping one fractional accumulator per class, so each class
-/// sheds `holdout_fraction` of its samples into the holdout without any
+/// sheds [`HOLDOUT_FRACTION`] of its samples into the holdout without any
 /// RNG — the same context always splits the same way, which keeps cascade
 /// training bit-reproducible.
-fn calibration_split(labels: &[u8], holdout_fraction: f32) -> (Vec<usize>, Vec<usize>) {
-    let f = holdout_fraction as f64;
+fn calibration_split(labels: &[u8]) -> (Vec<usize>, Vec<usize>) {
+    let f = HOLDOUT_FRACTION as f64;
     let mut acc = [0.0f64; 2];
     let mut fit = Vec::new();
     let mut holdout = Vec::new();
@@ -195,24 +191,23 @@ impl std::fmt::Debug for CascadeDetector {
             .field("confirm", &self.confirm.kind())
             .field("band", &self.band)
             .field("escalate_budget", &self.escalate_budget)
-            .field("method", &self.method())
             .finish()
     }
 }
 
 impl CascadeDetector {
     /// Trains a cascade on `ctx`: splits off a stratified calibration
-    /// holdout ([`CascadeConfig::holdout_fraction`]), trains both stages
-    /// on the remainder via the standard [`Detector::train_on`] path, fits
-    /// each stage's calibrator on its *holdout* scores (scores the stages
-    /// never trained on — fitting on training scores would calibrate
-    /// optimism, not probability), and picks the band from the calibrated
-    /// screen holdout per [`pick_band`].
+    /// holdout (a quarter of each class), trains both stages on the
+    /// remainder via the standard [`Detector::train_on`] path, fits each
+    /// stage's calibrator on its *holdout* scores (scores the stages never
+    /// trained on — fitting on training scores would calibrate optimism,
+    /// not probability), and picks the band from the calibrated screen
+    /// holdout per [`pick_band`].
     ///
     /// # Panics
     ///
     /// Panics when the context is too small to yield a non-empty fit and
-    /// holdout slice, or on a degenerate config (fraction outside (0,1)).
+    /// holdout slice, or on a budget outside `[0, 1]`.
     pub fn train(
         ctx: &EvalContext,
         screen_kind: ModelKind,
@@ -220,53 +215,20 @@ impl CascadeDetector {
         config: &CascadeConfig,
         seed: u64,
     ) -> CascadeDetector {
-        assert!(
-            config.holdout_fraction > 0.0 && config.holdout_fraction < 1.0,
-            "holdout fraction {} outside (0, 1)",
-            config.holdout_fraction
-        );
-        let (fit_idx, holdout_idx) = calibration_split(ctx.labels(), config.holdout_fraction);
-        CascadeDetector::train_split(
-            ctx,
-            screen_kind,
-            confirm_kind,
-            &fit_idx,
-            &holdout_idx,
-            config,
-            seed,
-        )
-    }
-
-    /// [`CascadeDetector::train`] with the fit/holdout split supplied
-    /// explicitly — the shape that pairs a cascade with an existing
-    /// cross-validation fold (train on the fold's training indices,
-    /// calibrate on its held-out indices).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty fit or holdout slice or out-of-range indices.
-    pub fn train_split(
-        ctx: &EvalContext,
-        screen_kind: ModelKind,
-        confirm_kind: ModelKind,
-        fit_idx: &[usize],
-        holdout_idx: &[usize],
-        config: &CascadeConfig,
-        seed: u64,
-    ) -> CascadeDetector {
+        let (fit_idx, holdout_idx) = calibration_split(ctx.labels());
         assert!(!fit_idx.is_empty(), "empty cascade fit slice");
         assert!(!holdout_idx.is_empty(), "empty cascade calibration holdout");
-        let screen = Detector::train_on(ctx, screen_kind, fit_idx, seed);
-        let confirm = Detector::train_on(ctx, confirm_kind, fit_idx, seed);
+        let screen = Detector::train_on(ctx, screen_kind, &fit_idx, seed);
+        let confirm = Detector::train_on(ctx, confirm_kind, &fit_idx, seed);
 
         let all = ctx.caches().as_slice();
         let hold: Vec<&DisasmCache> = holdout_idx.iter().map(|&i| &all[i]).collect();
-        let labels = ctx.gather_labels(holdout_idx);
+        let labels = ctx.gather_labels(&holdout_idx);
 
         let raw_screen = score_refs_raw(&screen, &hold);
         let raw_confirm = score_refs_raw(&confirm, &hold);
-        let screen_cal = Calibrator::fit(config.method, &raw_screen, &labels);
-        let confirm_cal = Calibrator::fit(config.method, &raw_confirm, &labels);
+        let screen_cal = Calibrator::fit(&raw_screen, &labels);
+        let confirm_cal = Calibrator::fit(&raw_confirm, &labels);
 
         let band = pick_band(&screen_cal.apply_all(&raw_screen), config.escalate_budget);
         CascadeDetector {
@@ -301,11 +263,6 @@ impl CascadeDetector {
         self.escalate_budget
     }
 
-    /// The calibration method both stages were fitted with.
-    pub fn method(&self) -> CalibrationMethod {
-        self.screen_cal.method()
-    }
-
     /// Verdicts for already-decoded contracts, in input order: one batched
     /// stage-1 pass over everything, then one batched stage-2 pass over
     /// the escalated subset — reusing the stage-1 rows outright when both
@@ -315,12 +272,12 @@ impl CascadeDetector {
         self.score_refs(&refs)
     }
 
-    /// Verdict on one already-decoded contract.
+    /// The verdict on one already-decoded contract.
     pub fn score_cache(&self, cache: &DisasmCache) -> CascadeVerdict {
         self.score_refs(&[cache])[0]
     }
 
-    /// Verdict on one raw bytecode (decoded exactly once).
+    /// The verdict on one raw bytecode (decoded exactly once).
     pub fn score_code(&self, code: &Bytecode) -> CascadeVerdict {
         self.score_cache(&DisasmCache::build(code))
     }
@@ -392,18 +349,18 @@ impl CascadeDetector {
     }
 
     /// Serializes the cascade into one versioned `.phk` container: a
-    /// `cascade` section (band, budget, both calibrator states) plus a
-    /// full nested [`Detector::to_bytes`] artifact per stage — so each
-    /// stage reloads through the exact detector cold-start path and
-    /// inherits its bit-parity guarantee. The `cascade` section's presence
-    /// is also how loaders sniff a cascade artifact apart from a flat
-    /// detector's.
+    /// `cascade` section (band, budget, the calibration method id and both
+    /// calibrator states) plus a full nested [`Detector::to_bytes`]
+    /// artifact per stage — so each stage reloads through the exact
+    /// detector cold-start path and inherits its bit-parity guarantee. The
+    /// `cascade` section's presence is also how loaders sniff a cascade
+    /// artifact apart from a flat detector's.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut meta = ByteWriter::new();
         meta.put_f32(self.band.0);
         meta.put_f32(self.band.1);
         meta.put_f32(self.escalate_budget);
-        meta.put_str(self.method().id());
+        meta.put_str(Calibrator::ID);
         meta.put_bytes(&self.screen_cal.export_state());
         meta.put_bytes(&self.confirm_cal.export_state());
 
@@ -468,17 +425,14 @@ impl CascadeDetector {
         let hi = meta.take_f32()?;
         let escalate_budget = meta.take_f32()?;
         let method_id = meta.take_str()?;
-        let method = CalibrationMethod::from_id(&method_id).ok_or_else(|| {
-            ArtifactError::Mismatch(format!("unknown calibration method {method_id:?}"))
-        })?;
+        if method_id != Calibrator::ID {
+            return Err(ArtifactError::Mismatch(format!(
+                "unknown calibration method {method_id:?}"
+            )));
+        }
         let screen_cal = Calibrator::import_state(meta.take_bytes()?)?;
         let confirm_cal = Calibrator::import_state(meta.take_bytes()?)?;
         meta.expect_exhausted("cascade meta")?;
-        if screen_cal.method() != method || confirm_cal.method() != method {
-            return Err(ArtifactError::Corrupt(
-                "cascade calibrator method disagrees with meta".into(),
-            ));
-        }
         if !(0.0..=1.0).contains(&escalate_budget) {
             return Err(ArtifactError::Corrupt(format!(
                 "escalation budget {escalate_budget} outside [0, 1]"
@@ -582,7 +536,7 @@ mod tests {
     #[test]
     fn calibration_split_is_stratified_and_deterministic() {
         let labels: Vec<u8> = (0..200).map(|i| u8::from(i % 3 == 0)).collect();
-        let (fit, hold) = calibration_split(&labels, 0.25);
+        let (fit, hold) = calibration_split(&labels);
         assert_eq!(fit.len() + hold.len(), 200);
         // Each class sheds ~25%.
         for class in [0u8, 1] {
@@ -592,7 +546,7 @@ mod tests {
             assert!((frac - 0.25).abs() < 0.05, "class {class}: {frac}");
         }
         // Deterministic.
-        assert_eq!(calibration_split(&labels, 0.25), (fit, hold));
+        assert_eq!(calibration_split(&labels), (fit, hold));
     }
 
     #[test]
@@ -636,7 +590,6 @@ mod tests {
         let reloaded = CascadeDetector::from_bytes(&cascade.to_bytes()).unwrap();
         assert_eq!(reloaded.band(), cascade.band());
         assert_eq!(reloaded.escalate_budget(), cascade.escalate_budget());
-        assert_eq!(reloaded.method(), cascade.method());
         assert_eq!(reloaded.score_batch(caches), expected);
     }
 
@@ -655,6 +608,39 @@ mod tests {
         assert!(matches!(
             CascadeDetector::from_bytes(&flat),
             Err(ArtifactError::MissingSection(_))
+        ));
+
+        // Rewrites the `cascade` section around the original stages.
+        let original = ArtifactReader::from_bytes(&bytes).unwrap();
+        let platt = Calibrator { a: 1.0, b: 0.0 }.export_state();
+        let rewrite = |method: &str, screen_state: &[u8]| {
+            let mut meta = ByteWriter::new();
+            meta.put_f32(0.4);
+            meta.put_f32(0.6);
+            meta.put_f32(0.15);
+            meta.put_str(method);
+            meta.put_bytes(screen_state);
+            meta.put_bytes(&platt);
+            let mut artifact = ArtifactWriter::new();
+            artifact.section("cascade", meta.into_bytes());
+            for stage in ["stage1", "stage2"] {
+                artifact.section(stage, original.section(stage).unwrap().to_vec());
+            }
+            CascadeDetector::from_bytes(&artifact.into_bytes())
+        };
+        assert!(rewrite(Calibrator::ID, &platt).is_ok());
+        // The retired isotonic method id and its calibrator tag `1`.
+        assert!(matches!(
+            rewrite("isotonic", &platt),
+            Err(ArtifactError::Mismatch(_))
+        ));
+        let mut isotonic = ByteWriter::new();
+        isotonic.put_u8(1);
+        isotonic.put_f32_slice(&[0.1, 0.5]);
+        isotonic.put_f32_slice(&[0.2, 0.8]);
+        assert!(matches!(
+            rewrite(Calibrator::ID, &isotonic.into_bytes()),
+            Err(ArtifactError::Corrupt(_))
         ));
     }
 }

@@ -18,10 +18,9 @@
 //! * [`Detector::score_address`] — the full wallet-guard loop: `eth_getCode`
 //!   → decode → encode → probability.
 //!
-//! A single-model detector featurizes under exactly the one [`Encoding`]
-//! its model consumes (a histogram detector never pays for token windows); a
-//! [`ModelZoo`] holds several trained kinds and shares each distinct encoding
-//! across them, so one pass over a contract yields every model's [`Verdict`].
+//! A detector featurizes under exactly the one [`Encoding`] its model
+//! consumes (a histogram detector never pays for token windows). Two
+//! detectors served together form a [`CascadeDetector`](crate::CascadeDetector).
 //!
 //! # Examples
 //!
@@ -95,29 +94,6 @@ fn read_profile(r: &mut ByteReader<'_>) -> Result<EvalProfile, ArtifactError> {
     })
 }
 
-/// Rebuilds a fitted model: the normal [`ModelKind::build`] factory under
-/// the restored encoders/profile/seed, then state import — byte-for-byte
-/// the training-side construction, which is what makes reloaded scores
-/// bit-identical. An encoder set without the kind's encoding is a typed
-/// error, so such an artifact never panics the server at scoring time.
-fn rebuild_model(
-    kind: ModelKind,
-    encoders: &FittedEncoders,
-    profile: &EvalProfile,
-    seed: u64,
-    state: &[u8],
-) -> Result<Box<dyn Model>, ArtifactError> {
-    if !encoders.encodings().contains(&kind.encoding()) {
-        return Err(ArtifactError::Mismatch(format!(
-            "{kind} reads {} features, but the artifact carries no such encoder",
-            kind.encoding().name()
-        )));
-    }
-    let mut model = kind.build(encoders, profile, seed);
-    model.import_state(state)?;
-    Ok(model)
-}
-
 /// A trained, persistent phishing detector: one fitted [`Model`] plus the
 /// one fitted encoder its model reads.
 pub struct Detector {
@@ -168,30 +144,13 @@ impl Detector {
         train_idx: &[usize],
         seed: u64,
     ) -> Detector {
-        Detector::train_with(ctx, kind, train_idx, ctx.profile(), seed)
-    }
-
-    /// [`Detector::train_on`] with capacity knobs overridden; `profile`
-    /// must agree with the context's store on feature geometry (see
-    /// [`evaluate_trial_with`](crate::mem::evaluate_trial_with)).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty index slice or a feature-geometry mismatch.
-    pub fn train_with(
-        ctx: &EvalContext,
-        kind: ModelKind,
-        train_idx: &[usize],
-        profile: &EvalProfile,
-        seed: u64,
-    ) -> Detector {
-        let (model, train_seconds) = fit_kind(ctx, kind, train_idx, profile, seed);
+        let (model, train_seconds) = fit_kind(ctx, kind, train_idx, seed);
         Detector {
             kind,
             encoding: kind.encoding(),
             model,
             encoders: ctx.store().encoders_for(&[kind.encoding()]),
-            profile: *profile,
+            profile: *ctx.profile(),
             seed,
             train_seconds,
             trained_on: train_idx.len(),
@@ -323,8 +282,20 @@ impl Detector {
         let profile = read_profile(&mut meta)?;
         meta.expect_exhausted("detector meta")?;
 
+        // The model is rebuilt through the training-side factory under the
+        // restored encoders, profile and seed, then its state is imported:
+        // that is what makes reloaded scores bit-identical. An encoder set
+        // without the kind's encoding is a typed error, so such an artifact
+        // never panics the server at scoring time.
         let encoders = FittedEncoders::import_state(encoder_bytes)?;
-        let model = rebuild_model(kind, &encoders, &profile, seed, model_bytes)?;
+        if !encoders.encodings().contains(&kind.encoding()) {
+            return Err(ArtifactError::Mismatch(format!(
+                "{kind} reads {} features, but the artifact carries no such encoder",
+                kind.encoding().name()
+            )));
+        }
+        let mut model = kind.build(&encoders, &profile, seed);
+        model.import_state(model_bytes)?;
         Ok(Detector {
             kind,
             encoding: kind.encoding(),
@@ -425,262 +396,16 @@ impl Detector {
     pub fn score_address(&self, rpc: &RpcProvider<'_>, address: &Address) -> Result<f32, RpcError> {
         Ok(self.score_code(&rpc.eth_get_code(address)?))
     }
-
-    /// One-contract verdict: the probability plus the thresholded call.
-    pub fn verdict(&self, cache: &DisasmCache) -> Verdict {
-        Verdict {
-            kind: self.kind,
-            probability: self.score_cache(cache),
-        }
-    }
-}
-
-/// One model's call on one contract.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Verdict {
-    /// The model that produced the score.
-    pub kind: ModelKind,
-    /// Probability of the phishing class.
-    pub probability: f32,
-}
-
-impl Verdict {
-    /// `true` when the probability crosses [`PHISHING_THRESHOLD`].
-    pub fn is_phishing(&self) -> bool {
-        self.probability >= PHISHING_THRESHOLD
-    }
-}
-
-/// Several trained kinds served together over one shared encoding pass:
-/// scoring a contract featurizes each *distinct* encoding once, no matter
-/// how many models consume it (all seven histogram classifiers share one
-/// histogram row). The zoo carries the union of its models' encoders.
-pub struct ModelZoo {
-    models: Vec<(ModelKind, Box<dyn Model>)>,
-    encoders: FittedEncoders,
-    profile: EvalProfile,
-    seed: u64,
-}
-
-impl std::fmt::Debug for ModelZoo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ModelZoo")
-            .field("kinds", &self.kinds())
-            .finish()
-    }
-}
-
-impl ModelZoo {
-    /// Trains every kind on all of `ctx` with the same seed (each kind's
-    /// model matches a [`Detector::train`] of that kind bit-for-bit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kinds` is empty or the context holds no samples.
-    pub fn train(ctx: &EvalContext, kinds: &[ModelKind], seed: u64) -> ModelZoo {
-        assert!(!kinds.is_empty(), "empty model zoo");
-        assert!(!ctx.is_empty(), "empty training context");
-        let all: Vec<usize> = (0..ctx.len()).collect();
-        let models = kinds
-            .iter()
-            .map(|&kind| (kind, fit_kind(ctx, kind, &all, ctx.profile(), seed).0))
-            .collect();
-        let encodings: Vec<Encoding> = kinds.iter().map(ModelKind::encoding).collect();
-        ModelZoo {
-            models,
-            encoders: ctx.store().encoders_for(&encodings),
-            profile: *ctx.profile(),
-            seed,
-        }
-    }
-
-    /// Serializes the zoo: shared `meta` (seed, profile, kinds) and
-    /// encoder sections plus one `model.<i>` section per trained kind.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut meta = ByteWriter::new();
-        meta.put_u64(self.seed);
-        write_profile(&mut meta, &self.profile);
-        meta.put_u32(self.models.len() as u32);
-        for (kind, _) in &self.models {
-            meta.put_str(kind.id());
-        }
-        let mut artifact = ArtifactWriter::new();
-        artifact.section("meta", meta.into_bytes());
-        artifact.section("encoders", self.encoders.export_state());
-        for (i, (_, model)) in self.models.iter().enumerate() {
-            artifact.section(&format!("model.{i}"), model.export_state());
-        }
-        artifact.into_bytes()
-    }
-
-    /// Writes the zoo artifact to a file.
-    ///
-    /// # Errors
-    ///
-    /// Any underlying I/O failure.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ArtifactError> {
-        std::fs::write(path, self.to_bytes())?;
-        Ok(())
-    }
-
-    /// Reconstructs a zoo from [`ModelZoo::to_bytes`] bytes, with the same
-    /// cold-start parity guarantee as [`Detector::from_bytes`]: every
-    /// member's verdicts are bit-identical to the training process's.
-    ///
-    /// # Errors
-    ///
-    /// Container, kind and state-validation failures, typed — never a
-    /// panic.
-    pub fn from_bytes(bytes: &[u8]) -> Result<ModelZoo, ArtifactError> {
-        let artifact = ArtifactReader::from_bytes(bytes)?;
-        ModelZoo::decode(
-            artifact.section("meta")?,
-            artifact.section("encoders")?,
-            |i| artifact.section(&format!("model.{i}")),
-        )
-    }
-
-    /// Reconstructs a zoo from a shared [`OwnedArtifact`] — see
-    /// [`Detector::from_artifact`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`ModelZoo::from_bytes`] rejects.
-    pub fn from_artifact(artifact: &OwnedArtifact) -> Result<ModelZoo, ArtifactError> {
-        ModelZoo::decode(
-            artifact.section("meta")?,
-            artifact.section("encoders")?,
-            |i| artifact.section(&format!("model.{i}")),
-        )
-    }
-
-    /// The shared decode tail of both zoo load paths.
-    fn decode<'a>(
-        meta_bytes: &[u8],
-        encoder_bytes: &[u8],
-        model_section: impl Fn(usize) -> Result<&'a [u8], ArtifactError>,
-    ) -> Result<ModelZoo, ArtifactError> {
-        let mut meta = ByteReader::new(meta_bytes);
-        let seed = meta.take_u64()?;
-        let profile = read_profile(&mut meta)?;
-        // Every kind id is at least its 4-byte length prefix; the bounded
-        // count keeps a crafted meta section from forcing a huge
-        // pre-allocation.
-        let count = meta.take_count_u32(4)?;
-        let mut kinds = Vec::with_capacity(count);
-        for _ in 0..count {
-            let id = meta.take_str()?;
-            kinds
-                .push(ModelKind::from_id(&id).ok_or_else(|| {
-                    ArtifactError::Mismatch(format!("unknown model kind {id:?}"))
-                })?);
-        }
-        meta.expect_exhausted("zoo meta")?;
-        if kinds.is_empty() {
-            return Err(ArtifactError::Corrupt("empty model zoo artifact".into()));
-        }
-
-        let encoders = FittedEncoders::import_state(encoder_bytes)?;
-        let mut models = Vec::with_capacity(count);
-        for (i, kind) in kinds.into_iter().enumerate() {
-            let state = model_section(i)?;
-            models.push((kind, rebuild_model(kind, &encoders, &profile, seed, state)?));
-        }
-        Ok(ModelZoo {
-            models,
-            encoders,
-            profile,
-            seed,
-        })
-    }
-
-    /// Reads a zoo artifact file.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures plus everything [`ModelZoo::from_bytes`] rejects.
-    pub fn load(path: impl AsRef<Path>) -> Result<ModelZoo, ArtifactError> {
-        ModelZoo::from_artifact(&OwnedArtifact::open(path)?)
-    }
-
-    /// The shared training seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The trained kinds, in training order.
-    pub fn kinds(&self) -> Vec<ModelKind> {
-        self.models.iter().map(|(k, _)| *k).collect()
-    }
-
-    /// The capacity profile the zoo was trained with.
-    pub fn profile(&self) -> &EvalProfile {
-        &self.profile
-    }
-
-    /// Every model's verdict on one decoded contract, featurizing each
-    /// distinct encoding exactly once.
-    pub fn score_cache(&self, cache: &DisasmCache) -> Vec<Verdict> {
-        let mut encoded: [Option<FeatureVec>; 7] = Default::default();
-        self.models
-            .iter()
-            .map(|(kind, model)| {
-                let slot = &mut encoded[kind.encoding().index()];
-                let row = slot
-                    .get_or_insert_with(|| self.encoders.encode(cache, kind.encoding()))
-                    .as_row();
-                Verdict {
-                    kind: *kind,
-                    probability: model.predict_proba(&[row])[0],
-                }
-            })
-            .collect()
-    }
-
-    /// Per-contract verdicts for a batch of decoded contracts, in input
-    /// order. Each distinct encoding is featurized once per contract
-    /// (across the worker pool) and every model sees one `predict_proba`
-    /// call.
-    pub fn score_batch(&self, caches: &[DisasmCache]) -> Vec<Vec<Verdict>> {
-        if caches.is_empty() {
-            return Vec::new();
-        }
-        let mut encoded: [Option<Vec<FeatureVec>>; 7] = Default::default();
-        // Vec's clone does not preserve capacity, so build each inner vec
-        // explicitly rather than cloning a `with_capacity` template.
-        let mut out: Vec<Vec<Verdict>> = (0..caches.len())
-            .map(|_| Vec::with_capacity(self.models.len()))
-            .collect();
-        for (kind, model) in &self.models {
-            let encoding = kind.encoding();
-            let vecs = encoded[encoding.index()]
-                .get_or_insert_with(|| parallel_map(caches, |c| self.encoders.encode(c, encoding)));
-            let rows: Vec<FeatureRow<'_>> = vecs.iter().map(FeatureVec::as_row).collect();
-            for (i, p) in model.predict_proba(&rows).into_iter().enumerate() {
-                out[i].push(Verdict {
-                    kind: *kind,
-                    probability: p,
-                });
-            }
-        }
-        out
-    }
-
-    /// Scores raw bytecodes: each contract is decoded exactly once, then
-    /// every model votes over the shared encodings.
-    pub fn score_codes(&self, codes: &[Bytecode]) -> Vec<Vec<Verdict>> {
-        let caches: Vec<DisasmCache> = parallel_map(codes, DisasmCache::build);
-        self.score_batch(&caches)
-    }
 }
 
 /// The batched scoring seam a serving tier coalesces requests into: one
 /// call, `codes.len()` outputs, in input order.
 ///
 /// Both serving artifacts implement it — a [`Detector`] yields one
-/// probability per contract, a [`ModelZoo`] one [`Verdict`] per model per
-/// contract — so a micro-batching queue can be generic over "warm scorer
-/// shared by a worker pool" without caring which it holds. The contract
+/// probability per contract, a [`CascadeDetector`](crate::CascadeDetector)
+/// one [`CascadeVerdict`](crate::CascadeVerdict) — so a micro-batching
+/// queue can be generic over "warm scorer shared by a worker pool" without
+/// caring which it holds. The contract
 /// that makes coalescing safe is **bit-identity**: a contract's output
 /// must not depend on its batch-mates (`score_many(&[a, b])[0] ==
 /// score_many(&[a])[0]`, guaranteed by the [`Model::predict_proba`]
@@ -699,14 +424,6 @@ impl CodeScorer for Detector {
     type Output = f32;
 
     fn score_many(&self, codes: &[Bytecode]) -> Vec<f32> {
-        self.score_codes(codes)
-    }
-}
-
-impl CodeScorer for ModelZoo {
-    type Output = Vec<Verdict>;
-
-    fn score_many(&self, codes: &[Bytecode]) -> Vec<Vec<Verdict>> {
         self.score_codes(codes)
     }
 }
@@ -768,43 +485,6 @@ mod tests {
         // An address with no code is an error, not a verdict.
         let empty = Address::from_bytes([0xEE; 20]);
         assert!(detector.score_address(&rpc, &empty).is_err());
-    }
-
-    #[test]
-    fn zoo_verdicts_match_single_detectors() {
-        let (_, dataset) = fixture();
-        let ctx = EvalContext::new(&dataset, &EvalProfile::quick());
-        let kinds = [ModelKind::RandomForest, ModelKind::Knn, ModelKind::Svm];
-        let zoo = ModelZoo::train(&ctx, &kinds, 5);
-        assert_eq!(zoo.kinds(), kinds.to_vec());
-
-        let caches: Vec<DisasmCache> = ctx.caches().as_slice()[..5].to_vec();
-        let verdicts = zoo.score_batch(&caches);
-        assert_eq!(verdicts.len(), 5);
-        for (i, cache) in caches.iter().enumerate() {
-            assert_eq!(verdicts[i], zoo.score_cache(cache));
-        }
-        for (k, kind) in kinds.into_iter().enumerate() {
-            let solo = Detector::train(&ctx, kind, 5);
-            for (i, cache) in caches.iter().enumerate() {
-                assert_eq!(verdicts[i][k].kind, kind);
-                assert_eq!(verdicts[i][k].probability, solo.score_cache(cache));
-            }
-        }
-    }
-
-    #[test]
-    fn verdict_threshold() {
-        let v = Verdict {
-            kind: ModelKind::Knn,
-            probability: 0.5,
-        };
-        assert!(v.is_phishing());
-        assert!(!Verdict {
-            probability: 0.49,
-            ..v
-        }
-        .is_phishing());
     }
 
     #[test]
@@ -880,20 +560,5 @@ mod tests {
             Detector::from_bytes(&flipped),
             Err(ArtifactError::Checksum(_))
         ));
-    }
-
-    #[test]
-    fn saved_zoo_reloads_with_bit_identical_verdicts() {
-        let (_, dataset) = fixture();
-        let ctx = EvalContext::new(&dataset, &EvalProfile::quick());
-        let kinds = [ModelKind::RandomForest, ModelKind::Svm];
-        let zoo = ModelZoo::train(&ctx, &kinds, 9);
-        let caches: Vec<DisasmCache> = ctx.caches().as_slice()[..4].to_vec();
-        let expected = zoo.score_batch(&caches);
-
-        let reloaded = ModelZoo::from_bytes(&zoo.to_bytes()).unwrap();
-        assert_eq!(reloaded.kinds(), kinds.to_vec());
-        assert_eq!(reloaded.seed(), 9);
-        assert_eq!(reloaded.score_batch(&caches), expected);
     }
 }

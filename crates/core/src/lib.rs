@@ -19,10 +19,10 @@
 //! * **PAM** ([`pam`]) — Shapiro–Wilk / Kruskal–Wallis / Dunn post hoc
 //!   statistics;
 //!
-//! plus the serving layer ([`detector`]) — persistent trained
-//! [`Detector`]s and [`ModelZoo`]s scoring fresh contracts straight off
-//! `eth_getCode` — and the paper's dedicated experiments: [`scalability`]
-//! (Fig. 5–7), [`time_resistance`] (Fig. 8),
+//! plus the serving layer — persistent trained [`Detector`]s
+//! ([`detector`]) and two-stage [`CascadeDetector`]s ([`cascade`]) scoring
+//! fresh contracts straight off `eth_getCode` — and the paper's dedicated
+//! experiments: [`scalability`] (Fig. 5–7), [`time_resistance`] (Fig. 8),
 //! [`shap_analysis`](mod@shap_analysis) (Fig. 9) and [`opcode_stats`]
 //! (Fig. 3).
 //!
@@ -74,16 +74,15 @@ pub mod time_resistance;
 pub use bem::{extract_dataset, BemConfig, BemReport, ExtractionStream, StreamStats};
 pub use cascade::{pick_band, CascadeConfig, CascadeDetector, CascadeVerdict, StageScore};
 pub use dataset::{Dataset, Sample};
-pub use detector::{CodeScorer, Detector, ModelZoo, Verdict, PHISHING_THRESHOLD};
+pub use detector::{CodeScorer, Detector, PHISHING_THRESHOLD};
 pub use drift::{DriftConfig, DriftSignal, DriftWatcher, RollingWindow};
 pub use evalstore::EvalContext;
 pub use mem::{
-    cross_validate, cross_validate_on, cross_validate_on_with, evaluate_models, evaluate_trial,
-    evaluate_trial_with, trial_plan, EvalProfile, ModelCategory, ModelKind, TrialOutcome,
-    TrialSpec,
+    cross_validate_on, evaluate_models, evaluate_trial, trial_plan, EvalProfile, ModelCategory,
+    ModelKind, TrialOutcome, TrialSpec,
 };
 pub use metrics::{auc, Confusion, Metrics, UnknownMetric, METRIC_NAMES};
-pub use pam::{posthoc_analysis, posthoc_over, PosthocReport};
+pub use pam::{posthoc_analysis, PosthocReport};
 pub use phishinghook_artifact::ArtifactError;
 pub use phishinghook_models::Model;
 pub use phishinghook_retry as retry;
@@ -98,16 +97,16 @@ pub mod prelude {
     pub use crate::bem::{extract_dataset, BemConfig, BemReport, ExtractionStream};
     pub use crate::cascade::{CascadeConfig, CascadeDetector, CascadeVerdict, StageScore};
     pub use crate::dataset::{Dataset, Sample};
-    pub use crate::detector::{CodeScorer, Detector, ModelZoo, Verdict};
+    pub use crate::detector::{CodeScorer, Detector};
     pub use crate::drift::{DriftConfig, DriftSignal, DriftWatcher};
     pub use crate::evalstore::EvalContext;
     pub use crate::mem::{
-        cross_validate, cross_validate_on, evaluate_models, evaluate_trial, trial_plan,
-        EvalProfile, ModelCategory, ModelKind, TrialOutcome, TrialSpec,
+        cross_validate_on, evaluate_models, evaluate_trial, trial_plan, EvalProfile, ModelCategory,
+        ModelKind, TrialOutcome, TrialSpec,
     };
     pub use crate::metrics::{auc, Metrics, METRIC_NAMES};
     pub use crate::opcode_stats::{opcode_usage, FIG3_OPCODES};
-    pub use crate::pam::{posthoc_analysis, posthoc_over};
+    pub use crate::pam::posthoc_analysis;
     pub use crate::scalability::{
         run_scalability, run_scalability_on, SCALABILITY_MODELS, SPLIT_RATIOS,
     };

@@ -19,7 +19,7 @@
 //! ([`Detector`](crate::detector::Detector)).
 
 use crate::dataset::Dataset;
-use crate::evalstore::{store_config, EvalContext};
+use crate::evalstore::EvalContext;
 use crate::metrics::Metrics;
 use crate::par::parallel_map;
 use phishinghook_features::{Encoding, FittedEncoders};
@@ -410,6 +410,10 @@ pub struct TrialOutcome {
 /// the pre-featurized train/test rows by index, trains `kind`, and times
 /// both phases. No disassembly or featurization happens here.
 ///
+/// `train_seconds`/`infer_seconds` cover the trait-dispatched
+/// `fit`/`predict_proba` calls, which include materializing the model's
+/// owned inputs from the store's borrowed rows.
+///
 /// # Panics
 ///
 /// Panics on an empty train or test index slice.
@@ -420,35 +424,8 @@ pub fn evaluate_trial(
     test_idx: &[usize],
     seed: u64,
 ) -> TrialOutcome {
-    evaluate_trial_with(ctx, kind, train_idx, test_idx, ctx.profile(), seed)
-}
-
-/// [`evaluate_trial`] with model-capacity knobs overridden: `profile` may
-/// change training budgets (tree counts, boosting rounds, epochs, `k`) but
-/// must agree with the context's store on feature geometry — the store is
-/// immutable, so image sides, context lengths and vocabulary caps are fixed
-/// at [`EvalContext::new`] time. This is the hyper-parameter-search entry
-/// point: one store, many capacity configurations.
-///
-/// Timing note: `train_seconds`/`infer_seconds` cover the trait-dispatched
-/// `fit`/`predict_proba` calls, which *include* materializing the model's
-/// owned inputs from the store's borrowed rows (the pre-trait engine built
-/// those copies outside its timers, so timings shifted up slightly across
-/// the refactor; metrics are unchanged).
-///
-/// # Panics
-///
-/// Panics on an empty index slice or a feature-geometry mismatch.
-pub fn evaluate_trial_with(
-    ctx: &EvalContext,
-    kind: ModelKind,
-    train_idx: &[usize],
-    test_idx: &[usize],
-    profile: &EvalProfile,
-    seed: u64,
-) -> TrialOutcome {
     assert!(!train_idx.is_empty() && !test_idx.is_empty(), "empty split");
-    let (model, train_seconds) = fit_kind(ctx, kind, train_idx, profile, seed);
+    let (model, train_seconds) = fit_kind(ctx, kind, train_idx, seed);
     let y_test = ctx.gather_labels(test_idx);
     let rows_test = ctx.store().matrix(kind.encoding()).gather_rows(test_idx);
     let t1 = Instant::now();
@@ -458,35 +435,28 @@ pub fn evaluate_trial_with(
 }
 
 /// The one trait-dispatched training sequence shared by evaluation
-/// ([`evaluate_trial_with`]) and serving ([`Detector`](crate::Detector),
-/// [`ModelZoo`](crate::ModelZoo)): gather store rows for
-/// [`ModelKind::encoding`], build through [`ModelKind::build`], run the
-/// optional pre-training phase, fit. Keeping it in one place is what makes
-/// "serving scores are bit-identical to the eval path" a structural
-/// guarantee rather than a copy-paste discipline. Returns the fitted model
-/// and the wall-clock training seconds.
+/// ([`evaluate_trial`]) and serving ([`Detector`](crate::Detector)):
+/// gather store rows for [`ModelKind::encoding`], build through
+/// [`ModelKind::build`] under the context's profile, run the optional
+/// pre-training phase, fit. Keeping it in one place is what makes "serving
+/// scores are bit-identical to the eval path" a structural guarantee
+/// rather than a copy-paste discipline. Returns the fitted model and the
+/// wall-clock training seconds.
 ///
 /// # Panics
 ///
-/// Panics on an empty training set or a feature-geometry mismatch between
-/// `profile` and the context's store.
+/// Panics on an empty training set.
 pub(crate) fn fit_kind(
     ctx: &EvalContext,
     kind: ModelKind,
     train_idx: &[usize],
-    profile: &EvalProfile,
     seed: u64,
 ) -> (Box<dyn Model>, f64) {
     assert!(!train_idx.is_empty(), "empty training set");
-    assert_eq!(
-        store_config(profile),
-        store_config(ctx.profile()),
-        "profile feature geometry must match the context's store"
-    );
     let store = ctx.store();
     let rows = store.matrix(kind.encoding()).gather_rows(train_idx);
     let labels = ctx.gather_labels(train_idx);
-    let mut model = kind.build(&store.encoders_for(&[kind.encoding()]), profile, seed);
+    let mut model = kind.build(&store.encoders_for(&[kind.encoding()]), ctx.profile(), seed);
     let aux = model
         .wants_pretraining()
         .then(|| ctx.gather_vuln(train_idx));
@@ -565,32 +535,14 @@ pub fn cross_validate_on(
     kind: ModelKind,
     plan: &[TrialSpec],
 ) -> Vec<TrialOutcome> {
-    cross_validate_on_with(ctx, kind, plan, ctx.profile())
-}
-
-/// [`cross_validate_on`] with model-capacity knobs overridden (see
-/// [`evaluate_trial_with`] for the geometry contract).
-pub fn cross_validate_on_with(
-    ctx: &EvalContext,
-    kind: ModelKind,
-    plan: &[TrialSpec],
-    profile: &EvalProfile,
-) -> Vec<TrialOutcome> {
     parallel_map(plan, |spec| {
-        evaluate_trial_with(
-            ctx,
-            kind,
-            &spec.train_idx,
-            &spec.test_idx,
-            profile,
-            spec.seed,
-        )
+        evaluate_trial(ctx, kind, &spec.train_idx, &spec.test_idx, spec.seed)
     })
 }
 
 /// Executes one shared trial plan for several models over one context —
 /// the shape Table II/III and the PAM consume. The dataset is decoded and
-/// featurized exactly once for the entire model zoo.
+/// featurized exactly once for the entire model set.
 pub fn evaluate_models(
     ctx: &EvalContext,
     models: &[ModelKind],
@@ -600,24 +552,6 @@ pub fn evaluate_models(
         .iter()
         .map(|&kind| (kind, cross_validate_on(ctx, kind, plan)))
         .collect()
-}
-
-/// The paper's protocol: `runs` repetitions of stratified `folds`-fold
-/// cross-validation (§IV-D uses 10 folds × 3 runs = 30 trials per model).
-///
-/// Builds a one-shot [`EvalContext`] (a single decode+featurize pass) and
-/// runs the sharded plan over it. Multi-model studies should build the
-/// context once and call [`cross_validate_on`] / [`evaluate_models`].
-pub fn cross_validate(
-    kind: ModelKind,
-    data: &Dataset,
-    folds: usize,
-    runs: usize,
-    profile: &EvalProfile,
-    seed: u64,
-) -> Vec<TrialOutcome> {
-    let ctx = EvalContext::new(data, profile);
-    cross_validate_on(&ctx, kind, &trial_plan(data, folds, runs, seed))
 }
 
 #[cfg(test)]
@@ -701,7 +635,8 @@ mod tests {
     #[test]
     fn cross_validation_trial_count() {
         let data = small_dataset();
-        let trials = cross_validate(ModelKind::Knn, &data, 3, 2, &EvalProfile::quick(), 11);
+        let ctx = EvalContext::new(&data, &EvalProfile::quick());
+        let trials = cross_validate_on(&ctx, ModelKind::Knn, &trial_plan(&data, 3, 2, 11));
         assert_eq!(trials.len(), 6);
         for t in &trials {
             assert!((0.0..=1.0).contains(&t.metrics.accuracy));

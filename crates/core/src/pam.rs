@@ -4,8 +4,7 @@
 //! Holm–Bonferroni correction (Fig. 4), including the same-category vs
 //! cross-category significance breakdown.
 
-use crate::evalstore::EvalContext;
-use crate::mem::{evaluate_models, ModelKind, TrialOutcome, TrialSpec};
+use crate::mem::{ModelKind, TrialOutcome};
 use crate::metrics::METRIC_NAMES;
 use phishinghook_stats::dunn::{dunn_test, DunnTest};
 use phishinghook_stats::holm::holm_adjust;
@@ -48,17 +47,6 @@ pub struct PosthocReport {
     pub dunn: Vec<DunnTest>,
     /// Pairwise significance breakdown per metric.
     pub breakdown: Vec<SignificanceBreakdown>,
-}
-
-/// Runs the whole §IV-E pipeline against a shared [`EvalContext`]: executes
-/// one sharded trial plan per model (a single decode+featurize pass for the
-/// entire model set) and feeds the trials to [`posthoc_analysis`].
-///
-/// # Panics
-///
-/// Panics if fewer than two models are supplied or the plan is empty.
-pub fn posthoc_over(ctx: &EvalContext, models: &[ModelKind], plan: &[TrialSpec]) -> PosthocReport {
-    posthoc_analysis(&evaluate_models(ctx, models, plan))
 }
 
 /// Runs the full PAM over per-model trial lists.
@@ -278,23 +266,5 @@ mod tests {
     #[should_panic(expected = "at least two models")]
     fn single_model_rejected() {
         posthoc_analysis(&[(ModelKind::Knn, trials(0.9, 0.01, 5, 1))]);
-    }
-
-    #[test]
-    fn posthoc_over_runs_on_a_shared_context() {
-        use crate::bem::{extract_dataset, BemConfig};
-        use crate::evalstore::EvalContext;
-        use crate::mem::{trial_plan, EvalProfile};
-        use phishinghook_chain::SimulatedChain;
-        use phishinghook_synth::{generate_corpus, CorpusConfig};
-
-        let corpus = generate_corpus(&CorpusConfig::small(303));
-        let chain = SimulatedChain::from_corpus(&corpus);
-        let (dataset, _) = extract_dataset(&chain, &BemConfig::default());
-        let ctx = EvalContext::new(&dataset, &EvalProfile::quick());
-        let plan = trial_plan(&dataset, 3, 1, 5);
-        let report = posthoc_over(&ctx, &[ModelKind::Knn, ModelKind::Svm], &plan);
-        assert_eq!(report.models.len(), 2);
-        assert_eq!(report.omnibus.len(), 4);
     }
 }

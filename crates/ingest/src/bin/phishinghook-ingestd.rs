@@ -16,8 +16,9 @@
 //! waits forever) and `PHISHINGHOOK_BOOTSTRAP_MIN` (labeled samples before
 //! the baseline train, 96). A malformed knob or argument exits with code 2.
 //!
-//! The same drift → retrain → republish loop runs in one process through
-//! [`OnlinePipeline::run`](phishinghook_ingest::OnlinePipeline::run).
+//! The same drift → retrain → republish loop runs in one process by
+//! feeding samples to
+//! [`OnlinePipeline::observe`](phishinghook_ingest::OnlinePipeline::observe).
 
 use phishinghook::drift::DriftConfig;
 use phishinghook::retry::knob;

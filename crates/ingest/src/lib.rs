@@ -50,8 +50,7 @@ pub mod tail;
 pub use pipeline::{IngestConfig, IngestReport, OnlinePipeline, RetrainEvent};
 pub use scenario::{baseline_detector, DriftScenario};
 pub use tail::{
-    run_tail_pipeline, TailError, TailExit, TailIngestConfig, TailNote, TailReport,
-    DEFAULT_BOOTSTRAP_MIN,
+    run_tail_pipeline, TailError, TailIngestConfig, TailNote, TailReport, DEFAULT_BOOTSTRAP_MIN,
 };
 
 #[cfg(test)]
@@ -93,13 +92,11 @@ mod tests {
             },
         );
 
-        let stream = ExtractionStream::new(&chain, Month::FIRST, Month::LAST);
         let mut events = Vec::new();
-        let report = pipeline
-            .run(stream, &mut publisher, |event, _| {
-                events.push(event.clone())
-            })
-            .unwrap();
+        for sample in ExtractionStream::new(&chain, Month::FIRST, Month::LAST) {
+            events.extend(pipeline.observe(sample, &mut publisher).unwrap());
+        }
+        let report = pipeline.report();
 
         assert!(report.streamed > 0);
         assert!(
@@ -140,13 +137,11 @@ mod tests {
                 ..IngestConfig::default()
             },
         );
-        let stream = ExtractionStream::new(&chain, Month::FIRST, Month::LAST);
-        let report = pipeline
-            .run(stream, &mut publisher, |_, _| {
-                panic!("no retrain expected on a calm chain")
-            })
-            .unwrap();
-        assert_eq!(report.retrains, 0);
+        for sample in ExtractionStream::new(&chain, Month::FIRST, Month::LAST) {
+            let event = pipeline.observe(sample, &mut publisher).unwrap();
+            assert!(event.is_none(), "no retrain expected on a calm chain");
+        }
+        assert_eq!(pipeline.report().retrains, 0);
         assert!(ArtifactPublisher::current(&dir).unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }

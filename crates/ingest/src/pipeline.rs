@@ -164,29 +164,4 @@ impl OnlinePipeline {
             window_len: ctx.len(),
         }))
     }
-
-    /// Drains `samples` through [`OnlinePipeline::observe`], invoking
-    /// `on_retrain` with each completed cycle and the freshly retrained
-    /// model (ready for `Server::install`). Returns the final counters.
-    ///
-    /// # Errors
-    ///
-    /// Publisher I/O failures, as [`ArtifactError::Io`].
-    pub fn run<I, F>(
-        &mut self,
-        samples: I,
-        publisher: &mut ArtifactPublisher,
-        mut on_retrain: F,
-    ) -> Result<IngestReport, ArtifactError>
-    where
-        I: IntoIterator<Item = Sample>,
-        F: FnMut(&RetrainEvent, &Arc<Detector>),
-    {
-        for sample in samples {
-            if let Some(event) = self.observe(sample, publisher)? {
-                on_retrain(&event, &self.detector);
-            }
-        }
-        Ok(self.report.clone())
-    }
 }

@@ -73,14 +73,6 @@ pub enum TailNote {
     },
 }
 
-/// Why a tail-driven run ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TailExit {
-    /// The journal went idle past the tail's idle timeout — the clean,
-    /// expected exit for a finite scanner run.
-    Stalled,
-}
-
 /// Counters of one completed [`run_tail_pipeline`] run.
 #[derive(Debug, Clone)]
 pub struct TailReport {
@@ -95,8 +87,6 @@ pub struct TailReport {
     pub pipeline: IngestReport,
     /// Every generation published, baseline included, in order.
     pub generations: Vec<u64>,
-    /// Why the run ended.
-    pub exit: TailExit,
 }
 
 /// A tail-driven run's error: the journal or the publisher failed.
@@ -217,7 +207,6 @@ pub fn run_tail_pipeline<C: Clock>(
             .map(|p| p.report().clone())
             .unwrap_or_default(),
         generations,
-        exit: TailExit::Stalled,
     })
 }
 
@@ -291,7 +280,6 @@ mod tests {
         })
         .unwrap();
 
-        assert_eq!(report.exit, TailExit::Stalled);
         assert_eq!(report.unlabeled, 1);
         assert!(report.bootstrapped >= 48);
         assert_eq!(report.generations.first(), Some(&1));
@@ -342,7 +330,6 @@ mod tests {
             ..TailIngestConfig::default()
         };
         let report = run_tail_pipeline(&mut tailer, &mut publisher, &config, |_| {}).unwrap();
-        assert_eq!(report.exit, TailExit::Stalled);
         assert!(!report.generations.is_empty(), "bootstrap still happened");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -10,59 +10,25 @@
 //! cheap stage-1 score and still report a probability comparable to the
 //! deep stage's.
 //!
-//! Two fitters, both hand-rolled and dependency-free:
+//! The one fitter is Platt scaling (Platt 1999, with the numerically robust
+//! formulation of Lin, Lu and Weng 2007): `p = σ(a·s + b)` fitted by
+//! Newton's method on the regularized log-likelihood. It is smooth and
+//! strictly monotone in the score, with two parameters — the right fit for
+//! the small calibration folds a cascade holds out.
 //!
-//! * [`PlattScaling`] — fits `p = σ(a·s + b)` by Newton's method on the
-//!   regularized log-likelihood (Platt 1999, with the numerically robust
-//!   formulation of Lin, Lu and Weng 2007). Smooth and strictly monotone
-//!   in the score, two parameters — the right default for small
-//!   calibration folds.
-//! * [`IsotonicRegression`] — pool-adjacent-violators over the sorted
-//!   scores: a monotone non-decreasing step function, non-parametric, the
-//!   better fit when the score→probability relation is genuinely
-//!   non-sigmoid (needs more calibration data).
-//!
-//! Both fits are deterministic (no RNG, fixed iteration order) and both
-//! applications are pure `f64` pipelines truncated to `f32` at the end,
-//! so calibrated probabilities are bit-reproducible across processes —
-//! the property the cascade artifact round-trip tests pin down.
+//! The fit is deterministic (no RNG, fixed iteration order) and its
+//! application is a pure `f64` pipeline truncated to `f32` at the end, so
+//! calibrated probabilities are bit-reproducible across processes — the
+//! property the cascade artifact round-trip tests pin down.
 
 use phishinghook_artifact::{ArtifactError, ByteReader, ByteWriter};
 
-/// Which calibration fitter to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CalibrationMethod {
-    /// Two-parameter sigmoid fit ([`PlattScaling`]).
-    Platt,
-    /// Non-parametric monotone step fit ([`IsotonicRegression`]).
-    Isotonic,
-}
-
-impl CalibrationMethod {
-    /// Stable machine-readable identifier (artifact meta, env knobs).
-    pub fn id(&self) -> &'static str {
-        match self {
-            CalibrationMethod::Platt => "platt",
-            CalibrationMethod::Isotonic => "isotonic",
-        }
-    }
-
-    /// Inverse of [`CalibrationMethod::id`].
-    pub fn from_id(id: &str) -> Option<CalibrationMethod> {
-        match id {
-            "platt" => Some(CalibrationMethod::Platt),
-            "isotonic" => Some(CalibrationMethod::Isotonic),
-            _ => None,
-        }
-    }
-}
-
-/// Platt scaling: `p = σ(a·s + b)` with `(a, b)` maximizing the held-out
-/// log-likelihood under Platt's label smoothing (targets
+/// A fitted Platt map `p = σ(a·s + b)`, with `(a, b)` maximizing the
+/// held-out log-likelihood under Platt's label smoothing (targets
 /// `(n₊+1)/(n₊+2)` and `1/(n₋+2)` instead of hard 1/0, which keeps the
 /// fit from diverging on separable folds).
 #[derive(Debug, Clone, PartialEq)]
-pub struct PlattScaling {
+pub struct Calibrator {
     /// Slope on the raw score (negative when the score anti-correlates
     /// with the positive class; the fit follows the data).
     pub a: f64,
@@ -70,14 +36,20 @@ pub struct PlattScaling {
     pub b: f64,
 }
 
-impl PlattScaling {
+impl Calibrator {
+    /// The method id a cascade artifact records beside its calibrators.
+    pub const ID: &'static str = "platt";
+
+    /// The tag byte that heads [`Calibrator::export_state`].
+    const TAG: u8 = 0;
+
     /// Fits `(a, b)` by damped Newton iteration — the Lin–Lu–Weng
     /// formulation of Platt's algorithm, ≤100 iterations, deterministic.
     ///
     /// # Panics
     ///
     /// Panics on empty or length-mismatched inputs.
-    pub fn fit(scores: &[f32], labels: &[u8]) -> PlattScaling {
+    pub fn fit(scores: &[f32], labels: &[u8]) -> Calibrator {
         assert_eq!(scores.len(), labels.len(), "score/label length mismatch");
         assert!(!scores.is_empty(), "empty calibration fold");
         let n_pos = labels.iter().filter(|&&y| y == 1).count() as f64;
@@ -155,126 +127,12 @@ impl PlattScaling {
                 break;
             }
         }
-        PlattScaling { a, b }
+        Calibrator { a, b }
     }
 
     /// Calibrated probability of one raw score.
     pub fn apply(&self, score: f32) -> f32 {
         sigmoid(self.a * score as f64 + self.b) as f32
-    }
-}
-
-/// Isotonic regression: the monotone non-decreasing step function closest
-/// (in squared error) to the held-out labels, fitted by
-/// pool-adjacent-violators over the score-sorted fold.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IsotonicRegression {
-    /// Left edge of each pooled block, ascending.
-    thresholds: Vec<f32>,
-    /// The block's fitted probability (non-decreasing).
-    values: Vec<f32>,
-}
-
-impl IsotonicRegression {
-    /// Fits the step function by PAV. Ties in the scores are pre-pooled
-    /// (identical scores cannot be told apart at apply time, so they
-    /// share one block from the start), which also makes the fit
-    /// independent of the input order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on empty or length-mismatched inputs.
-    pub fn fit(scores: &[f32], labels: &[u8]) -> IsotonicRegression {
-        assert_eq!(scores.len(), labels.len(), "score/label length mismatch");
-        assert!(!scores.is_empty(), "empty calibration fold");
-        let mut order: Vec<usize> = (0..scores.len()).collect();
-        order.sort_by(|&i, &j| scores[i].total_cmp(&scores[j]));
-
-        // One block per distinct score: (left score, label sum, count).
-        let mut blocks: Vec<(f32, f64, f64)> = Vec::new();
-        for &i in &order {
-            let (s, y) = (scores[i], labels[i] as f64);
-            match blocks.last_mut() {
-                Some((ls, sum, cnt)) if *ls == s => {
-                    *sum += y;
-                    *cnt += 1.0;
-                }
-                _ => blocks.push((s, y, 1.0)),
-            }
-        }
-        // Pool adjacent violators: merge while a block's mean exceeds its
-        // successor's.
-        let mut pooled: Vec<(f32, f64, f64)> = Vec::with_capacity(blocks.len());
-        for block in blocks {
-            pooled.push(block);
-            while pooled.len() >= 2 {
-                let (_, s1, c1) = pooled[pooled.len() - 1];
-                let (_, s0, c0) = pooled[pooled.len() - 2];
-                if s0 / c0 <= s1 / c1 {
-                    break;
-                }
-                let (_, s1, c1) = pooled.pop().unwrap();
-                let last = pooled.last_mut().unwrap();
-                last.1 += s1;
-                last.2 += c1;
-            }
-        }
-        IsotonicRegression {
-            thresholds: pooled.iter().map(|&(s, _, _)| s).collect(),
-            values: pooled.iter().map(|&(_, s, c)| (s / c) as f32).collect(),
-        }
-    }
-
-    /// Calibrated probability: the fitted value of the last block whose
-    /// left edge is at or below `score` (scores below every block clamp
-    /// to the first block's value).
-    pub fn apply(&self, score: f32) -> f32 {
-        // partition_point: count of blocks with threshold <= score.
-        let at = self
-            .thresholds
-            .partition_point(|t| t.total_cmp(&score) != std::cmp::Ordering::Greater);
-        self.values[at.saturating_sub(1).min(self.values.len() - 1)]
-    }
-}
-
-/// A fitted monotone score→probability map, ready to persist.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Calibrator {
-    /// Sigmoid fit.
-    Platt(PlattScaling),
-    /// Step-function fit.
-    Isotonic(IsotonicRegression),
-}
-
-impl Calibrator {
-    /// Fits `method` on held-out `(score, label)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on empty or length-mismatched inputs.
-    pub fn fit(method: CalibrationMethod, scores: &[f32], labels: &[u8]) -> Calibrator {
-        match method {
-            CalibrationMethod::Platt => Calibrator::Platt(PlattScaling::fit(scores, labels)),
-            CalibrationMethod::Isotonic => {
-                Calibrator::Isotonic(IsotonicRegression::fit(scores, labels))
-            }
-        }
-    }
-
-    /// The method this calibrator was fitted with.
-    pub fn method(&self) -> CalibrationMethod {
-        match self {
-            Calibrator::Platt(_) => CalibrationMethod::Platt,
-            Calibrator::Isotonic(_) => CalibrationMethod::Isotonic,
-        }
-    }
-
-    /// Calibrated probability of one raw score.
-    pub fn apply(&self, score: f32) -> f32 {
-        match self {
-            Calibrator::Platt(p) => p.apply(score),
-            Calibrator::Isotonic(i) => i.apply(score),
-        }
     }
 
     /// [`Calibrator::apply`] over a batch, in input order.
@@ -282,21 +140,12 @@ impl Calibrator {
         scores.iter().map(|&s| self.apply(s)).collect()
     }
 
-    /// Serializes the fitted state (tag byte + method payload).
+    /// Serializes the fitted state: tag byte `0`, then `a` and `b`.
     pub fn export_state(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        match self {
-            Calibrator::Platt(p) => {
-                w.put_u8(0);
-                w.put_f64(p.a);
-                w.put_f64(p.b);
-            }
-            Calibrator::Isotonic(i) => {
-                w.put_u8(1);
-                w.put_f32_slice(&i.thresholds);
-                w.put_f32_slice(&i.values);
-            }
-        }
+        w.put_u8(Self::TAG);
+        w.put_f64(self.a);
+        w.put_f64(self.b);
         w.into_bytes()
     }
 
@@ -304,43 +153,20 @@ impl Calibrator {
     ///
     /// # Errors
     ///
-    /// Truncation, an unknown tag, or an isotonic table whose shape or
-    /// ordering is invalid — a corrupt artifact is a typed error, never a
-    /// panic at apply time.
+    /// Truncation, trailing bytes or a tag other than `0` — a corrupt
+    /// artifact is a typed error, never a panic at apply time.
     pub fn import_state(bytes: &[u8]) -> Result<Calibrator, ArtifactError> {
         let mut r = ByteReader::new(bytes);
-        let cal = match r.take_u8()? {
-            0 => Calibrator::Platt(PlattScaling {
-                a: r.take_f64()?,
-                b: r.take_f64()?,
-            }),
-            1 => {
-                let thresholds = r.take_f32_slice()?;
-                let values = r.take_f32_slice()?;
-                if thresholds.is_empty() || thresholds.len() != values.len() {
-                    return Err(ArtifactError::Corrupt(format!(
-                        "isotonic table shape {}x{}",
-                        thresholds.len(),
-                        values.len()
-                    )));
-                }
-                // Strictly increasing and NaN-free: anything else (equal,
-                // decreasing, or incomparable) is a corrupt table.
-                if thresholds
-                    .windows(2)
-                    .any(|w| w[0].partial_cmp(&w[1]) != Some(std::cmp::Ordering::Less))
-                {
-                    return Err(ArtifactError::Corrupt(
-                        "isotonic thresholds not strictly increasing".into(),
-                    ));
-                }
-                Calibrator::Isotonic(IsotonicRegression { thresholds, values })
-            }
-            tag => {
-                return Err(ArtifactError::Corrupt(format!(
-                    "calibrator tag {tag} (expected 0 or 1)"
-                )))
-            }
+        let tag = r.take_u8()?;
+        if tag != Self::TAG {
+            return Err(ArtifactError::Corrupt(format!(
+                "calibrator tag {tag} (expected {})",
+                Self::TAG
+            )));
+        }
+        let cal = Calibrator {
+            a: r.take_f64()?,
+            b: r.take_f64()?,
         };
         r.expect_exhausted("calibrator state")?;
         Ok(cal)
@@ -378,7 +204,7 @@ mod tests {
     #[test]
     fn platt_is_monotone_and_tracks_the_fold() {
         let (scores, labels) = noisy_fold(300);
-        let cal = PlattScaling::fit(&scores, &labels);
+        let cal = Calibrator::fit(&scores, &labels);
         // Higher score ⇒ higher probability (a > 0 on correlated data).
         assert!(cal.a > 0.0, "slope {}", cal.a);
         assert!(cal.apply(0.9) > cal.apply(0.2));
@@ -394,7 +220,7 @@ mod tests {
 
     #[test]
     fn platt_survives_a_degenerate_constant_fold() {
-        let cal = PlattScaling::fit(&[0.5; 20], &[1; 20]);
+        let cal = Calibrator::fit(&[0.5; 20], &[1; 20]);
         let p = cal.apply(0.5);
         assert!(p.is_finite() && (0.0..=1.0).contains(&p));
         // All-positive smoothed target is (n+1)/(n+2) ≈ 0.954.
@@ -402,55 +228,16 @@ mod tests {
     }
 
     #[test]
-    fn isotonic_is_monotone_non_decreasing() {
-        let (scores, labels) = noisy_fold(300);
-        let cal = IsotonicRegression::fit(&scores, &labels);
-        let mut prev = 0.0f32;
-        for i in 0..=100 {
-            let p = cal.apply(i as f32 / 100.0);
-            assert!(p >= prev, "decreasing at {i}");
-            assert!((0.0..=1.0).contains(&p));
-            prev = p;
-        }
-    }
-
-    #[test]
-    fn isotonic_recovers_a_perfect_step() {
-        let scores = [0.1, 0.2, 0.3, 0.7, 0.8, 0.9];
-        let labels = [0, 0, 0, 1, 1, 1];
-        let cal = IsotonicRegression::fit(&scores, &labels);
-        assert_eq!(cal.apply(0.15), 0.0);
-        assert_eq!(cal.apply(0.85), 1.0);
-        // Below every block clamps to the first value.
-        assert_eq!(cal.apply(-1.0), 0.0);
-        assert_eq!(cal.apply(2.0), 1.0);
-    }
-
-    #[test]
-    fn isotonic_is_input_order_independent() {
-        let (mut scores, mut labels) = noisy_fold(100);
-        let a = IsotonicRegression::fit(&scores, &labels);
-        // Reverse the fold; the fit must be identical.
-        scores.reverse();
-        labels.reverse();
-        let b = IsotonicRegression::fit(&scores, &labels);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn calibrator_round_trips_bit_exactly() {
         let (scores, labels) = noisy_fold(200);
-        for method in [CalibrationMethod::Platt, CalibrationMethod::Isotonic] {
-            let cal = Calibrator::fit(method, &scores, &labels);
-            let reloaded = Calibrator::import_state(&cal.export_state()).unwrap();
-            assert_eq!(reloaded.method(), method);
-            for &s in &scores {
-                assert_eq!(
-                    cal.apply(s).to_bits(),
-                    reloaded.apply(s).to_bits(),
-                    "{method:?} diverged at {s}"
-                );
-            }
+        let cal = Calibrator::fit(&scores, &labels);
+        let reloaded = Calibrator::import_state(&cal.export_state()).unwrap();
+        for &s in &scores {
+            assert_eq!(
+                cal.apply(s).to_bits(),
+                reloaded.apply(s).to_bits(),
+                "diverged at {s}"
+            );
         }
     }
 
@@ -458,21 +245,20 @@ mod tests {
     fn malformed_calibrator_state_is_a_typed_error() {
         assert!(Calibrator::import_state(&[]).is_err());
         assert!(Calibrator::import_state(&[9]).is_err());
-        // Truncated Platt payload.
+        // Truncated payload.
         assert!(Calibrator::import_state(&[0, 1, 2, 3]).is_err());
-        // Isotonic with decreasing thresholds.
+        // Tag 1 was the isotonic step table; it no longer decodes.
         let mut w = ByteWriter::new();
         w.put_u8(1);
-        w.put_f32_slice(&[0.5, 0.1]);
+        w.put_f32_slice(&[0.1, 0.5]);
         w.put_f32_slice(&[0.2, 0.8]);
-        assert!(Calibrator::import_state(&w.into_bytes()).is_err());
-    }
-
-    #[test]
-    fn method_ids_round_trip() {
-        for m in [CalibrationMethod::Platt, CalibrationMethod::Isotonic] {
-            assert_eq!(CalibrationMethod::from_id(m.id()), Some(m));
-        }
-        assert_eq!(CalibrationMethod::from_id("temperature"), None);
+        assert!(matches!(
+            Calibrator::import_state(&w.into_bytes()),
+            Err(ArtifactError::Corrupt(_))
+        ));
+        // Trailing bytes after a valid state.
+        let mut bytes = Calibrator { a: 1.0, b: 0.0 }.export_state();
+        bytes.push(0);
+        assert!(Calibrator::import_state(&bytes).is_err());
     }
 }

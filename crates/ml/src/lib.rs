@@ -22,7 +22,7 @@
 //! [`Matrix`](phishinghook_linalg::Matrix) with `0/1` labels, then
 //! `predict_proba`/`predict`.
 //!
-//! The crate also hosts [`calibrate`] — hand-rolled Platt/isotonic
+//! The crate also hosts [`calibrate`] — hand-rolled Platt
 //! probability calibration, the piece that makes heterogeneous model
 //! scores threshold-comparable in the serving cascade.
 
@@ -37,7 +37,7 @@ pub mod linear;
 pub mod shap;
 pub mod tree;
 
-pub use calibrate::{CalibrationMethod, Calibrator, IsotonicRegression, PlattScaling};
+pub use calibrate::Calibrator;
 pub use classifier::Classifier;
 pub use forest::RandomForest;
 pub use gbdt::{CatBoostClassifier, LgbmClassifier, XgbClassifier};

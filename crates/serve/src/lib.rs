@@ -43,8 +43,8 @@
 //!
 //! The `phishinghook-served` binary wraps [`server::Server`] around an
 //! artifact path or a publish directory;
-//! [`server::Server::start`] is the embeddable form used by the tests,
-//! benches, and the `serve_and_query` example.
+//! [`server::Server::start`] is the embeddable form used by the tests
+//! and benches.
 
 pub mod health;
 pub mod http;

@@ -8,7 +8,7 @@
 //! [`Arc`]`<`[`CodeScorer`]`>` — drains up to
 //! [`QueueConfig::max_batch`] jobs per wake and scores them in **one**
 //! `score_many` call (`Detector::score_codes` /
-//! `ModelZoo::score_codes` → `Model::predict_proba` underneath). Scores
+//! `CascadeDetector::score_codes` → `Model::predict_proba` underneath). Scores
 //! are delivered back through each job's private reply slot, in input
 //! order within the batch.
 //!
@@ -270,8 +270,8 @@ pub struct MicroBatcher<S: CodeScorer> {
 
 impl<S: CodeScorer + 'static> MicroBatcher<S> {
     /// Spawns `cfg.workers` warm workers over `scorer` and starts
-    /// accepting jobs. The scorer is typically an `Arc<Detector>` or
-    /// `Arc<ModelZoo>` — every worker scores through the *same* loaded
+    /// accepting jobs. The scorer is typically an `Arc<Detector>` or a
+    /// [`ModelSlot`](crate::ModelSlot) — every worker scores through the *same* loaded
     /// artifact, which is what makes the pool cheap to widen.
     ///
     /// # Panics

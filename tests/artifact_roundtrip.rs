@@ -1,8 +1,7 @@
 //! Cold-start parity acceptance test: for every one of the sixteen
 //! `ModelKind`s, a detector serialized to its artifact form and
 //! reconstructed from bytes alone (as a fresh process would) produces
-//! scores bit-identical to the detector that trained it. A `ModelZoo`
-//! round-trips the same way.
+//! scores bit-identical to the detector that trained it.
 
 use phishinghook::prelude::*;
 use phishinghook_evm::DisasmCache;
@@ -45,27 +44,4 @@ fn every_model_kind_reloads_with_bit_identical_scores() {
             "{kind}: single-contract cold-start score"
         );
     }
-}
-
-#[test]
-fn zoo_artifact_reloads_with_bit_identical_verdicts() {
-    let (_, ctx) = fixture();
-    // One kind per category keeps the zoo representative and fast.
-    let kinds = [
-        ModelKind::RandomForest,
-        ModelKind::VitFreq,
-        ModelKind::ScsGuard,
-        ModelKind::Escort,
-    ];
-    let zoo = ModelZoo::train(&ctx, &kinds, 5);
-    let caches: Vec<DisasmCache> = ctx.caches().as_slice()[..6].to_vec();
-    let expected = zoo.score_batch(&caches);
-
-    let reloaded = ModelZoo::from_bytes(&zoo.to_bytes()).unwrap();
-    assert_eq!(reloaded.kinds(), kinds.to_vec());
-    let verdicts = reloaded.score_batch(&caches);
-    assert_eq!(
-        verdicts, expected,
-        "reloaded zoo verdicts must be bit-identical"
-    );
 }

@@ -157,6 +157,25 @@ fn batch_composition_never_changes_a_verdict() {
     assert_eq!(reversed, expect);
 }
 
+/// Pins the `cascade` artifact section across commits: band, budget,
+/// calibration method id and both calibrator states, as an FNV-1a digest
+/// recorded from a known-good build. Only that section is pinned — each
+/// stage's `meta` carries its wall-clock `train_seconds`, so the whole
+/// artifact differs run to run. Like `crates/ml/tests/linear_digest.rs`,
+/// the pin depends on the platform libm through the logistic confirmer.
+#[test]
+fn cascade_section_bytes_are_pinned() {
+    let ctx = context(42);
+    let bytes = forest_logreg_cascade(&ctx, 7).to_bytes();
+    let artifact = phishinghook_artifact::ArtifactReader::from_bytes(&bytes).unwrap();
+    let section = artifact.section("cascade").unwrap();
+    let got = phishinghook_artifact::checksum(section);
+    assert_eq!(
+        got, 0x2336_cf37_d974_b8d9,
+        "cascade section digest moved: {got:#018x}"
+    );
+}
+
 proptest! {
     #![proptest_config(proptest::test_runner::Config::with_cases(6))]
 
@@ -175,7 +194,7 @@ proptest! {
             &ctx,
             ModelKind::LogisticRegression,
             ModelKind::Svm,
-            &CascadeConfig { escalate_budget: budget, ..CascadeConfig::default() },
+            &CascadeConfig { escalate_budget: budget },
             seed,
         );
         let verdicts = cascade.score_batch(ctx.caches().as_slice());

@@ -97,27 +97,22 @@ fn serving_matches_the_eval_path_and_decodes_each_contract_once() {
     assert_eq!(decode_count() - before, 1);
     assert_eq!(solo, scores[0]);
 
-    // --- A zoo shares the decode AND the encoding pass. ---
-    let zoo = ModelZoo::train(
+    // --- A cascade shares one decode between both stages. ---
+    let cascade = CascadeDetector::train(
         &ctx,
-        &[ModelKind::RandomForest, ModelKind::Knn, ModelKind::ScsGuard],
+        ModelKind::RandomForest,
+        ModelKind::ScsGuard,
+        &CascadeConfig::default(),
         3,
     );
     let before = decode_count();
-    let verdicts = zoo.score_codes(&fresh);
+    let verdicts = cascade.score_codes(&fresh);
     assert_eq!(
         decode_count() - before,
         fresh.len() as u64,
-        "a multi-model zoo still decodes each contract exactly once"
+        "a two-stage cascade still decodes each contract exactly once"
     );
     assert_eq!(verdicts.len(), fresh.len());
-    for (i, per_model) in verdicts.iter().enumerate() {
-        assert_eq!(per_model.len(), 3);
-        // The zoo's RandomForest shares training seed + data with the solo
-        // detector above: identical scores.
-        assert_eq!(per_model[0].kind, ModelKind::RandomForest);
-        assert_eq!(per_model[0].probability, scores[i]);
-    }
 
     // --- Micro-batched serving is invisible in the scores. ---
     // The serving tier's queue coalesces concurrent requests into one
@@ -172,14 +167,14 @@ fn serving_matches_the_eval_path_and_decodes_each_contract_once() {
     assert_eq!(stats.scored - stats_before.scored, fresh.len() as u64);
     batcher.shutdown();
 
-    // The whole zoo behind the queue: same Verdict tree as direct scoring.
-    let zoo_batcher = MicroBatcher::start(zoo, QueueConfig { workers: 1, ..cfg });
-    let queued_verdicts = zoo_batcher
+    // The cascade behind the queue: same verdicts as direct scoring.
+    let cascade_batcher = MicroBatcher::start(cascade, QueueConfig { workers: 1, ..cfg });
+    let queued_verdicts = cascade_batcher
         .submit_many(fresh.clone())
-        .expect("queue accepts the zoo batch");
+        .expect("queue accepts the cascade batch");
     assert_eq!(
         queued_verdicts, verdicts,
-        "every model kind in the zoo must score bit-identically through the queue"
+        "both cascade stages must score bit-identically through the queue"
     );
-    zoo_batcher.shutdown();
+    cascade_batcher.shutdown();
 }

@@ -37,9 +37,12 @@ fn sharded_trials_are_bit_identical_to_sequential_order() {
 #[test]
 fn repeated_cross_validation_is_reproducible() {
     let data = dataset(63);
-    let profile = EvalProfile::quick();
-    let a = cross_validate(ModelKind::Svm, &data, 3, 1, &profile, 21);
-    let b = cross_validate(ModelKind::Svm, &data, 3, 1, &profile, 21);
+    // Each run plans and featurizes from scratch.
+    let run = || {
+        let ctx = EvalContext::new(&data, &EvalProfile::quick());
+        cross_validate_on(&ctx, ModelKind::Svm, &trial_plan(&data, 3, 1, 21))
+    };
+    let (a, b) = (run(), run());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.metrics, y.metrics, "same seed, same plan, same metrics");
     }

@@ -22,9 +22,10 @@ fn full_pipeline_produces_significant_model_differences() {
     }
 
     // MEM (➐): two contrasting models over 3-fold CV.
-    let profile = EvalProfile::quick();
-    let rf = cross_validate(ModelKind::RandomForest, &dataset, 3, 1, &profile, 1);
-    let lr = cross_validate(ModelKind::LogisticRegression, &dataset, 3, 1, &profile, 1);
+    let ctx = EvalContext::new(&dataset, &EvalProfile::quick());
+    let plan = trial_plan(&dataset, 3, 1, 1);
+    let rf = cross_validate_on(&ctx, ModelKind::RandomForest, &plan);
+    let lr = cross_validate_on(&ctx, ModelKind::LogisticRegression, &plan);
     let rf_mean = Metrics::mean(&rf.iter().map(|t| t.metrics).collect::<Vec<_>>());
     assert!(
         rf_mean.accuracy > 0.75,
@@ -33,7 +34,7 @@ fn full_pipeline_produces_significant_model_differences() {
     );
 
     // PAM (➑): the analysis runs and reports coherent structure.
-    let knn = cross_validate(ModelKind::Knn, &dataset, 3, 1, &profile, 1);
+    let knn = cross_validate_on(&ctx, ModelKind::Knn, &plan);
     let report = posthoc_analysis(&[
         (ModelKind::RandomForest, rf),
         (ModelKind::LogisticRegression, lr),

@@ -161,16 +161,15 @@ fn drift_retrain_republish_hot_swap_with_zero_dropped_requests() {
             seed: 7,
         },
     );
-    let stream = ExtractionStream::new(&chain, Month::FIRST, Month::LAST);
-    let installer = Arc::clone(&server);
-    let report = pipeline
-        .run(stream, &mut publisher, |event, _| {
+    for sample in ExtractionStream::new(&chain, Month::FIRST, Month::LAST) {
+        if let Some(event) = pipeline.observe(sample, &mut publisher).unwrap() {
             let bytes = std::fs::read(&event.published.path).unwrap();
             let decoded = Arc::new(Detector::from_bytes(&bytes).unwrap());
-            let replaced = installer.install(decoded, event.published.generation);
+            let replaced = server.install(decoded, event.published.generation);
             assert!(replaced < event.published.generation, "monotone swap");
-        })
-        .unwrap();
+        }
+    }
+    let report = pipeline.report();
     assert!(
         report.retrains >= 1,
         "injected shift must retrain: {report:?}"
@@ -180,7 +179,6 @@ fn drift_retrain_republish_hot_swap_with_zero_dropped_requests() {
     for c in clients {
         c.join().unwrap();
     }
-    drop(installer);
     // Zero dropped: every request issued across the swaps was answered.
     let (attempted, answered) = (
         attempts.load(Ordering::SeqCst),
