@@ -149,7 +149,7 @@ impl Detector {
             kind,
             encoding: kind.encoding(),
             model,
-            encoders: ctx.store().encoders_for(&[kind.encoding()]),
+            encoders: ctx.store().encoder(kind.encoding()).clone(),
             profile: *ctx.profile(),
             seed,
             train_seconds,

@@ -260,18 +260,13 @@ impl ModelKind {
                     n_rounds: profile.boost_rounds,
                     ..BoostParams::default()
                 },
-                48,
             )))),
-            ModelKind::Catboost => {
-                Box::new(DenseClassifier::new(Box::new(CatBoostClassifier::new(
-                    BoostParams {
-                        n_rounds: profile.boost_rounds,
-                        max_depth: 5,
-                        ..BoostParams::default()
-                    },
-                    48,
-                ))))
-            }
+            ModelKind::Catboost => Box::new(DenseClassifier::new(Box::new(
+                CatBoostClassifier::new(BoostParams {
+                    n_rounds: profile.boost_rounds,
+                    max_depth: 5,
+                }),
+            ))),
             ModelKind::EcaEfficientNet => Box::new(EcaEfficientNet::new(EcaNetConfig {
                 side: profile.image_side,
                 train: nn_train(0.02),
@@ -456,7 +451,7 @@ pub(crate) fn fit_kind(
     let store = ctx.store();
     let rows = store.matrix(kind.encoding()).gather_rows(train_idx);
     let labels = ctx.gather_labels(train_idx);
-    let mut model = kind.build(&store.encoders_for(&[kind.encoding()]), ctx.profile(), seed);
+    let mut model = kind.build(store.encoder(kind.encoding()), ctx.profile(), seed);
     let aux = model
         .wants_pretraining()
         .then(|| ctx.gather_vuln(train_idx));
@@ -603,8 +598,7 @@ mod tests {
         let data = small_dataset();
         let ctx = EvalContext::new(&data, &EvalProfile::quick());
         for kind in ModelKind::ALL {
-            let encoders = ctx.store().encoders_for(&[kind.encoding()]);
-            let model = kind.build(&encoders, ctx.profile(), 1);
+            let model = kind.build(ctx.store().encoder(kind.encoding()), ctx.profile(), 1);
             // Only ESCORT carries the two-phase transfer protocol.
             assert_eq!(
                 model.wants_pretraining(),

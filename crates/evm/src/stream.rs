@@ -108,8 +108,9 @@ pub enum CodeLogError {
         offset: u64,
     },
     /// A complete record at `offset` fails validation (checksum mismatch,
-    /// an absurd length prefix, or an unknown body tag) — bit rot or a
-    /// garbage tail. Fatal: the cursor poisons and will not resume.
+    /// an absurd length prefix, an unknown body tag, or a label other
+    /// than 0 or 1) — bit rot or a garbage tail. Fatal: the cursor poisons
+    /// and will not resume.
     Corrupt {
         /// Byte offset of the failing record.
         offset: u64,
@@ -323,13 +324,20 @@ impl CodeLogWriter {
     ///
     /// # Errors
     ///
-    /// Same as [`CodeLogWriter::append`].
+    /// Same as [`CodeLogWriter::append`], plus a `label` other than 0 or 1
+    /// (which a cursor would refuse to read back).
     pub fn append_labeled(
         &mut self,
         code: &Bytecode,
         label: u8,
         month: u16,
     ) -> Result<(), CodeLogError> {
+        if label > 1 {
+            return Err(CodeLogError::Corrupt {
+                offset: 0,
+                detail: format!("label {label} is not 0 or 1"),
+            });
+        }
         let mut meta = [0u8; 3];
         meta[0] = label;
         meta[1..3].copy_from_slice(&month.to_le_bytes());
@@ -502,8 +510,8 @@ impl CodeLogCursor {
     /// # Errors
     ///
     /// [`CodeLogError::Truncated`] on a torn tail (retryable),
-    /// [`CodeLogError::Corrupt`] on checksum/length/tag damage (poisons
-    /// the cursor), plus any I/O failure.
+    /// [`CodeLogError::Corrupt`] on checksum/length/tag/label damage
+    /// (poisons the cursor), plus any I/O failure.
     pub fn next_entry(&mut self) -> Result<Option<CodeLogEntry>, CodeLogError> {
         let record_start = self.offset;
         let truncated = |cursor: &mut Self| -> CodeLogError {
@@ -550,6 +558,14 @@ impl CodeLogCursor {
                     return Err(self.corrupt(
                         record_start,
                         format!("labeled record body of {} bytes is too short", body.len()),
+                    ));
+                }
+                if body[1] > 1 {
+                    // A trainer downstream asserts binary labels; a record
+                    // that would panic it is damage, not data.
+                    return Err(self.corrupt(
+                        record_start,
+                        format!("labeled record carries label {}, not 0 or 1", body[1]),
                     ));
                 }
                 CodeLogEntry {
@@ -922,6 +938,100 @@ mod tests {
         }
         assert!(matches!(cursor.resume(), Err(CodeLogError::Corrupt { .. })));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// One framed record (length prefix, valid checksum, body) as a
+    /// writer would lay it down, whatever the body holds.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut out = (body.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&fnv1a(body).to_le_bytes());
+        out.extend_from_slice(body);
+        out
+    }
+
+    #[test]
+    fn writer_refuses_a_label_other_than_0_or_1() {
+        let path = temp_log("label2");
+        let mut w = CodeLogWriter::create(&path).unwrap();
+        let refused = w.append_labeled(&Bytecode::new(vec![0x5f]), 2, 3);
+        assert!(matches!(refused, Err(CodeLogError::Corrupt { .. })));
+        assert_eq!(w.records(), 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A record body built from arbitrary bytes: `raw[0] % 4` picks the
+    /// tag (raw, labeled, or one of two unknown tags); a label is 0 or 1
+    /// when `raw[1]` is below 128 and `raw[1]` itself (out of range)
+    /// otherwise; and a labeled body may stop short of its meta bytes.
+    fn arbitrary_body(raw: &[u8]) -> Vec<u8> {
+        let byte = |i: usize| raw.get(i).copied().unwrap_or(0);
+        let tag = byte(0) % 4;
+        let label = if byte(1) & 0x80 != 0 {
+            byte(1)
+        } else {
+            byte(1) & 1
+        };
+        let mut body = vec![tag];
+        if tag == TAG_LABELED {
+            body.extend_from_slice(&[label, byte(2), byte(3)]);
+            body.truncate(raw.len().max(1));
+        }
+        body.extend_from_slice(raw.get(4..).unwrap_or(&[]));
+        body
+    }
+
+    proptest::proptest! {
+        /// The cursor is total over checksum-valid records of any tag,
+        /// label, month and payload, then cut short and bit-flipped: it
+        /// never panics, yields only labels 0 and 1, and a cursor poisoned
+        /// by corruption refuses to resume.
+        #[test]
+        fn cursor_is_total_over_damaged_logs(
+            records in proptest::collection::vec(
+                proptest::collection::vec(proptest::any::<u8>(), 0..40),
+                0..10,
+            ),
+            cut in proptest::any::<u64>(),
+            flip_at in proptest::any::<u64>(),
+            flip in proptest::any::<u8>(),
+        ) {
+            let path = temp_log("totality");
+            let mut bytes = CODELOG_MAGIC.to_vec();
+            bytes.extend_from_slice(&CODELOG_VERSION.to_le_bytes());
+            bytes.extend_from_slice(&7u64.to_le_bytes());
+            for raw in &records {
+                bytes.extend(framed(&arbitrary_body(raw)));
+            }
+            // One log in three loses up to 15 trailing bytes, as a torn
+            // append leaves it.
+            if cut.is_multiple_of(3) {
+                bytes.truncate(bytes.len() - (cut / 3 % 16) as usize);
+            }
+            let at = (flip_at % bytes.len() as u64) as usize;
+            bytes[at] ^= flip;
+            std::fs::write(&path, &bytes).unwrap();
+            if let Ok(mut cursor) = CodeLogCursor::open(&path) {
+                // Every record is at least 13 bytes, which bounds the loop.
+                for _ in 0..=bytes.len() / 13 {
+                    match cursor.next_entry() {
+                        Ok(Some(entry)) => {
+                            if let Some(meta) = entry.meta {
+                                proptest::prop_assert!(meta.label <= 1, "label {}", meta.label);
+                            }
+                        }
+                        Err(CodeLogError::Corrupt { .. }) => {
+                            proptest::prop_assert!(matches!(
+                                cursor.resume(),
+                                Err(CodeLogError::Corrupt { .. })
+                            ));
+                            break;
+                        }
+                        Ok(None) | Err(_) => break,
+                    }
+                }
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

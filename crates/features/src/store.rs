@@ -39,7 +39,7 @@
 //! assert_eq!(histogram.width(), Some(store.histogram_width()));
 //! // Only the histogram encoder was fitted.
 //! assert_eq!(
-//!     store.encoders_for(&[Encoding::Histogram]).encodings(),
+//!     store.encoder(Encoding::Histogram).encodings(),
 //!     [Encoding::Histogram]
 //! );
 //! # Ok(())
@@ -359,7 +359,7 @@ const ALL_ENCODERS: u8 = 0b11_1111;
 /// [`FittedEncoders::encode`] and the width/vocabulary accessors panic
 /// when asked about an encoder the set does not hold;
 /// [`FittedEncoders::encodings`] lists what it holds.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FittedEncoders {
     hist: Option<HistogramEncoder>,
     freq: Option<FreqImageEncoder>,
@@ -417,16 +417,6 @@ impl FittedEncoders {
             .into_iter()
             .filter(|e| mask & (1 << e.slot()) != 0)
             .collect()
-    }
-
-    /// Adds `other`'s encoders that this set lacks.
-    fn absorb(&mut self, other: &FittedEncoders) {
-        self.hist = self.hist.take().or_else(|| other.hist.clone());
-        self.freq = self.freq.take().or_else(|| other.freq.clone());
-        self.r2d2 = self.r2d2.or(other.r2d2);
-        self.bigram = self.bigram.take().or_else(|| other.bigram.clone());
-        self.token = self.token.or(other.token);
-        self.escort = self.escort.or(other.escort);
     }
 
     /// Featurizes one contract under a single selected encoding — the
@@ -597,7 +587,9 @@ impl FeatureStore {
     }
 
     /// The single-encoder set behind `encoding`, fitted on first use.
-    fn encoder(&self, encoding: Encoding) -> &FittedEncoders {
+    /// Clone it (kilobytes, not the matrices) to build a persistent
+    /// serving artifact that outlives the store.
+    pub fn encoder(&self, encoding: Encoding) -> &FittedEncoders {
         self.encoders[encoding.slot()].get_or_init(|| {
             let fit = self.fit.as_deref().unwrap_or(self.caches.as_slice());
             FittedEncoders::fit(fit, &self.config, &[encoding])
@@ -614,17 +606,6 @@ impl FeatureStore {
                 encoders.encode(c, encoding)
             }))
         })
-    }
-
-    /// The fitted encoders behind `encodings` and nothing else — clone-out
-    /// kilobytes, not the matrices — to build a persistent serving
-    /// artifact that outlives the store.
-    pub fn encoders_for(&self, encodings: &[Encoding]) -> FittedEncoders {
-        let mut out = FittedEncoders::default();
-        for &encoding in encodings {
-            out.absorb(self.encoder(encoding));
-        }
-        out
     }
 
     /// Histogram feature width (dataset vocabulary size).
@@ -760,16 +741,17 @@ mod tests {
             store.matrices.iter().filter(|m| m.get().is_some()).count(),
             1
         );
-        // The detached set holds exactly the encoders asked for.
-        let tokens = store.encoders_for(&[Encoding::TokensWindows]);
+        // Each set holds exactly the encoder asked for.
+        let tokens = store.encoder(Encoding::TokensWindows);
         assert_eq!(
             tokens.encodings(),
             [Encoding::TokensTruncate, Encoding::TokensWindows]
         );
-        let union = store.encoders_for(&[Encoding::Escort, Encoding::Histogram]);
-        assert_eq!(union.encodings(), [Encoding::Histogram, Encoding::Escort]);
         assert_eq!(
-            union.encode(&caches[2], Encoding::Histogram).as_row(),
+            store
+                .encoder(Encoding::Histogram)
+                .encode(&caches[2], Encoding::Histogram)
+                .as_row(),
             store.matrix(Encoding::Histogram).row(2)
         );
     }
@@ -780,7 +762,7 @@ mod tests {
         let caches = caches();
         let store = store_over(&caches, &small_config());
         store
-            .encoders_for(&[Encoding::Histogram])
+            .encoder(Encoding::Histogram)
             .encode(&caches[0], Encoding::Bigram);
     }
 

@@ -296,6 +296,43 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_label_is_a_journal_error_not_a_trainer_panic() {
+        let dir = temp_dir("label2");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let log = dir.join("scan.codelog");
+        let mut writer = CodeLogWriter::create(&log).unwrap();
+        scan_into(&mut writer, 20, 0x1AB2);
+        drop(writer);
+        // Append a checksum-valid labeled record (tag 1, label 2, month 4
+        // LE, one payload byte) as the 21st sample, the one that
+        // completes the bootstrap set below.
+        let body = [1u8, 2, 4, 0, 0x00];
+        let mut bytes = std::fs::read(&log).unwrap();
+        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&phishinghook_artifact::checksum(&body).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        std::fs::write(&log, &bytes).unwrap();
+
+        let config = TailConfig {
+            idle_timeout: Some(Duration::from_millis(300)),
+            ..TailConfig::default()
+        };
+        let mut tailer = CodeLogTailer::with_clock(&log, config, FakeClock::new());
+        let mut publisher = ArtifactPublisher::open(dir.join("artifacts")).unwrap();
+        let config = TailIngestConfig {
+            bootstrap_min: 21,
+            ..TailIngestConfig::default()
+        };
+        let result = run_tail_pipeline(&mut tailer, &mut publisher, &config, |_| {});
+        assert!(
+            matches!(result, Err(TailError::Log(CodeLogError::Corrupt { .. }))),
+            "{result:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn tail_pipeline_waits_out_a_torn_tail() {
         let dir = temp_dir("torn");
         std::fs::remove_dir_all(&dir).ok();

@@ -2,114 +2,184 @@
 //! benchmarks: XGBoost (exact greedy, depth-wise), LightGBM (histogram bins,
 //! leaf-wise) and CatBoost (oblivious/symmetric trees).
 //!
-//! All three share the same second-order logistic-loss machinery: with
-//! `p = σ(score)`, the gradient is `g = p − y` and the hessian
-//! `h = p (1 − p)`; split gain and leaf weights follow the standard
-//! Newton formulas `gain = ½ [G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)] − γ`
-//! and `w = −G/(H+λ)`.
+//! The three share one engine: `Forest::boost` runs the second-order
+//! logistic-loss loop and `Forest::predict_proba` sums the shrunken trees,
+//! both generic over a `BoostTree`. With `p = σ(score)`, the gradient is
+//! `g = p − y` and the hessian `h = p (1 − p)`; split gain and leaf weights
+//! follow the standard Newton formulas
+//! `gain = ½ [G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)] − γ` and
+//! `w = −G/(H+λ)`.
+//!
+//! A booster differs from the others only in the tree it grows each round.
+//! XGBoost and LightGBM grow the same binary `SplitTree` (one node type,
+//! one wire format) by different rules: depth-wise on raw values, and
+//! best-first on quantile bins up to a leaf cap. CatBoost grows an
+//! `ObliviousTree` on the same bins and keeps its own tree codec.
+//!
+//! Only the round count and the depth are settable ([`BoostParams`]); the
+//! shrinkage, λ, γ, minimum child weight, leaf cap and bin count are fixed
+//! constants.
 
 use crate::classifier::{checked_u32_count, positive_rate, validate_fit_inputs, Classifier};
 use phishinghook_artifact::{ArtifactError, ByteReader, ByteWriter};
 use phishinghook_linalg::Matrix;
 
+/// Shrinkage (learning rate) η applied to every tree's output.
+const LEARNING_RATE: f32 = 0.15;
+/// L2 regularization λ on leaf weights.
+const LAMBDA: f32 = 1.0;
+/// Minimum gain γ to accept a binary split.
+const GAMMA: f32 = 0.0;
+/// Minimum hessian sum per child.
+const MIN_CHILD_WEIGHT: f32 = 1.0;
+/// Leaf cap of LightGBM's leaf-wise growth.
+const MAX_LEAVES: usize = 31;
+/// Quantile histogram bins per feature (LightGBM and CatBoost).
+const MAX_BINS: usize = 48;
+
 fn sigmoid(z: f32) -> f32 {
     1.0 / (1.0 + (-z).exp())
 }
 
-// ---------------------------------------------------------------------------
-// Fitted-state codec shared by the three boosters
-// ---------------------------------------------------------------------------
-
-/// Serializes one binary split node (XGBoost and LightGBM share the layout).
-fn write_split_node(
-    w: &mut ByteWriter,
-    feature: u32,
-    threshold: f32,
-    left: u32,
-    right: u32,
-    weight: f32,
-    is_leaf: bool,
-) {
-    w.put_u32(feature);
-    w.put_f32(threshold);
-    w.put_u32(left);
-    w.put_u32(right);
-    w.put_f32(weight);
-    w.put_u8(u8::from(is_leaf));
+/// Newton leaf weight `−G/(H+λ)`.
+fn newton_weight(gsum: f32, hsum: f32) -> f32 {
+    -gsum / (hsum + LAMBDA)
 }
 
-/// Decoded form of [`write_split_node`].
-type SplitNode = (u32, f32, u32, u32, f32, bool);
-
-fn read_split_nodes(r: &mut ByteReader<'_>) -> Result<Vec<SplitNode>, ArtifactError> {
-    // 21 bytes per node on the wire; bounding the count by the payload
-    // keeps a crafted artifact from forcing a huge pre-allocation.
-    let count = checked_u32_count(r, 21, "boosted tree node arena")?;
-    if count == 0 {
-        // Boosting always emits at least a root leaf; an empty arena
-        // would panic the first predict_row.
-        return Err(ArtifactError::Corrupt(
-            "empty boosted tree node arena".into(),
-        ));
-    }
-    let mut nodes = Vec::with_capacity(count);
-    for _ in 0..count {
-        nodes.push((
-            r.take_u32()?,
-            r.take_f32()?,
-            r.take_u32()?,
-            r.take_u32()?,
-            r.take_f32()?,
-            r.take_u8()? != 0,
-        ));
-    }
-    for (i, n) in nodes.iter().enumerate() {
-        // As in the CART arena: children sit strictly deeper, which bounds
-        // indices and rules out traversal cycles in a corrupted artifact.
-        if !n.5
-            && (n.2 as usize >= count
-                || n.3 as usize >= count
-                || n.2 as usize <= i
-                || n.3 as usize <= i)
-        {
-            return Err(ArtifactError::Corrupt(format!(
-                "boosted tree node {i} has invalid children in a {count}-node arena"
-            )));
-        }
-    }
-    Ok(nodes)
+/// One child's structure score `G²/(H+λ)`.
+fn structure_score(gsum: f32, hsum: f32) -> f32 {
+    gsum * gsum / (hsum + LAMBDA)
 }
 
-/// Shared boosting hyper-parameters.
+/// Gain of sending `(gl, hl)` of a node's `(gsum, hsum)` to the left
+/// child, or `None` when a child is lighter than [`MIN_CHILD_WEIGHT`] or
+/// the gain does not clear `1e-7`.
+fn split_gain(gl: f32, hl: f32, gsum: f32, hsum: f32, parent_score: f32) -> Option<f32> {
+    let (gr, hr) = (gsum - gl, hsum - hl);
+    if hl < MIN_CHILD_WEIGHT || hr < MIN_CHILD_WEIGHT {
+        return None;
+    }
+    let gain = 0.5 * (structure_score(gl, hl) + structure_score(gr, hr) - parent_score) - GAMMA;
+    (gain > 1e-7).then_some(gain)
+}
+
+/// Settable boosting hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoostParams {
     /// Number of boosting rounds (trees).
     pub n_rounds: usize,
-    /// Shrinkage (learning rate) η.
-    pub learning_rate: f32,
-    /// Maximum tree depth (XGBoost/CatBoost) or a depth cap for LightGBM.
+    /// Maximum tree depth (XGBoost) or oblivious-tree depth (CatBoost);
+    /// LightGBM's leaf-wise growth is capped by leaf count instead.
     pub max_depth: usize,
-    /// Maximum leaves for leaf-wise growth (LightGBM only).
-    pub max_leaves: usize,
-    /// L2 regularization λ on leaf weights.
-    pub lambda: f32,
-    /// Minimum gain γ to accept a split.
-    pub gamma: f32,
-    /// Minimum hessian sum per child.
-    pub min_child_weight: f32,
 }
 
 impl Default for BoostParams {
     fn default() -> Self {
         BoostParams {
             n_rounds: 120,
-            learning_rate: 0.15,
             max_depth: 6,
-            max_leaves: 31,
-            lambda: 1.0,
-            gamma: 0.0,
-            min_child_weight: 1.0,
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The boosting engine shared by the three styles
+// ---------------------------------------------------------------------------
+
+/// A fitted regression tree the boosting engine evaluates and serializes.
+trait BoostTree: Sized {
+    /// Minimum bytes one serialized tree occupies, which bounds a decoded
+    /// tree count by the payload.
+    const MIN_WIRE_BYTES: usize;
+
+    /// The tree's (unshrunken) output for one row.
+    fn predict_row(&self, row: &[f32]) -> f32;
+
+    /// Appends the tree's wire form.
+    fn write(&self, w: &mut ByteWriter);
+
+    /// Inverse of [`BoostTree::write`]; `i` names the tree in errors.
+    fn read(r: &mut ByteReader<'_>, i: usize) -> Result<Self, ArtifactError>;
+}
+
+/// A fitted booster: the prior's log-odds plus the trees whose shrunken
+/// outputs add to it.
+#[derive(Debug, Clone, Default)]
+struct Forest<T> {
+    base_score: f32,
+    trees: Vec<T>,
+}
+
+impl<T: BoostTree> Forest<T> {
+    /// Fits `n_rounds` trees by Newton boosting on the logistic loss;
+    /// `grow` fits one tree to a round's gradients and hessians.
+    fn boost(
+        x: &Matrix,
+        y: &[u8],
+        n_rounds: usize,
+        mut grow: impl FnMut(&[f32], &[f32]) -> T,
+    ) -> Self {
+        let n = x.rows();
+        let prior = positive_rate(y).clamp(1e-5, 1.0 - 1e-5);
+        let base_score = (prior / (1.0 - prior)).ln();
+        let mut trees = Vec::with_capacity(n_rounds);
+        let mut scores = vec![base_score; n];
+        let mut g = vec![0.0f32; n];
+        let mut h = vec![0.0f32; n];
+        for _ in 0..n_rounds {
+            for i in 0..n {
+                let p = sigmoid(scores[i]);
+                g[i] = p - y[i] as f32;
+                h[i] = (p * (1.0 - p)).max(1e-8);
+            }
+            let tree = grow(&g, &h);
+            #[allow(clippy::needless_range_loop)] // i indexes scores and x rows
+            for i in 0..n {
+                scores[i] += LEARNING_RATE * tree.predict_row(x.row(i));
+            }
+            trees.push(tree);
+        }
+        Forest { base_score, trees }
+    }
+
+    fn predict_proba(&self, x: &Matrix) -> Vec<f32> {
+        assert!(!self.trees.is_empty(), "predict before fit");
+        (0..x.rows())
+            .map(|r| {
+                let row = x.row(r);
+                let score: f32 = self.base_score
+                    + self
+                        .trees
+                        .iter()
+                        .map(|t| LEARNING_RATE * t.predict_row(row))
+                        .sum::<f32>();
+                sigmoid(score)
+            })
+            .collect()
+    }
+
+    /// Base score, tree count, then each tree's own codec.
+    fn export(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_f32(self.base_score);
+        w.put_u32(self.trees.len() as u32);
+        for tree in &self.trees {
+            tree.write(&mut w);
+        }
+        w.into_bytes()
+    }
+
+    /// Inverse of [`Forest::export`]; `what` names the state in errors.
+    fn import(bytes: &[u8], what: &str) -> Result<Self, ArtifactError> {
+        let mut r = ByteReader::new(bytes);
+        let base_score = r.take_f32()?;
+        let count = checked_u32_count(&mut r, T::MIN_WIRE_BYTES, what)?;
+        let mut trees = Vec::with_capacity(count);
+        for i in 0..count {
+            trees.push(T::read(&mut r, i)?);
+        }
+        r.expect_exhausted(what)?;
+        Ok(Forest { base_score, trees })
     }
 }
 
@@ -167,56 +237,14 @@ impl BinnedData {
     }
 }
 
-/// Outer codec shared by the two binary-split boosters: base score, tree
-/// count, then one node arena per tree. Parameterized by per-node
-/// accessors so XGBoost's and LightGBM's structurally identical (but
-/// distinct) node types share one wire format by construction.
-fn export_split_forest<T, N>(
-    base_score: f32,
-    trees: &[T],
-    nodes: impl Fn(&T) -> &[N],
-    split: impl Fn(&N) -> SplitNode,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_f32(base_score);
-    w.put_u32(trees.len() as u32);
-    for tree in trees {
-        let arena = nodes(tree);
-        w.put_u32(arena.len() as u32);
-        for n in arena {
-            let (feature, threshold, left, right, weight, is_leaf) = split(n);
-            write_split_node(&mut w, feature, threshold, left, right, weight, is_leaf);
-        }
-    }
-    w.into_bytes()
-}
-
-/// Inverse of [`export_split_forest`].
-fn import_split_forest<T, N>(
-    bytes: &[u8],
-    what: &str,
-    make_node: impl Fn(SplitNode) -> N,
-    make_tree: impl Fn(Vec<N>) -> T,
-) -> Result<(f32, Vec<T>), ArtifactError> {
-    let mut r = ByteReader::new(bytes);
-    let base_score = r.take_f32()?;
-    // Each serialized tree is at least its 4-byte node count.
-    let count = checked_u32_count(&mut r, 4, what)?;
-    let mut trees = Vec::with_capacity(count);
-    for _ in 0..count {
-        let arena = read_split_nodes(&mut r)?;
-        trees.push(make_tree(arena.into_iter().map(&make_node).collect()));
-    }
-    r.expect_exhausted(what)?;
-    Ok((base_score, trees))
-}
-
 // ---------------------------------------------------------------------------
-// XGBoost-style trees (exact greedy on raw values, depth-wise)
+// Binary split trees (XGBoost depth-wise, LightGBM leaf-wise)
 // ---------------------------------------------------------------------------
 
+/// One node of a [`SplitTree`]: a leaf returning `weight`, or the test
+/// `row[feature] <= threshold` choosing `left` over `right`.
 #[derive(Debug, Clone)]
-struct XgbNode {
+struct SplitNode {
     feature: u32,
     threshold: f32,
     left: u32,
@@ -225,44 +253,63 @@ struct XgbNode {
     is_leaf: bool,
 }
 
-#[derive(Debug, Clone)]
-struct XgbTree {
-    nodes: Vec<XgbNode>,
-}
-
-impl XgbTree {
-    fn predict_row(&self, row: &[f32]) -> f32 {
-        let mut i = 0usize;
-        loop {
-            let node = &self.nodes[i];
-            if node.is_leaf {
-                return node.weight;
-            }
-            i = if row[node.feature as usize] <= node.threshold {
-                node.left as usize
-            } else {
-                node.right as usize
-            };
+impl SplitNode {
+    fn leaf(weight: f32) -> Self {
+        SplitNode {
+            feature: 0,
+            threshold: 0.0,
+            left: 0,
+            right: 0,
+            weight,
+            is_leaf: true,
         }
     }
+}
 
-    fn fit(x: &Matrix, g: &[f32], h: &[f32], params: &BoostParams) -> XgbTree {
-        let mut tree = XgbTree {
-            nodes: vec![XgbNode {
-                feature: 0,
-                threshold: 0.0,
-                left: 0,
-                right: 0,
-                weight: 0.0,
-                is_leaf: true,
-            }],
+/// A binary tree as a node arena rooted at index 0; children always sit
+/// after their parent.
+#[derive(Debug, Clone, Default)]
+struct SplitTree {
+    nodes: Vec<SplitNode>,
+}
+
+struct LeafCandidate {
+    node: usize,
+    indices: Vec<usize>,
+    gain: f32,
+    feature: usize,
+    bin: usize,
+}
+
+impl SplitTree {
+    /// Turns leaf `node` into the test `row[feature] <= threshold` over two
+    /// new leaves, returning their indices; the caller sets their weights.
+    fn split(&mut self, node: usize, feature: usize, threshold: f32) -> (usize, usize) {
+        let left = self.nodes.len();
+        self.nodes.push(SplitNode::leaf(0.0));
+        self.nodes.push(SplitNode::leaf(0.0));
+        let n = &mut self.nodes[node];
+        n.feature = feature as u32;
+        n.threshold = threshold;
+        n.left = left as u32;
+        n.right = left as u32 + 1;
+        n.is_leaf = false;
+        (left, left + 1)
+    }
+
+    /// XGBoost's rule: exact greedy splits on raw values, grown depth-wise
+    /// to `max_depth`.
+    fn grow_depthwise(x: &Matrix, g: &[f32], h: &[f32], max_depth: usize) -> SplitTree {
+        let mut tree = SplitTree {
+            nodes: vec![SplitNode::leaf(0.0)],
         };
         let mut idx: Vec<usize> = (0..x.rows()).collect();
-        tree.build(x, g, h, &mut idx, 0, 0, params);
+        tree.build(x, g, h, &mut idx, 0, max_depth);
         tree
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Sets `node`'s weight from the rows `idx`, then splits it while
+    /// `depth_left` allows and a split gains.
     fn build(
         &mut self,
         x: &Matrix,
@@ -270,18 +317,17 @@ impl XgbTree {
         h: &[f32],
         idx: &mut [usize],
         node: usize,
-        depth: usize,
-        params: &BoostParams,
+        depth_left: usize,
     ) {
         let gsum: f32 = idx.iter().map(|&i| g[i]).sum();
         let hsum: f32 = idx.iter().map(|&i| h[i]).sum();
-        self.nodes[node].weight = -gsum / (hsum + params.lambda);
+        self.nodes[node].weight = newton_weight(gsum, hsum);
 
-        if depth >= params.max_depth || idx.len() < 2 {
+        if depth_left == 0 || idx.len() < 2 {
             return;
         }
 
-        let parent_score = gsum * gsum / (hsum + params.lambda);
+        let parent_score = structure_score(gsum, hsum);
         let mut best: Option<(f32, usize, f32)> = None;
         let mut order: Vec<usize> = Vec::with_capacity(idx.len());
         for f in 0..x.cols() {
@@ -302,18 +348,9 @@ impl XgbTree {
                 if v == v_next {
                     continue;
                 }
-                let (gr, hr) = (gsum - gl, hsum - hl);
-                if hl < params.min_child_weight || hr < params.min_child_weight {
-                    continue;
-                }
-                let gain = 0.5
-                    * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda)
-                        - parent_score)
-                    - params.gamma;
-                if gain > 1e-7 {
-                    match best {
-                        Some((bg, _, _)) if gain <= bg => {}
-                        _ => best = Some((gain, f, (v + v_next) / 2.0)),
+                if let Some(gain) = split_gain(gl, hl, gsum, hsum, parent_score) {
+                    if best.is_none_or(|(bg, _, _)| gain > bg) {
+                        best = Some((gain, f, (v + v_next) / 2.0));
                     }
                 }
             }
@@ -322,190 +359,29 @@ impl XgbTree {
         let Some((_, feature, threshold)) = best else {
             return;
         };
-        let mut split = 0usize;
+        let mut mid = 0usize;
         for i in 0..idx.len() {
             if x[(idx[i], feature)] <= threshold {
-                idx.swap(i, split);
-                split += 1;
+                idx.swap(i, mid);
+                mid += 1;
             }
         }
-        let left = self.nodes.len();
-        let right = left + 1;
-        for _ in 0..2 {
-            self.nodes.push(XgbNode {
-                feature: 0,
-                threshold: 0.0,
-                left: 0,
-                right: 0,
-                weight: 0.0,
-                is_leaf: true,
-            });
-        }
-        self.nodes[node] = XgbNode {
-            feature: feature as u32,
-            threshold,
-            left: left as u32,
-            right: right as u32,
-            weight: self.nodes[node].weight,
-            is_leaf: false,
-        };
-        let (l, r) = idx.split_at_mut(split);
-        self.build(x, g, h, l, left, depth + 1, params);
-        self.build(x, g, h, r, right, depth + 1, params);
-    }
-}
-
-/// XGBoost-style classifier: exact greedy split finding, depth-wise growth,
-/// second-order logistic loss.
-#[derive(Debug, Clone)]
-pub struct XgbClassifier {
-    /// Boosting hyper-parameters.
-    pub params: BoostParams,
-    base_score: f32,
-    trees: Vec<XgbTree>,
-}
-
-impl XgbClassifier {
-    /// Creates an unfitted model.
-    pub fn new(params: BoostParams) -> Self {
-        XgbClassifier {
-            params,
-            base_score: 0.0,
-            trees: Vec::new(),
-        }
-    }
-}
-
-impl Default for XgbClassifier {
-    fn default() -> Self {
-        XgbClassifier::new(BoostParams::default())
-    }
-}
-
-impl Classifier for XgbClassifier {
-    fn fit(&mut self, x: &Matrix, y: &[u8]) {
-        validate_fit_inputs(x, y);
-        let n = x.rows();
-        let prior = positive_rate(y).clamp(1e-5, 1.0 - 1e-5);
-        self.base_score = (prior / (1.0 - prior)).ln();
-        self.trees.clear();
-        let mut scores = vec![self.base_score; n];
-        let mut g = vec![0.0f32; n];
-        let mut h = vec![0.0f32; n];
-        for _ in 0..self.params.n_rounds {
-            for i in 0..n {
-                let p = sigmoid(scores[i]);
-                g[i] = p - y[i] as f32;
-                h[i] = (p * (1.0 - p)).max(1e-8);
-            }
-            let tree = XgbTree::fit(x, &g, &h, &self.params);
-            #[allow(clippy::needless_range_loop)] // i indexes scores and x rows
-            for i in 0..n {
-                scores[i] += self.params.learning_rate * tree.predict_row(x.row(i));
-            }
-            self.trees.push(tree);
-        }
-    }
-
-    fn predict_proba(&self, x: &Matrix) -> Vec<f32> {
-        assert!(!self.trees.is_empty(), "predict before fit");
-        (0..x.rows())
-            .map(|r| {
-                let row = x.row(r);
-                let score: f32 = self.base_score
-                    + self
-                        .trees
-                        .iter()
-                        .map(|t| self.params.learning_rate * t.predict_row(row))
-                        .sum::<f32>();
-                sigmoid(score)
-            })
-            .collect()
-    }
-
-    fn export_state(&self) -> Vec<u8> {
-        export_split_forest(
-            self.base_score,
-            &self.trees,
-            |t| t.nodes.as_slice(),
-            |n| (n.feature, n.threshold, n.left, n.right, n.weight, n.is_leaf),
-        )
-    }
-
-    fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError> {
-        let (base_score, trees) = import_split_forest(
-            bytes,
-            "xgboost state",
-            |(feature, threshold, left, right, weight, is_leaf)| XgbNode {
-                feature,
-                threshold,
-                left,
-                right,
-                weight,
-                is_leaf,
-            },
-            |nodes| XgbTree { nodes },
-        )?;
-        self.base_score = base_score;
-        self.trees = trees;
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// LightGBM-style trees (histogram bins, leaf-wise best-first growth)
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct LgbmNode {
-    feature: u32,
-    threshold: f32,
-    left: u32,
-    right: u32,
-    weight: f32,
-    is_leaf: bool,
-}
-
-#[derive(Debug, Clone)]
-struct LgbmTree {
-    nodes: Vec<LgbmNode>,
-}
-
-struct LeafCandidate {
-    node: usize,
-    indices: Vec<usize>,
-    gain: f32,
-    feature: usize,
-    bin: usize,
-}
-
-impl LgbmTree {
-    fn predict_row(&self, row: &[f32]) -> f32 {
-        let mut i = 0usize;
-        loop {
-            let node = &self.nodes[i];
-            if node.is_leaf {
-                return node.weight;
-            }
-            i = if row[node.feature as usize] <= node.threshold {
-                node.left as usize
-            } else {
-                node.right as usize
-            };
-        }
+        let (left, right) = self.split(node, feature, threshold);
+        let (l, r) = idx.split_at_mut(mid);
+        self.build(x, g, h, l, left, depth_left - 1);
+        self.build(x, g, h, r, right, depth_left - 1);
     }
 
     /// Best (gain, feature, bin) split of a leaf from per-bin histograms.
-    fn best_split(
+    fn best_bin_split(
         binned: &BinnedData,
         indices: &[usize],
         g: &[f32],
         h: &[f32],
-        params: &BoostParams,
     ) -> Option<(f32, usize, usize)> {
         let gsum: f32 = indices.iter().map(|&i| g[i]).sum();
         let hsum: f32 = indices.iter().map(|&i| h[i]).sum();
-        let parent_score = gsum * gsum / (hsum + params.lambda);
+        let parent_score = structure_score(gsum, hsum);
         let mut best: Option<(f32, usize, usize)> = None;
         for f in 0..binned.bins.len() {
             let nb = binned.n_bins(f);
@@ -523,18 +399,9 @@ impl LgbmTree {
             for b in 0..nb - 1 {
                 gl += hist_g[b];
                 hl += hist_h[b];
-                let (gr, hr) = (gsum - gl, hsum - hl);
-                if hl < params.min_child_weight || hr < params.min_child_weight {
-                    continue;
-                }
-                let gain = 0.5
-                    * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda)
-                        - parent_score)
-                    - params.gamma;
-                if gain > 1e-7 {
-                    match best {
-                        Some((bg, _, _)) if gain <= bg => {}
-                        _ => best = Some((gain, f, b)),
+                if let Some(gain) = split_gain(gl, hl, gsum, hsum, parent_score) {
+                    if best.is_none_or(|(bg, _, _)| gain > bg) {
+                        best = Some((gain, f, b));
                     }
                 }
             }
@@ -542,45 +409,35 @@ impl LgbmTree {
         best
     }
 
-    fn fit(
-        x: &Matrix,
-        binned: &BinnedData,
-        g: &[f32],
-        h: &[f32],
-        params: &BoostParams,
-    ) -> LgbmTree {
-        let mut tree = LgbmTree {
-            nodes: vec![LgbmNode {
-                feature: 0,
-                threshold: 0.0,
-                left: 0,
-                right: 0,
-                weight: 0.0,
-                is_leaf: true,
-            }],
-        };
-        let root_idx: Vec<usize> = (0..x.rows()).collect();
+    /// LightGBM's rule: histogram splits on quantile bins, grown best-first
+    /// (the frontier leaf with the largest gain) up to [`MAX_LEAVES`].
+    fn grow_leafwise(binned: &BinnedData, g: &[f32], h: &[f32]) -> SplitTree {
         let newton = |indices: &[usize]| {
             let gs: f32 = indices.iter().map(|&i| g[i]).sum();
             let hs: f32 = indices.iter().map(|&i| h[i]).sum();
-            -gs / (hs + params.lambda)
+            newton_weight(gs, hs)
         };
-        tree.nodes[0].weight = newton(&root_idx);
+        let root_idx: Vec<usize> = (0..g.len()).collect();
+        let mut tree = SplitTree {
+            nodes: vec![SplitNode::leaf(newton(&root_idx))],
+        };
 
         let mut frontier: Vec<LeafCandidate> = Vec::new();
-        if let Some((gain, feature, bin)) = Self::best_split(binned, &root_idx, g, h, params) {
-            frontier.push(LeafCandidate {
-                node: 0,
-                indices: root_idx,
-                gain,
-                feature,
-                bin,
-            });
-        }
-        let mut leaves = 1usize;
+        let push = |frontier: &mut Vec<LeafCandidate>, node: usize, indices: Vec<usize>| {
+            if let Some((gain, feature, bin)) = Self::best_bin_split(binned, &indices, g, h) {
+                frontier.push(LeafCandidate {
+                    node,
+                    indices,
+                    gain,
+                    feature,
+                    bin,
+                });
+            }
+        };
+        push(&mut frontier, 0, root_idx);
 
-        while leaves < params.max_leaves {
-            // Best-first: split the frontier leaf with maximal gain.
+        let mut leaves = 1usize;
+        while leaves < MAX_LEAVES {
             let Some(pos) = frontier
                 .iter()
                 .enumerate()
@@ -594,7 +451,6 @@ impl LgbmTree {
                 break;
             };
             let cand = frontier.swap_remove(pos);
-            let threshold = binned.threshold(cand.feature, cand.bin);
             let (li, ri): (Vec<usize>, Vec<usize>) = cand
                 .indices
                 .iter()
@@ -602,145 +458,178 @@ impl LgbmTree {
             if li.is_empty() || ri.is_empty() {
                 continue;
             }
-            let left = tree.nodes.len();
-            let right = left + 1;
-            tree.nodes.push(LgbmNode {
-                feature: 0,
-                threshold: 0.0,
-                left: 0,
-                right: 0,
-                weight: newton(&li),
-                is_leaf: true,
-            });
-            tree.nodes.push(LgbmNode {
-                feature: 0,
-                threshold: 0.0,
-                left: 0,
-                right: 0,
-                weight: newton(&ri),
-                is_leaf: true,
-            });
-            let n = &mut tree.nodes[cand.node];
-            n.feature = cand.feature as u32;
-            n.threshold = threshold;
-            n.left = left as u32;
-            n.right = right as u32;
-            n.is_leaf = false;
+            let threshold = binned.threshold(cand.feature, cand.bin);
+            let (left, right) = tree.split(cand.node, cand.feature, threshold);
+            tree.nodes[left].weight = newton(&li);
+            tree.nodes[right].weight = newton(&ri);
             leaves += 1;
-
-            for (child, idxs) in [(left, li), (right, ri)] {
-                if let Some((gain, feature, bin)) = Self::best_split(binned, &idxs, g, h, params) {
-                    frontier.push(LeafCandidate {
-                        node: child,
-                        indices: idxs,
-                        gain,
-                        feature,
-                        bin,
-                    });
-                }
-            }
+            push(&mut frontier, left, li);
+            push(&mut frontier, right, ri);
         }
         tree
     }
 }
 
+impl BoostTree for SplitTree {
+    /// A tree is at least its 4-byte node count.
+    const MIN_WIRE_BYTES: usize = 4;
+
+    fn predict_row(&self, row: &[f32]) -> f32 {
+        let mut i = 0usize;
+        loop {
+            let node = &self.nodes[i];
+            if node.is_leaf {
+                return node.weight;
+            }
+            i = if row[node.feature as usize] <= node.threshold {
+                node.left as usize
+            } else {
+                node.right as usize
+            };
+        }
+    }
+
+    fn write(&self, w: &mut ByteWriter) {
+        w.put_u32(self.nodes.len() as u32);
+        for n in &self.nodes {
+            w.put_u32(n.feature);
+            w.put_f32(n.threshold);
+            w.put_u32(n.left);
+            w.put_u32(n.right);
+            w.put_f32(n.weight);
+            w.put_u8(u8::from(n.is_leaf));
+        }
+    }
+
+    fn read(r: &mut ByteReader<'_>, _: usize) -> Result<Self, ArtifactError> {
+        // 21 bytes per node on the wire; bounding the count by the payload
+        // keeps a crafted artifact from forcing a huge pre-allocation.
+        let count = checked_u32_count(r, 21, "boosted tree node arena")?;
+        if count == 0 {
+            // Boosting always emits at least a root leaf; an empty arena
+            // would panic the first predict_row.
+            return Err(ArtifactError::Corrupt(
+                "empty boosted tree node arena".into(),
+            ));
+        }
+        let mut nodes = Vec::with_capacity(count);
+        for _ in 0..count {
+            nodes.push(SplitNode {
+                feature: r.take_u32()?,
+                threshold: r.take_f32()?,
+                left: r.take_u32()?,
+                right: r.take_u32()?,
+                weight: r.take_f32()?,
+                is_leaf: r.take_u8()? != 0,
+            });
+        }
+        for (i, n) in nodes.iter().enumerate() {
+            // As in the CART arena: children sit strictly deeper, which bounds
+            // indices and rules out traversal cycles in a corrupted artifact.
+            let (left, right) = (n.left as usize, n.right as usize);
+            if !n.is_leaf && (left >= count || right >= count || left <= i || right <= i) {
+                return Err(ArtifactError::Corrupt(format!(
+                    "boosted tree node {i} has invalid children in a {count}-node arena"
+                )));
+            }
+        }
+        Ok(SplitTree { nodes })
+    }
+}
+
+/// XGBoost-style classifier: exact greedy split finding, depth-wise growth,
+/// second-order logistic loss.
+#[derive(Debug, Clone)]
+pub struct XgbClassifier {
+    /// Boosting hyper-parameters.
+    pub params: BoostParams,
+    forest: Forest<SplitTree>,
+}
+
+impl XgbClassifier {
+    /// Creates an unfitted model.
+    pub fn new(params: BoostParams) -> Self {
+        XgbClassifier {
+            params,
+            forest: Forest::default(),
+        }
+    }
+}
+
+impl Default for XgbClassifier {
+    fn default() -> Self {
+        XgbClassifier::new(BoostParams::default())
+    }
+}
+
+impl Classifier for XgbClassifier {
+    fn fit(&mut self, x: &Matrix, y: &[u8]) {
+        validate_fit_inputs(x, y);
+        let max_depth = self.params.max_depth;
+        self.forest = Forest::boost(x, y, self.params.n_rounds, |g, h| {
+            SplitTree::grow_depthwise(x, g, h, max_depth)
+        });
+    }
+
+    fn predict_proba(&self, x: &Matrix) -> Vec<f32> {
+        self.forest.predict_proba(x)
+    }
+
+    fn export_state(&self) -> Vec<u8> {
+        self.forest.export()
+    }
+
+    fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError> {
+        self.forest = Forest::import(bytes, "xgboost state")?;
+        Ok(())
+    }
+}
+
 /// LightGBM-style classifier: quantile-histogram split finding with
-/// leaf-wise (best-first) growth capped at `max_leaves`.
+/// leaf-wise (best-first) growth capped at 31 leaves; it ignores
+/// `max_depth`.
 #[derive(Debug, Clone)]
 pub struct LgbmClassifier {
     /// Boosting hyper-parameters.
     pub params: BoostParams,
-    /// Number of histogram bins.
-    pub max_bins: usize,
-    base_score: f32,
-    trees: Vec<LgbmTree>,
+    forest: Forest<SplitTree>,
 }
 
 impl LgbmClassifier {
     /// Creates an unfitted model.
-    pub fn new(params: BoostParams, max_bins: usize) -> Self {
+    pub fn new(params: BoostParams) -> Self {
         LgbmClassifier {
             params,
-            max_bins,
-            base_score: 0.0,
-            trees: Vec::new(),
+            forest: Forest::default(),
         }
     }
 }
 
 impl Default for LgbmClassifier {
     fn default() -> Self {
-        LgbmClassifier::new(BoostParams::default(), 48)
+        LgbmClassifier::new(BoostParams::default())
     }
 }
 
 impl Classifier for LgbmClassifier {
     fn fit(&mut self, x: &Matrix, y: &[u8]) {
         validate_fit_inputs(x, y);
-        let n = x.rows();
-        let binned = BinnedData::fit(x, self.max_bins);
-        let prior = positive_rate(y).clamp(1e-5, 1.0 - 1e-5);
-        self.base_score = (prior / (1.0 - prior)).ln();
-        self.trees.clear();
-        let mut scores = vec![self.base_score; n];
-        let mut g = vec![0.0f32; n];
-        let mut h = vec![0.0f32; n];
-        for _ in 0..self.params.n_rounds {
-            for i in 0..n {
-                let p = sigmoid(scores[i]);
-                g[i] = p - y[i] as f32;
-                h[i] = (p * (1.0 - p)).max(1e-8);
-            }
-            let tree = LgbmTree::fit(x, &binned, &g, &h, &self.params);
-            #[allow(clippy::needless_range_loop)] // i indexes scores and x rows
-            for i in 0..n {
-                scores[i] += self.params.learning_rate * tree.predict_row(x.row(i));
-            }
-            self.trees.push(tree);
-        }
+        let binned = BinnedData::fit(x, MAX_BINS);
+        self.forest = Forest::boost(x, y, self.params.n_rounds, |g, h| {
+            SplitTree::grow_leafwise(&binned, g, h)
+        });
     }
 
     fn predict_proba(&self, x: &Matrix) -> Vec<f32> {
-        assert!(!self.trees.is_empty(), "predict before fit");
-        (0..x.rows())
-            .map(|r| {
-                let row = x.row(r);
-                let score: f32 = self.base_score
-                    + self
-                        .trees
-                        .iter()
-                        .map(|t| self.params.learning_rate * t.predict_row(row))
-                        .sum::<f32>();
-                sigmoid(score)
-            })
-            .collect()
+        self.forest.predict_proba(x)
     }
 
     fn export_state(&self) -> Vec<u8> {
-        export_split_forest(
-            self.base_score,
-            &self.trees,
-            |t| t.nodes.as_slice(),
-            |n| (n.feature, n.threshold, n.left, n.right, n.weight, n.is_leaf),
-        )
+        self.forest.export()
     }
 
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError> {
-        let (base_score, trees) = import_split_forest(
-            bytes,
-            "lightgbm state",
-            |(feature, threshold, left, right, weight, is_leaf)| LgbmNode {
-                feature,
-                threshold,
-                left,
-                right,
-                weight,
-                is_leaf,
-            },
-            |nodes| LgbmTree { nodes },
-        )?;
-        self.base_score = base_score;
-        self.trees = trees;
+        self.forest = Forest::import(bytes, "lightgbm state")?;
         Ok(())
     }
 }
@@ -751,7 +640,7 @@ impl Classifier for LgbmClassifier {
 
 /// One oblivious tree: the same `(feature, threshold)` test at every node of
 /// a level, so a depth-`d` tree is `d` tests and `2^d` leaf weights.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct ObliviousTree {
     features: Vec<u32>,
     thresholds: Vec<f32>,
@@ -759,29 +648,13 @@ struct ObliviousTree {
 }
 
 impl ObliviousTree {
-    fn predict_row(&self, row: &[f32]) -> f32 {
-        let mut leaf = 0usize;
-        for (l, (&f, &t)) in self.features.iter().zip(&self.thresholds).enumerate() {
-            if row[f as usize] > t {
-                leaf |= 1 << l;
-            }
-        }
-        self.leaves[leaf]
-    }
-
-    fn fit(
-        x: &Matrix,
-        binned: &BinnedData,
-        g: &[f32],
-        h: &[f32],
-        params: &BoostParams,
-    ) -> ObliviousTree {
-        let n = x.rows();
+    fn fit(binned: &BinnedData, g: &[f32], h: &[f32], max_depth: usize) -> ObliviousTree {
+        let n = g.len();
         let mut leaf_of = vec![0usize; n];
         let mut features = Vec::new();
         let mut thresholds = Vec::new();
 
-        for level in 0..params.max_depth {
+        for level in 0..max_depth {
             let n_groups = 1usize << level;
             // For each candidate (feature, bin): score = Σ_groups split score.
             let mut best: Option<(f32, usize, usize)> = None;
@@ -813,25 +686,21 @@ impl ObliviousTree {
                             }
                         }
                         let (gr, hr) = (gt - gl, ht - hl);
-                        score += gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda);
-                        if hl >= params.min_child_weight && hr >= params.min_child_weight {
+                        score += structure_score(gl, hl) + structure_score(gr, hr);
+                        if hl >= MIN_CHILD_WEIGHT && hr >= MIN_CHILD_WEIGHT {
                             valid = true;
                         }
                     }
-                    if valid {
-                        match best {
-                            Some((bs, _, _)) if score <= bs => {}
-                            _ => best = Some((score, f, b)),
-                        }
+                    if valid && best.is_none_or(|(bs, _, _)| score > bs) {
+                        best = Some((score, f, b));
                     }
                 }
             }
             let Some((_, f, b)) = best else {
                 break;
             };
-            let t = binned.threshold(f, b);
             features.push(f as u32);
-            thresholds.push(t);
+            thresholds.push(binned.threshold(f, b));
             #[allow(clippy::needless_range_loop)] // i indexes bins and leaf_of
             for i in 0..n {
                 if binned.bins[f][i] as usize > b {
@@ -850,7 +719,7 @@ impl ObliviousTree {
         let leaves: Vec<f32> = gsum
             .iter()
             .zip(&hsum)
-            .map(|(gs, hs)| -gs / (hs + params.lambda))
+            .map(|(&gs, &hs)| newton_weight(gs, hs))
             .collect();
         ObliviousTree {
             features,
@@ -860,132 +729,103 @@ impl ObliviousTree {
     }
 }
 
+impl BoostTree for ObliviousTree {
+    /// A tree is at least its three 8-byte slice lengths.
+    const MIN_WIRE_BYTES: usize = 24;
+
+    fn predict_row(&self, row: &[f32]) -> f32 {
+        let mut leaf = 0usize;
+        for (l, (&f, &t)) in self.features.iter().zip(&self.thresholds).enumerate() {
+            if row[f as usize] > t {
+                leaf |= 1 << l;
+            }
+        }
+        self.leaves[leaf]
+    }
+
+    fn write(&self, w: &mut ByteWriter) {
+        w.put_u32_slice(&self.features);
+        w.put_f32_slice(&self.thresholds);
+        w.put_f32_slice(&self.leaves);
+    }
+
+    fn read(r: &mut ByteReader<'_>, i: usize) -> Result<Self, ArtifactError> {
+        let features = r.take_u32_slice()?;
+        let thresholds = r.take_f32_slice()?;
+        let leaves = r.take_f32_slice()?;
+        // Depth bound first: it caps the 1 << len below (a 64+-test tree
+        // would overflow the shift) and no sane oblivious tree exceeds it
+        // (training depth is single digits).
+        if features.len() > 32 {
+            return Err(ArtifactError::Corrupt(format!(
+                "oblivious tree {i}: implausible depth {}",
+                features.len()
+            )));
+        }
+        if thresholds.len() != features.len() || leaves.len() != 1usize << features.len() {
+            return Err(ArtifactError::Corrupt(format!(
+                "oblivious tree {i}: {} tests, {} thresholds, {} leaves",
+                features.len(),
+                thresholds.len(),
+                leaves.len()
+            )));
+        }
+        Ok(ObliviousTree {
+            features,
+            thresholds,
+            leaves,
+        })
+    }
+}
+
 /// CatBoost-style classifier: gradient boosting over oblivious (symmetric)
 /// trees on quantile-binned features.
 #[derive(Debug, Clone)]
 pub struct CatBoostClassifier {
     /// Boosting hyper-parameters (`max_depth` = oblivious-tree depth).
     pub params: BoostParams,
-    /// Number of histogram bins.
-    pub max_bins: usize,
-    base_score: f32,
-    trees: Vec<ObliviousTree>,
+    forest: Forest<ObliviousTree>,
 }
 
 impl CatBoostClassifier {
     /// Creates an unfitted model.
-    pub fn new(params: BoostParams, max_bins: usize) -> Self {
+    pub fn new(params: BoostParams) -> Self {
         CatBoostClassifier {
             params,
-            max_bins,
-            base_score: 0.0,
-            trees: Vec::new(),
+            forest: Forest::default(),
         }
     }
 }
 
 impl Default for CatBoostClassifier {
     fn default() -> Self {
-        CatBoostClassifier::new(
-            BoostParams {
-                max_depth: 5,
-                ..BoostParams::default()
-            },
-            48,
-        )
+        CatBoostClassifier::new(BoostParams {
+            max_depth: 5,
+            ..BoostParams::default()
+        })
     }
 }
 
 impl Classifier for CatBoostClassifier {
     fn fit(&mut self, x: &Matrix, y: &[u8]) {
         validate_fit_inputs(x, y);
-        let n = x.rows();
-        let binned = BinnedData::fit(x, self.max_bins);
-        let prior = positive_rate(y).clamp(1e-5, 1.0 - 1e-5);
-        self.base_score = (prior / (1.0 - prior)).ln();
-        self.trees.clear();
-        let mut scores = vec![self.base_score; n];
-        let mut g = vec![0.0f32; n];
-        let mut h = vec![0.0f32; n];
-        for _ in 0..self.params.n_rounds {
-            for i in 0..n {
-                let p = sigmoid(scores[i]);
-                g[i] = p - y[i] as f32;
-                h[i] = (p * (1.0 - p)).max(1e-8);
-            }
-            let tree = ObliviousTree::fit(x, &binned, &g, &h, &self.params);
-            #[allow(clippy::needless_range_loop)] // i indexes scores and x rows
-            for i in 0..n {
-                scores[i] += self.params.learning_rate * tree.predict_row(x.row(i));
-            }
-            self.trees.push(tree);
-        }
+        let binned = BinnedData::fit(x, MAX_BINS);
+        let max_depth = self.params.max_depth;
+        self.forest = Forest::boost(x, y, self.params.n_rounds, |g, h| {
+            ObliviousTree::fit(&binned, g, h, max_depth)
+        });
     }
 
     fn predict_proba(&self, x: &Matrix) -> Vec<f32> {
-        assert!(!self.trees.is_empty(), "predict before fit");
-        (0..x.rows())
-            .map(|r| {
-                let row = x.row(r);
-                let score: f32 = self.base_score
-                    + self
-                        .trees
-                        .iter()
-                        .map(|t| self.params.learning_rate * t.predict_row(row))
-                        .sum::<f32>();
-                sigmoid(score)
-            })
-            .collect()
+        self.forest.predict_proba(x)
     }
 
     fn export_state(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_f32(self.base_score);
-        w.put_u32(self.trees.len() as u32);
-        for tree in &self.trees {
-            w.put_u32_slice(&tree.features);
-            w.put_f32_slice(&tree.thresholds);
-            w.put_f32_slice(&tree.leaves);
-        }
-        w.into_bytes()
+        self.forest.export()
     }
 
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError> {
-        let mut r = ByteReader::new(bytes);
-        let base_score = r.take_f32()?;
-        // Each serialized oblivious tree is at least three 8-byte counts.
-        let count = checked_u32_count(&mut r, 24, "oblivious tree list")?;
-        let mut trees = Vec::with_capacity(count);
-        for i in 0..count {
-            let features = r.take_u32_slice()?;
-            let thresholds = r.take_f32_slice()?;
-            let leaves = r.take_f32_slice()?;
-            // Depth bound first: it caps the 1 << len below (a 64+-test
-            // tree would overflow the shift) and no sane oblivious tree
-            // exceeds it (training depth is single digits).
-            if features.len() > 32 {
-                return Err(ArtifactError::Corrupt(format!(
-                    "oblivious tree {i}: implausible depth {}",
-                    features.len()
-                )));
-            }
-            if thresholds.len() != features.len() || leaves.len() != 1usize << features.len() {
-                return Err(ArtifactError::Corrupt(format!(
-                    "oblivious tree {i}: {} tests, {} thresholds, {} leaves",
-                    features.len(),
-                    thresholds.len(),
-                    leaves.len()
-                )));
-            }
-            trees.push(ObliviousTree {
-                features,
-                thresholds,
-                leaves,
-            });
-        }
-        r.expect_exhausted("catboost state")?;
-        self.base_score = base_score;
-        self.trees = trees;
+        self.forest = Forest::import(bytes, "catboost state")?;
         Ok(())
     }
 }
@@ -1031,7 +871,7 @@ mod tests {
     #[test]
     fn lgbm_learns_xor() {
         let (x, y) = xor_data(400, 2);
-        let mut m = LgbmClassifier::new(small_params(), 32);
+        let mut m = LgbmClassifier::new(small_params());
         m.fit(&x, &y);
         assert!(accuracy(&m.predict(&x), &y) > 0.96);
     }
@@ -1039,7 +879,7 @@ mod tests {
     #[test]
     fn catboost_learns_xor() {
         let (x, y) = xor_data(400, 3);
-        let mut m = CatBoostClassifier::new(small_params(), 32);
+        let mut m = CatBoostClassifier::new(small_params());
         m.fit(&x, &y);
         assert!(accuracy(&m.predict(&x), &y) > 0.95);
     }
@@ -1070,16 +910,12 @@ mod tests {
     #[test]
     fn oblivious_tree_is_symmetric() {
         let (x, y) = xor_data(200, 5);
-        let mut m = CatBoostClassifier::new(
-            BoostParams {
-                n_rounds: 1,
-                max_depth: 3,
-                ..BoostParams::default()
-            },
-            16,
-        );
+        let mut m = CatBoostClassifier::new(BoostParams {
+            n_rounds: 1,
+            max_depth: 3,
+        });
         m.fit(&x, &y);
-        let t = &m.trees[0];
+        let t = &m.forest.trees[0];
         assert!(t.features.len() <= 3);
         assert_eq!(t.leaves.len(), 1 << t.features.len());
     }
@@ -1088,8 +924,8 @@ mod tests {
     fn probabilities_bounded_all_variants() {
         let (x, y) = xor_data(150, 7);
         let mut xgb = XgbClassifier::new(small_params());
-        let mut lgb = LgbmClassifier::new(small_params(), 16);
-        let mut cat = CatBoostClassifier::new(small_params(), 16);
+        let mut lgb = LgbmClassifier::new(small_params());
+        let mut cat = CatBoostClassifier::new(small_params());
         xgb.fit(&x, &y);
         lgb.fit(&x, &y);
         cat.fit(&x, &y);

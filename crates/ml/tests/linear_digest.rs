@@ -1,19 +1,23 @@
-//! Pins logistic-regression and linear-SVM training across commits. Each is
-//! fitted on fixed histogram-like inputs; the FNV-1a digests of its exported
-//! state and of its prediction bits must equal constants recorded from a
-//! known-good build. A change to the shared trainer that moves one bit of a
-//! fitted weight, the bias or a served probability fails here, whereas the
-//! parity test in `linear.rs` only compares two paths within one build.
+//! Pins the training of logistic regression, the linear SVM and the three
+//! gradient boosters across commits. Each is fitted on fixed histogram-like
+//! inputs; the FNV-1a digests of its exported state and of its prediction
+//! bits must equal constants recorded from a known-good build. A change to a
+//! trainer that moves one bit of a fitted weight, a split, the bias or a
+//! served probability fails here, whereas the parity test in `linear.rs`
+//! only compares two paths within one build.
 //!
-//! The pins depend on the platform libm until ROADMAP item 9 routes the
-//! linear models' `sigmoid` through `phishinghook_linalg::transcend`: the
-//! logistic gradient and every served probability call `f32::exp`. The
-//! trainer's own arithmetic is libm-free and computes the same bits on every
-//! SIMD tier.
+//! The pins depend on the platform libm until ROADMAP item 12 routes the
+//! linear models' and boosters' `sigmoid` (and the boosters' prior `ln`)
+//! through `phishinghook_linalg::transcend`: the logistic gradient, every
+//! boosting round's gradient and every served probability call `f32::exp`,
+//! and a booster's base score calls `f32::ln`. The linear trainer's own
+//! arithmetic is libm-free and computes the same bits on every SIMD tier.
 
 use phishinghook_artifact::checksum;
 use phishinghook_linalg::Matrix;
-use phishinghook_ml::{Classifier, LinearSvm, LogisticRegression};
+use phishinghook_ml::{
+    CatBoostClassifier, Classifier, LgbmClassifier, LinearSvm, LogisticRegression, XgbClassifier,
+};
 
 /// Deterministic input generator (64-bit LCG), independent of any RNG crate.
 struct Lcg(u64);
@@ -99,4 +103,16 @@ fn linear_svm_training_is_pinned() {
         LinearSvm::default(),
         (0xb100_bdf7_e427_969c, 0xd170_bab9_8a21_06b2),
     );
+}
+
+#[test]
+fn boosters_training_is_pinned() {
+    let pins = [
+        (0xe1ba_637a_3c52_fbcf, 0x96fc_3093_7dee_c963),
+        (0xbdb9_119c_7769_e15e, 0xf6de_bfcb_0ade_b30f),
+        (0x755c_f377_d67b_780c, 0xcec4_739e_e431_cc24),
+    ];
+    assert_pinned("XGBoost", XgbClassifier::default(), pins[0]);
+    assert_pinned("LightGBM", LgbmClassifier::default(), pins[1]);
+    assert_pinned("CatBoost", CatBoostClassifier::default(), pins[2]);
 }

@@ -21,7 +21,7 @@ fn batched_inference_is_bit_identical_for_all_sixteen_kinds() {
         // Train through the same factory + gather sequence as the engine.
         let train_rows = store.matrix(kind.encoding()).gather_rows(&train_idx);
         let labels: Vec<u8> = train_idx.iter().map(|&i| ctx.labels()[i]).collect();
-        let mut model = kind.build(&store.encoders_for(&[kind.encoding()]), ctx.profile(), 8);
+        let mut model = kind.build(store.encoder(kind.encoding()), ctx.profile(), 8);
         if model.wants_pretraining() {
             model.pretrain(&train_rows, &ctx.gather_vuln(&train_idx));
         }

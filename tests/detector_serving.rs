@@ -53,7 +53,7 @@ fn serving_matches_the_eval_path_and_decodes_each_contract_once() {
         // store rows, same seed.
         let store = ctx.store();
         let matrix = store.matrix(kind.encoding());
-        let mut model = kind.build(&store.encoders_for(&[kind.encoding()]), &profile, 7);
+        let mut model = kind.build(store.encoder(kind.encoding()), &profile, 7);
         if model.wants_pretraining() {
             model.pretrain(
                 &matrix.gather_rows(&train_idx),

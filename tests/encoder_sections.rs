@@ -114,7 +114,7 @@ fn legacy_encoder_layout_still_loads_bit_identically() {
     assert_eq!(old.score_batch(caches), cascade.score_batch(caches));
     // A section without the kind's encoder is a typed load error, never a
     // panic at scoring time.
-    let hist_only = ctx.store().encoders_for(&[Encoding::Histogram]);
+    let hist_only = ctx.store().encoder(Encoding::Histogram);
     let mismatched = with_legacy_encoders(&detector.to_bytes(), &hist_only.export_state());
     assert!(Detector::from_bytes(&mismatched).is_err());
 }
