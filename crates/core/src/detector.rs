@@ -325,7 +325,7 @@ impl Detector {
     /// Phishing probability of one already-decoded contract. Pays for
     /// exactly one encoding — the model's own.
     pub fn score_cache(&self, cache: &DisasmCache) -> f32 {
-        let row = self.encoders.encode(cache, self.encoding);
+        let row = self.encode(cache);
         self.model.predict_proba(&[row.as_row()])[0]
     }
 
@@ -336,17 +336,15 @@ impl Detector {
         if caches.is_empty() {
             return Vec::new();
         }
-        let encoded: Vec<FeatureVec> =
-            parallel_map(caches, |c| self.encoders.encode(c, self.encoding));
+        let encoded: Vec<FeatureVec> = parallel_map(caches, |c| self.encode(c));
         let rows: Vec<FeatureRow<'_>> = encoded.iter().map(FeatureVec::as_row).collect();
         self.model.predict_proba(&rows)
     }
 
-    /// Encodes decoded contracts (by reference, so a cascade can gather an
-    /// escalated subset without cloning op tables) under this detector's
-    /// encoding across the worker pool, without scoring.
-    pub(crate) fn encode_batch(&self, caches: &[&DisasmCache]) -> Vec<FeatureVec> {
-        parallel_map(caches, |c| self.encoders.encode(c, self.encoding))
+    /// Encodes one decoded contract under this detector's encoding,
+    /// without scoring.
+    pub(crate) fn encode(&self, cache: &DisasmCache) -> FeatureVec {
+        self.encoders.encode(cache, self.encoding)
     }
 
     /// Scores already-encoded rows (which must have been produced under
@@ -377,9 +375,7 @@ impl Detector {
         if codes.is_empty() {
             return Vec::new();
         }
-        let encoded: Vec<FeatureVec> = parallel_map(codes, |c| {
-            self.encoders.encode(&DisasmCache::build(c), self.encoding)
-        });
+        let encoded: Vec<FeatureVec> = parallel_map(codes, |c| self.encode(&DisasmCache::build(c)));
         let rows: Vec<FeatureRow<'_>> = encoded.iter().map(FeatureVec::as_row).collect();
         self.model.predict_proba(&rows)
     }

@@ -155,11 +155,10 @@ pub const MAX_DEPTH: usize = 128;
 /// Parses a JSON document. Returns `None` on any syntax error, trailing
 /// garbage, or nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Option<Value> {
-    let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos == bytes.len() {
+    let value = parse_value(input, &mut pos, 0)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos == input.len() {
         Some(value)
     } else {
         None
@@ -172,16 +171,17 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
+fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Option<Value> {
     if depth > MAX_DEPTH {
         return None;
     }
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match *b.get(*pos)? {
         b'n' => parse_lit(b, pos, "null", Value::Null),
         b't' => parse_lit(b, pos, "true", Value::Bool(true)),
         b'f' => parse_lit(b, pos, "false", Value::Bool(false)),
-        b'"' => parse_string(b, pos).map(Value::Str),
+        b'"' => parse_string(s, pos).map(Value::Str),
         b'[' => {
             *pos += 1;
             let mut items = Vec::new();
@@ -191,7 +191,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
                 return Some(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos, depth + 1)?);
+                items.push(parse_value(s, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos)? {
                     b',' => *pos += 1,
@@ -213,13 +213,13 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(s, pos)?;
                 skip_ws(b, pos);
                 if b.get(*pos) != Some(&b':') {
                     return None;
                 }
                 *pos += 1;
-                fields.push((key, parse_value(b, pos, depth + 1)?));
+                fields.push((key, parse_value(s, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos)? {
                     b',' => *pos += 1,
@@ -244,7 +244,8 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Value) -> Option<Value
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
+fn parse_string(s: &str, pos: &mut usize) -> Option<String> {
+    let b = s.as_bytes();
     if b.get(*pos) != Some(&b'"') {
         return None;
     }
@@ -252,13 +253,13 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
     let mut out = String::new();
     loop {
         // Copy the run up to the next quote, backslash or control byte in
-        // one step. `b` holds a `&str` and every stop byte is ASCII, so the
-        // run is whole UTF-8 scalars and each byte is validated once.
+        // one step. Every stop byte is ASCII, so both ends of the run are
+        // char boundaries of `s` and the slice needs no UTF-8 re-check.
         let run = *pos;
         while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\' | 0..=0x1f) {
             *pos += 1;
         }
-        out.push_str(std::str::from_utf8(&b[run..*pos]).ok()?);
+        out.push_str(&s[run..*pos]);
         match *b.get(*pos)? {
             b'"' => {
                 *pos += 1;

@@ -75,18 +75,18 @@ impl Bytecode {
                 digits: digits.len(),
             });
         }
-        let mut out = Vec::with_capacity(digits.len() / 2);
         let bytes = digits.as_bytes();
-        for (i, pair) in bytes.chunks_exact(2).enumerate() {
-            let hi = hex_val(pair[0]).ok_or(ParseBytecodeError::InvalidDigit {
-                index: i * 2,
-                found: pair[0] as char,
-            })?;
-            let lo = hex_val(pair[1]).ok_or(ParseBytecodeError::InvalidDigit {
-                index: i * 2 + 1,
-                found: pair[1] as char,
-            })?;
-            out.push((hi << 4) | lo);
+        let mut out = vec![0u8; bytes.len() / 2];
+        // One table lookup per digit and no branch: an invalid digit sets
+        // the high bit, which survives the OR and is checked once at the end.
+        let mut invalid = 0u8;
+        for (byte, pair) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+            let (hi, lo) = (NIBBLE[pair[0] as usize], NIBBLE[pair[1] as usize]);
+            invalid |= hi | lo;
+            *byte = (hi << 4) | lo;
+        }
+        if invalid & INVALID != 0 {
+            return Err(first_invalid_digit(bytes));
         }
         Ok(Bytecode(out.into()))
     }
@@ -134,12 +134,36 @@ impl Bytecode {
 
 const HEX: &[u8; 16] = b"0123456789abcdef";
 
-fn hex_val(c: u8) -> Option<u8> {
-    match c {
-        b'0'..=b'9' => Some(c - b'0'),
-        b'a'..=b'f' => Some(c - b'a' + 10),
-        b'A'..=b'F' => Some(c - b'A' + 10),
-        _ => None,
+/// Marks a non-hex byte in [`NIBBLE`]; no digit value has this bit.
+const INVALID: u8 = 0x80;
+
+/// Digit value of every byte: `0..=15` for `0-9`, `a-f` and `A-F`,
+/// [`INVALID`] for everything else.
+const NIBBLE: [u8; 256] = {
+    let mut table = [INVALID; 256];
+    let mut i = 0;
+    while i < 10 {
+        table[b'0' as usize + i] = i as u8;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 6 {
+        table[b'a' as usize + i] = 10 + i as u8;
+        table[b'A' as usize + i] = 10 + i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// The error for the first non-hex byte of `digits`, which holds one.
+fn first_invalid_digit(digits: &[u8]) -> ParseBytecodeError {
+    let index = digits
+        .iter()
+        .position(|&c| NIBBLE[c as usize] & INVALID != 0)
+        .expect("the decode loop saw an invalid digit");
+    ParseBytecodeError::InvalidDigit {
+        index,
+        found: digits[index] as char,
     }
 }
 
@@ -170,6 +194,126 @@ impl AsRef<[u8]> for Bytecode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The branchy per-digit decoder `from_hex` replaced, kept as the
+    /// reference its results and errors must match exactly.
+    fn from_hex_reference(hex: &str) -> Result<Vec<u8>, ParseBytecodeError> {
+        fn hex_val(c: u8) -> Option<u8> {
+            match c {
+                b'0'..=b'9' => Some(c - b'0'),
+                b'a'..=b'f' => Some(c - b'a' + 10),
+                b'A'..=b'F' => Some(c - b'A' + 10),
+                _ => None,
+            }
+        }
+        let digits = hex.strip_prefix("0x").unwrap_or(hex);
+        if !digits.len().is_multiple_of(2) {
+            return Err(ParseBytecodeError::OddLength {
+                digits: digits.len(),
+            });
+        }
+        let mut out = Vec::with_capacity(digits.len() / 2);
+        for (i, pair) in digits.as_bytes().chunks_exact(2).enumerate() {
+            let hi = hex_val(pair[0]).ok_or(ParseBytecodeError::InvalidDigit {
+                index: i * 2,
+                found: pair[0] as char,
+            })?;
+            let lo = hex_val(pair[1]).ok_or(ParseBytecodeError::InvalidDigit {
+                index: i * 2 + 1,
+                found: pair[1] as char,
+            })?;
+            out.push((hi << 4) | lo);
+        }
+        Ok(out)
+    }
+
+    fn assert_matches_reference(text: &str) {
+        let got = Bytecode::from_hex(text).map(|c| c.as_bytes().to_vec());
+        assert_eq!(got, from_hex_reference(text), "{text:?}");
+    }
+
+    /// Non-hex characters of one to four UTF-8 bytes.
+    const NOT_HEX: [char; 10] = [
+        'g',
+        'G',
+        'x',
+        'z',
+        ' ',
+        '\0',
+        '\u{7f}',
+        '\u{e9}',
+        '€',
+        '\u{1F600}',
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(512))]
+
+        /// Mixed-case digit strings, with or without `0x`, cut to an odd
+        /// length or given one bad character anywhere, decode to the
+        /// reference's bytes or to its exact error.
+        #[test]
+        fn from_hex_matches_the_reference_decoder(
+            raw in proptest::collection::vec(proptest::any::<u8>(), 0..300),
+            prefix in proptest::any::<bool>(),
+            odd in proptest::any::<bool>(),
+            bad_at in proptest::any::<u64>(),
+            bad in 0usize..NOT_HEX.len() + 1,
+        ) {
+            const DIGITS: &[u8; 22] = b"0123456789abcdefABCDEF";
+            let mut text: String = raw
+                .iter()
+                .map(|&b| DIGITS[b as usize % DIGITS.len()] as char)
+                .collect();
+            if odd {
+                text.pop();
+            }
+            if let Some(&c) = NOT_HEX.get(bad) {
+                if !text.is_empty() {
+                    let at = (bad_at % text.len() as u64) as usize;
+                    text.replace_range(at..at + 1, c.encode_utf8(&mut [0; 4]));
+                }
+            }
+            if prefix {
+                text.insert_str(0, "0x");
+            }
+            assert_matches_reference(&text);
+            // The same bytes read as arbitrary (lossily decoded) text.
+            assert_matches_reference(&String::from_utf8_lossy(&raw));
+        }
+    }
+
+    #[test]
+    fn from_hex_matches_the_reference_on_edge_cases() {
+        for text in [
+            "",
+            "0x",
+            "0",
+            "0x0",
+            "00",
+            "0x0x00",
+            "0X00",
+            "x0",
+            "ff",
+            "FF",
+            "fG",
+            "Gf",
+            "0x\u{e9}",
+            "\u{e9}",
+            "a\u{e9}a",
+            "0xaa\u{1F600}",
+            "00000000000000000z",
+            "0123456789abcdefABCDEF",
+        ] {
+            assert_matches_reference(text);
+        }
+        // Every byte value in both digit positions.
+        for c in 0u8..=0x7f {
+            let c = c as char;
+            assert_matches_reference(&format!("{c}0"));
+            assert_matches_reference(&format!("0x0{c}"));
+        }
+    }
 
     #[test]
     fn parses_with_and_without_prefix() {

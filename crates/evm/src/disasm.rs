@@ -16,7 +16,7 @@
 //! chain and must still be featurized.
 
 use crate::bytecode::Bytecode;
-use crate::opcodes::{opcode_info, OpcodeInfo};
+use crate::opcodes::{immediate_len, opcode_info, OpcodeInfo};
 use crate::opid::OpId;
 use std::borrow::Cow;
 use std::fmt;
@@ -210,8 +210,9 @@ impl<'a> Iterator for OpcodeStream<'a> {
             return None;
         }
         let offset = self.pc;
-        let id = OpId::from_byte(self.code[offset]);
-        let want = id.immediates();
+        let byte = self.code[offset];
+        let id = OpId::from_byte(byte);
+        let want = immediate_len(byte);
         let avail = (self.code.len() - offset - 1).min(want);
         let operand = &self.code[offset + 1..offset + 1 + avail];
         self.pc = offset + 1 + avail;

@@ -409,7 +409,15 @@ mod tests {
             assert_eq!(immediate_len(byte), n as usize);
         }
         assert_eq!(opcode_info(0x5F).unwrap().immediates, 0);
+        // The edges of the PUSH1..PUSH32 range the decoder reads widths from.
+        assert_eq!(immediate_len(0x5F), 0);
+        assert_eq!(immediate_len(0x80), 0);
+        assert_eq!(immediate_len(0x01), 0);
         assert_eq!(immediate_len(op::MSTORE), 0);
+        for byte in 0..=u8::MAX {
+            let want = opcode_info(byte).map_or(0, |i| usize::from(i.immediates));
+            assert_eq!(immediate_len(byte), want, "0x{byte:02X}");
+        }
     }
 
     #[test]

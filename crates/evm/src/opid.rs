@@ -29,7 +29,7 @@
 //! ```
 
 use crate::disasm::Mnemonic;
-use crate::opcodes::{immediate_len, OpcodeInfo, SHANGHAI_OPCODES, SHANGHAI_OPCODE_COUNT};
+use crate::opcodes::{OpcodeInfo, SHANGHAI_OPCODES, SHANGHAI_OPCODE_COUNT};
 use std::fmt;
 
 /// Interned id of one instruction byte (defined opcode or unassigned byte).
@@ -118,12 +118,6 @@ impl OpId {
         self.info().and_then(|i| i.gas)
     }
 
-    /// Number of immediate bytes that follow this instruction in code.
-    #[inline]
-    pub fn immediates(self) -> usize {
-        immediate_len(self.byte())
-    }
-
     /// Display-layer view of this id.
     #[inline]
     pub fn mnemonic(self) -> Mnemonic {
@@ -206,14 +200,6 @@ mod tests {
             assert_eq!(id.index(), i);
             assert!(id.is_known());
         }
-    }
-
-    #[test]
-    fn immediates_match_push_widths() {
-        assert_eq!(OpId::from_byte(0x60).immediates(), 1);
-        assert_eq!(OpId::from_byte(0x7F).immediates(), 32);
-        assert_eq!(OpId::from_byte(0x5F).immediates(), 0);
-        assert_eq!(OpId::from_byte(0x01).immediates(), 0);
     }
 
     #[test]

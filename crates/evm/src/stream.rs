@@ -117,6 +117,13 @@ pub enum CodeLogError {
         /// What failed.
         detail: String,
     },
+    /// The writer refused an append the log could not hold: a payload
+    /// over [`MAX_RECORD_BYTES`] or a label other than 0 or 1. Nothing was
+    /// written, and the log is undamaged.
+    Rejected {
+        /// Why the record was refused.
+        detail: String,
+    },
     /// A tailing reader waited past its idle deadline without the writer
     /// making progress.
     Stalled {
@@ -137,6 +144,9 @@ impl fmt::Display for CodeLogError {
             }
             CodeLogError::Corrupt { offset, detail } => {
                 write!(f, "code log record at byte {offset} is corrupt: {detail}")
+            }
+            CodeLogError::Rejected { detail } => {
+                write!(f, "code log append refused: {detail}")
             }
             CodeLogError::Stalled { offset, waited } => write!(
                 f,
@@ -276,8 +286,7 @@ impl CodeLogWriter {
     fn append_body(&mut self, tag: u8, meta: &[u8], payload: &[u8]) -> Result<(), CodeLogError> {
         let body_len = 1 + meta.len() + payload.len();
         if body_len as u64 >= MAX_RECORD_BYTES as u64 {
-            return Err(CodeLogError::Corrupt {
-                offset: 0,
+            return Err(CodeLogError::Rejected {
                 detail: format!(
                     "payload of {} bytes exceeds the {MAX_RECORD_BYTES}-byte record cap",
                     payload.len()
@@ -313,8 +322,8 @@ impl CodeLogWriter {
     ///
     /// # Errors
     ///
-    /// Any I/O failure, plus a payload over [`MAX_RECORD_BYTES`] (which a
-    /// cursor would refuse to read back).
+    /// Any I/O failure, plus [`CodeLogError::Rejected`] for a payload over
+    /// [`MAX_RECORD_BYTES`] (which a cursor would refuse to read back).
     pub fn append(&mut self, code: &Bytecode) -> Result<(), CodeLogError> {
         self.append_body(TAG_RAW, &[], code.as_bytes())
     }
@@ -324,8 +333,9 @@ impl CodeLogWriter {
     ///
     /// # Errors
     ///
-    /// Same as [`CodeLogWriter::append`], plus a `label` other than 0 or 1
-    /// (which a cursor would refuse to read back).
+    /// Same as [`CodeLogWriter::append`], plus [`CodeLogError::Rejected`]
+    /// for a `label` other than 0 or 1 (which a cursor would refuse to read
+    /// back).
     pub fn append_labeled(
         &mut self,
         code: &Bytecode,
@@ -333,8 +343,7 @@ impl CodeLogWriter {
         month: u16,
     ) -> Result<(), CodeLogError> {
         if label > 1 {
-            return Err(CodeLogError::Corrupt {
-                offset: 0,
+            return Err(CodeLogError::Rejected {
                 detail: format!("label {label} is not 0 or 1"),
             });
         }
@@ -954,8 +963,31 @@ mod tests {
         let path = temp_log("label2");
         let mut w = CodeLogWriter::create(&path).unwrap();
         let refused = w.append_labeled(&Bytecode::new(vec![0x5f]), 2, 3);
-        assert!(matches!(refused, Err(CodeLogError::Corrupt { .. })));
+        assert!(matches!(refused, Err(CodeLogError::Rejected { .. })));
+        assert!(refused.unwrap_err().to_string().contains("label 2"));
         assert_eq!(w.records(), 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn writer_refuses_a_payload_over_the_record_cap() {
+        let path = temp_log("oversize");
+        let mut w = CodeLogWriter::create(&path).unwrap();
+        // The body is the tag byte plus the payload, so this payload makes
+        // a body of exactly the cap, one byte too many.
+        let code = Bytecode::new(vec![0x5f; MAX_RECORD_BYTES as usize - 1]);
+        let refused = w.append(&code);
+        assert!(matches!(refused, Err(CodeLogError::Rejected { .. })));
+        assert!(refused.unwrap_err().to_string().contains("record cap"));
+        let refused = w.append_labeled(&code, 1, 3);
+        assert!(matches!(refused, Err(CodeLogError::Rejected { .. })));
+        // Nothing was written: the next record is the log's first.
+        w.append(&Bytecode::new(vec![0x5f])).unwrap();
+        w.sync().unwrap();
+        assert_eq!(w.records(), 1);
+        let mut cursor = CodeLogCursor::open(&path).unwrap();
+        assert!(matches!(cursor.next(), Some(Ok(_))));
+        assert!(cursor.next().is_none());
         std::fs::remove_file(&path).ok();
     }
 

@@ -103,14 +103,16 @@ impl OpcodeTokenizer {
     /// [`SequenceVariant::SlidingWindow`]; every window has exactly
     /// `context` ids (right-padded).
     pub fn encode(&self, contract: &DisasmCache, variant: SequenceVariant) -> Vec<Vec<u32>> {
-        let stream = self.stream(contract);
         match variant {
             SequenceVariant::Truncate => {
-                let mut w: Vec<u32> = stream.into_iter().take(self.context).collect();
+                // Tokenizes only the ops the window keeps.
+                let mut w = Vec::with_capacity(self.context);
+                w.extend(contract.op_ids().take(self.context).map(Self::token));
                 w.resize(self.context, PAD);
                 vec![w]
             }
             SequenceVariant::SlidingWindow => {
+                let stream = self.stream(contract);
                 if stream.len() <= self.context {
                     let mut w = stream;
                     w.resize(self.context, PAD);
@@ -167,6 +169,23 @@ mod tests {
 
         let short = tok.encode(&cache(&[0x01]), SequenceVariant::Truncate);
         assert_eq!(short[0], vec![BASE + 1, PAD, PAD, PAD]);
+    }
+
+    #[test]
+    fn alpha_window_is_the_full_stream_truncated() {
+        // Shorter than, equal to and longer than the context, with a
+        // PUSH2 immediate and an unknown byte in the stream.
+        let mut code = vec![0x61, 0xAA, 0xBB, 0x0C];
+        code.extend((0u8..40).map(|i| 0x01 + i % 0x0b));
+        let tok = OpcodeTokenizer::new(8);
+        for len in [0, 1, 5, 8, 9, 10, 13, code.len()] {
+            let contract = cache(&code[..len]);
+            let stream = tok.stream(&contract);
+            let mut expected: Vec<u32> = stream.iter().copied().take(8).collect();
+            expected.resize(8, PAD);
+            let windows = tok.encode(&contract, SequenceVariant::Truncate);
+            assert_eq!(windows, vec![expected], "{len} bytes, {} ops", stream.len());
+        }
     }
 
     #[test]

@@ -144,6 +144,78 @@ proptest! {
     }
 }
 
+/// Long unescaped runs of one- to four-byte UTF-8 that end, and restart,
+/// right at a `\"`, `\\`, `\/`, `\u` or surrogate-pair escape decode to
+/// exactly the characters they spell, in values and keys alike.
+#[test]
+fn multibyte_runs_beside_escapes_decode_exactly() {
+    let run = "a\u{e9}\u{20ac}\u{1F600}".repeat(300);
+    let escapes: [(&str, char); 6] = [
+        (r#"\""#, '"'),
+        (r"\\", '\\'),
+        (r"\/", '/'),
+        (r"\u00e9", '\u{e9}'),
+        (r"\u20AC", '\u{20ac}'),
+        (r"\ud83d\ude00", '\u{1F600}'),
+    ];
+    let mut text = String::from("\"");
+    let mut expected = String::new();
+    for (escape, c) in escapes {
+        text.push_str(&run);
+        text.push_str(escape);
+        expected.push_str(&run);
+        expected.push(c);
+        // Two escapes back to back leave an empty run between them.
+        text.push_str(escape);
+        expected.push(c);
+    }
+    text.push_str(&run);
+    text.push('"');
+    expected.push_str(&run);
+    assert_eq!(parse(&text), Some(Value::Str(expected.clone())));
+
+    let doc = parse(&format!("{{{text}:[{text}]}}")).expect("valid object");
+    let Value::Obj(fields) = &doc else {
+        panic!("not an object: {doc:?}")
+    };
+    assert_eq!(fields[0].0, expected);
+    assert_eq!(fields[0].1, Value::Arr(vec![Value::Str(expected)]));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random runs of multibyte characters joined by random escapes decode
+    /// to the string spelled out beside them.
+    #[test]
+    fn runs_and_escapes_decode_to_what_they_spell(seed in any::<u64>()) {
+        const RUN_CHARS: [char; 6] = ['a', '\u{7f}', '\u{e9}', '\u{7ff}', '\u{20ac}', '\u{10FFFF}'];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut text = String::from("\"");
+        let mut expected = String::new();
+        for _ in 0..rng.gen_range(0..8usize) {
+            for _ in 0..rng.gen_range(0..200usize) {
+                let c = RUN_CHARS[rng.gen_range(0..RUN_CHARS.len())];
+                text.push(c);
+                expected.push(c);
+            }
+            let (escape, c) = match rng.gen_range(0..4u32) {
+                0 => ("\\\"".to_string(), '"'),
+                1 => ("\\\\".to_string(), '\\'),
+                2 => {
+                    let c = RUN_CHARS[rng.gen_range(0..RUN_CHARS.len() - 1)];
+                    (format!("\\u{:04x}", c as u32), c)
+                }
+                _ => ("\\ud83d\\ude00".to_string(), '\u{1F600}'),
+            };
+            text.push_str(&escape);
+            expected.push(c);
+        }
+        text.push('"');
+        prop_assert_eq!(parse(&text), Some(Value::Str(expected)), "{}", text);
+    }
+}
+
 /// Parses `text` and returns the time it took; the document must be valid.
 fn timed_parse(text: &str) -> (Value, Duration) {
     let start = Instant::now();
