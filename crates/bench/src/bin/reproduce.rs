@@ -22,11 +22,11 @@ use phishinghook::prelude::*;
 use phishinghook::{PosthocReport, ScalabilityStudy};
 use phishinghook_bench::harness::{baseline_doc, obj, workspace_root};
 use phishinghook_evm::{DisasmCache, SHANGHAI_OPCODES};
-use phishinghook_features::{HistogramEncoder, R2d2Encoder};
+use phishinghook_features::{FeatureRow, HistogramEncoder, R2d2Encoder};
 use phishinghook_linalg::Matrix;
 use phishinghook_ml::{Classifier, RandomForest};
 use phishinghook_models::eca_net::{EcaEfficientNet, EcaNetConfig};
-use phishinghook_models::TrainConfig;
+use phishinghook_models::{Model, TrainConfig};
 use phishinghook_stats::delta_magnitude;
 use std::process::ExitCode;
 
@@ -749,6 +749,8 @@ fn ablation_eca(scale: RunScale) {
     let enc = R2d2Encoder::new(profile.image_side);
     let x_train: Vec<Vec<f32>> = train.disasm_batch().iter().map(|c| enc.encode(c)).collect();
     let x_test: Vec<Vec<f32>> = test.disasm_batch().iter().map(|c| enc.encode(c)).collect();
+    let train_rows: Vec<FeatureRow<'_>> = x_train.iter().map(|v| FeatureRow::Dense(v)).collect();
+    let test_rows: Vec<FeatureRow<'_>> = x_test.iter().map(|v| FeatureRow::Dense(v)).collect();
     println!("{:<26} {:>10} {:>10}", "variant", "accuracy", "F1");
     for (label, eca_kernel) in [
         ("ECA k=3 (paper)", 3usize),
@@ -766,8 +768,8 @@ fn ablation_eca(scale: RunScale) {
             },
             ..EcaNetConfig::default()
         });
-        model.fit(&x_train, &train.labels());
-        let probs = model.predict_proba(&x_test);
+        model.fit(&train_rows, &train.labels());
+        let probs = model.predict_proba(&test_rows);
         let pred: Vec<u8> = probs.iter().map(|&p| u8::from(p >= 0.5)).collect();
         let m = Metrics::from_predictions(&pred, &test.labels());
         println!("{:<26} {:>10.4} {:>10.4}", label, m.accuracy, m.f1);

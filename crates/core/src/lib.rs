@@ -86,11 +86,9 @@ pub use pam::{posthoc_analysis, PosthocReport};
 pub use phishinghook_artifact::ArtifactError;
 pub use phishinghook_models::Model;
 pub use phishinghook_retry as retry;
-pub use scalability::{
-    run_scalability, run_scalability_on, ScalabilityStudy, SCALABILITY_MODELS, SPLIT_RATIOS,
-};
+pub use scalability::{run_scalability, ScalabilityStudy, SCALABILITY_MODELS, SPLIT_RATIOS};
 pub use shap_analysis::{shap_analysis, ShapAnalysis};
-pub use time_resistance::{run_time_resistance, run_time_resistance_on, TimeResistance};
+pub use time_resistance::{run_time_resistance, TimeResistance};
 
 /// Convenient single-import surface for examples and downstream users.
 pub mod prelude {
@@ -107,11 +105,9 @@ pub mod prelude {
     pub use crate::metrics::{auc, Metrics, METRIC_NAMES};
     pub use crate::opcode_stats::{opcode_usage, FIG3_OPCODES};
     pub use crate::pam::posthoc_analysis;
-    pub use crate::scalability::{
-        run_scalability, run_scalability_on, SCALABILITY_MODELS, SPLIT_RATIOS,
-    };
+    pub use crate::scalability::{run_scalability, SCALABILITY_MODELS, SPLIT_RATIOS};
     pub use crate::shap_analysis::shap_analysis;
-    pub use crate::time_resistance::{run_time_resistance, run_time_resistance_on};
+    pub use crate::time_resistance::run_time_resistance;
     pub use phishinghook_artifact::ArtifactError;
     pub use phishinghook_chain::{Explorer, QueryService, RpcProvider, SimulatedChain};
     pub use phishinghook_evm::{disassemble_bytecode, Bytecode};

@@ -406,8 +406,9 @@ pub struct TrialOutcome {
 /// both phases. No disassembly or featurization happens here.
 ///
 /// `train_seconds`/`infer_seconds` cover the trait-dispatched
-/// `fit`/`predict_proba` calls, which include materializing the model's
-/// owned inputs from the store's borrowed rows.
+/// `fit`/`predict_proba` calls on the store's borrowed rows: the deep
+/// models read those slices in place, and the classical models' timings
+/// include packing them into their design matrix.
 ///
 /// # Panics
 ///

@@ -131,32 +131,22 @@ impl ScalabilityStudy {
     }
 }
 
-/// Runs the study over a one-shot context; see [`run_scalability_on`].
-pub fn run_scalability(
-    data: &Dataset,
-    folds: usize,
-    profile: &EvalProfile,
-    seed: u64,
-) -> ScalabilityStudy {
-    run_scalability_on(&EvalContext::new(data, profile), data, folds, seed)
-}
-
-/// Runs the study against a shared [`EvalContext`]: every split ratio is an
-/// index subsample of the same store, so the nine (model, ratio) cells and
-/// all their folds reuse one decode+featurize pass.
+/// Runs the study over one [`EvalContext`]: every split ratio is an index
+/// subsample of the same store, so the nine (model, ratio) cells and all
+/// their folds reuse one decode+featurize pass.
 ///
 /// Unlike the CV engine, the cells execute **sequentially**: this study's
 /// `train_seconds`/`infer_seconds` feed the Fig. 7 cost curves, and timing
 /// trials while siblings compete for the same cores would inflate every
 /// number by contention. The decode-once store is still the speedup — the
 /// featurization work the old per-trial loop repeated per cell is gone.
-pub fn run_scalability_on(
-    ctx: &EvalContext,
+pub fn run_scalability(
     data: &Dataset,
     folds: usize,
+    profile: &EvalProfile,
     seed: u64,
 ) -> ScalabilityStudy {
-    assert_eq!(ctx.len(), data.len(), "context/dataset misaligned");
+    let ctx = EvalContext::new(data, profile);
     struct CellSpec {
         model: ModelKind,
         ratio: f64,
@@ -188,7 +178,7 @@ pub fn run_scalability_on(
         .map(|spec| ScalabilityCell {
             model: spec.model,
             ratio: spec.ratio,
-            outcome: evaluate_trial(ctx, spec.model, &spec.train_idx, &spec.test_idx, spec.seed),
+            outcome: evaluate_trial(&ctx, spec.model, &spec.train_idx, &spec.test_idx, spec.seed),
         })
         .collect();
     ScalabilityStudy { cells, folds }

@@ -48,31 +48,15 @@ pub fn run_time_resistance(
     profile: &EvalProfile,
     seed: u64,
 ) -> TimeResistance {
-    // Fit the encoder lookup tables on the temporal training window only:
-    // a TESSERACT-style study must not let vocabularies or frequency
-    // tables see future months, or the drift it measures is erased.
-    let (train_idx, _) = data.temporal_split_indices();
-    let ctx = EvalContext::fitted_on(data, profile, &train_idx);
-    run_time_resistance_on(&ctx, model, data, seed)
-}
-
-/// [`run_time_resistance`] against a shared [`EvalContext`]: the training
-/// window and all nine monthly test sets are index slices of the same
-/// store, and the monthly trials are sharded across the worker pool.
-///
-/// The context must cover `data` index-for-index and should be built with
-/// [`EvalContext::fitted_on`] over the temporal training window (as
-/// [`run_time_resistance`] does) to keep future months out of the fitted
-/// lookup tables.
-pub fn run_time_resistance_on(
-    ctx: &EvalContext,
-    model: ModelKind,
-    data: &Dataset,
-    seed: u64,
-) -> TimeResistance {
-    assert_eq!(ctx.len(), data.len(), "context/dataset misaligned");
     let (train_idx, tests) = data.temporal_split_indices();
     assert!(!train_idx.is_empty(), "empty temporal training window");
+    // Fit the encoder lookup tables on the temporal training window only:
+    // a TESSERACT-style study must not let vocabularies or frequency
+    // tables see future months, or the drift it measures is erased. The
+    // training window and all nine monthly test sets are index slices of
+    // this one store, and the monthly trials are sharded across the
+    // worker pool.
+    let ctx = EvalContext::fitted_on(data, profile, &train_idx);
     let train_pos = ctx.positives_in(&train_idx);
     assert!(
         train_pos > 0 && train_pos < train_idx.len(),
@@ -89,7 +73,7 @@ pub fn run_time_resistance_on(
         })
         .collect();
     let monthly = parallel_map(&specs, |(month, idx)| {
-        let outcome = evaluate_trial(ctx, model, &train_idx, idx, seed);
+        let outcome = evaluate_trial(&ctx, model, &train_idx, idx, seed);
         MonthlyResult {
             month: *month,
             period: month.test_period().expect("test month"),

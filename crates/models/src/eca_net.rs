@@ -8,7 +8,10 @@
 //! classifier, mirroring the "modified EfficientNet-B0 backbone" of the
 //! original at reduced width/depth.
 
+use crate::model::{dense_views, Model};
 use crate::trainer::{predict_binary_batch, train_binary, TrainConfig, PREDICT_BATCH};
+use phishinghook_artifact::ArtifactError;
+use phishinghook_features::FeatureRow;
 use phishinghook_nn::{Linear, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -157,13 +160,15 @@ impl MbConvEca {
     }
 }
 
-/// The full ECA+EfficientNet classifier over channel-first RGB images.
+/// The full ECA+EfficientNet classifier over channel-first RGB images, fed
+/// as [`FeatureRow::Dense`] rows of `3 · side²` floats.
 ///
 /// # Examples
 ///
 /// ```
+/// use phishinghook_features::FeatureRow;
 /// use phishinghook_models::eca_net::{EcaEfficientNet, EcaNetConfig};
-/// use phishinghook_models::TrainConfig;
+/// use phishinghook_models::{Model, TrainConfig};
 ///
 /// let cfg = EcaNetConfig {
 ///     side: 8, stem: 4, stage1: 4, stage2: 6,
@@ -177,8 +182,9 @@ impl MbConvEca {
 ///     .map(|i| if (i % 64) % 3 == 0 { 0.9 } else { 0.1 })
 ///     .collect();
 /// let smooth: Vec<f32> = (0..192).map(|i| (i % 64) as f32 / 63.0).collect();
-/// model.fit(&[textured.clone(), smooth.clone()], &[1, 0]);
-/// let p = model.predict_proba(&[textured, smooth]);
+/// let rows = [FeatureRow::Dense(&textured), FeatureRow::Dense(&smooth)];
+/// model.fit(&rows, &[1, 0]);
+/// let p = model.predict_proba(&rows);
 /// assert!(p[0] > p[1]);
 /// ```
 #[derive(Debug)]
@@ -229,7 +235,7 @@ impl EcaEfficientNet {
     /// logit column for `B` images. The `(c, h, w)` convolution ops are
     /// per-image, so each image records its own subgraph and the logits
     /// are stacked.
-    fn logits(&self, t: &mut Tape, s: &ParamStore, batch: &[&Vec<f32>]) -> Var {
+    fn logits(&self, t: &mut Tape, s: &ParamStore, batch: &[&&[f32]]) -> Var {
         let side = self.config.side;
         let logits: Vec<Var> = batch
             .iter()
@@ -246,44 +252,35 @@ impl EcaEfficientNet {
             .collect();
         t.stack_rows(&logits)
     }
+}
 
-    /// Trains on channel-first image vectors.
-    pub fn fit(&mut self, images: &[Vec<f32>], y: &[u8]) {
+impl Model for EcaEfficientNet {
+    fn fit(&mut self, rows: &[FeatureRow<'_>], labels: &[u8]) {
+        let images = dense_views(rows);
         let cfg = self.config.train;
         let mut store = std::mem::take(&mut self.store);
-        train_binary(&mut store, images, y, &cfg, &[], |t, s, batch| {
+        train_binary(&mut store, &images, labels, &cfg, &[], |t, s, batch| {
             self.logits(t, s, batch)
         });
         self.store = store;
     }
 
-    /// Phishing probability per image.
-    pub fn predict_proba(&self, images: &[Vec<f32>]) -> Vec<f32> {
-        predict_binary_batch(&self.store, images, PREDICT_BATCH, |t, s, batch| {
+    fn predict_proba(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
+        let images = dense_views(rows);
+        predict_binary_batch(&self.store, &images, PREDICT_BATCH, |t, s, batch| {
             self.logits(t, s, batch)
         })
     }
 
-    /// Total trainable scalar parameters.
-    pub fn parameter_count(&self) -> usize {
+    fn parameter_count(&self) -> usize {
         self.store.scalar_count()
     }
 
-    /// Serializes the fitted parameter tensors (flat, bit-exact).
-    pub fn export_state(&self) -> Vec<u8> {
+    fn export_state(&self) -> Vec<u8> {
         self.store.export_tensors()
     }
 
-    /// Restores parameters exported from a same-configured model, after
-    /// which predictions are bit-identical to the exporter's.
-    ///
-    /// # Errors
-    ///
-    /// See [`phishinghook_nn::ParamStore::import_tensors`].
-    pub fn import_state(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<(), phishinghook_artifact::ArtifactError> {
+    fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError> {
         self.store.import_tensors(bytes)
     }
 }
@@ -339,8 +336,9 @@ mod tests {
             xs.push(img);
             ys.push((i % 2) as u8);
         }
-        model.fit(&xs, &ys);
-        let probs = model.predict_proba(&xs);
+        let rows: Vec<FeatureRow<'_>> = xs.iter().map(|v| FeatureRow::Dense(v)).collect();
+        model.fit(&rows, &ys);
+        let probs = model.predict_proba(&rows);
         let acc = probs
             .iter()
             .zip(&ys)
@@ -354,7 +352,7 @@ mod tests {
         // Two stride-2 blocks: 8 → 4 → 2. A forward pass must succeed and
         // produce exactly one logit.
         let model = EcaEfficientNet::new(toy());
-        let p = model.predict_proba(&[vec![0.5; 192]]);
+        let p = model.predict_proba(&[FeatureRow::Dense(&[0.5; 192])]);
         assert_eq!(p.len(), 1);
         assert!(p[0].is_finite());
     }

@@ -10,7 +10,10 @@
 //! social-engineering signals; this reproduction keeps that two-phase
 //! protocol so the failure mode is reproduced honestly, not hard-coded.
 
+use crate::model::{dense_views, Model};
 use crate::trainer::{batch_input, predict_binary_batch, train_binary, TrainConfig, PREDICT_BATCH};
+use phishinghook_artifact::{ArtifactError, ByteReader, ByteWriter};
+use phishinghook_features::FeatureRow;
 use phishinghook_nn::{Linear, ParamId, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,13 +45,17 @@ impl Default for EscortConfig {
     }
 }
 
-/// The ESCORT network: shared trunk + detachable branches.
+/// The ESCORT network: shared trunk + detachable branches, fed as
+/// [`FeatureRow::Dense`] embedding rows. [`Model::pretrain`] is phase 1
+/// (vulnerability branches) and [`Model::fit`] is phase 2 (the phishing
+/// transfer branch over the frozen trunk).
 ///
 /// # Examples
 ///
 /// ```
+/// use phishinghook_features::FeatureRow;
 /// use phishinghook_models::escort::{EscortNet, EscortConfig};
-/// use phishinghook_models::TrainConfig;
+/// use phishinghook_models::{Model, TrainConfig};
 ///
 /// let cfg = EscortConfig {
 ///     input_dim: 8, trunk1: 8, trunk2: 4, vuln_branches: 2,
@@ -56,11 +63,12 @@ impl Default for EscortConfig {
 /// };
 /// let mut model = EscortNet::new(cfg);
 /// let xs: Vec<Vec<f32>> = (0..12).map(|i| vec![(i % 3) as f32; 8]).collect();
+/// let rows: Vec<FeatureRow> = xs.iter().map(|v| FeatureRow::Dense(v)).collect();
 /// let vuln: Vec<Vec<u8>> = (0..12).map(|i| vec![(i % 2) as u8, ((i / 2) % 2) as u8]).collect();
-/// model.pretrain(&xs, &vuln);
+/// model.pretrain(&rows, &vuln);
 /// let phishing: Vec<u8> = (0..12).map(|i| (i % 2) as u8).collect();
-/// model.fit_transfer(&xs, &phishing);
-/// assert_eq!(model.predict_proba(&xs).len(), 12);
+/// model.fit(&rows, &phishing);
+/// assert_eq!(model.predict_proba(&rows).len(), 12);
 /// ```
 #[derive(Debug)]
 pub struct EscortNet {
@@ -102,7 +110,7 @@ impl EscortNet {
     /// prediction: the whole batch rides one `(B, d)` activation through
     /// the trunk, so each weight matrix is read once per batch, and `head`
     /// turns the trunk features into a `(B, 1)` logit column.
-    fn logits(&self, head: Linear, t: &mut Tape, s: &ParamStore, batch: &[&Vec<f32>]) -> Var {
+    fn logits(&self, head: Linear, t: &mut Tape, s: &ParamStore, batch: &[&&[f32]]) -> Var {
         let xv = batch_input(t, batch);
         let h = self.trunk1.forward(t, s, xv);
         let h = t.relu(h);
@@ -110,44 +118,21 @@ impl EscortNet {
         let f = t.relu(h);
         head.forward(t, s, f)
     }
+}
 
-    /// Phase 1: multi-label pre-training of trunk + vulnerability branches.
-    /// `vuln_labels[i]` holds one 0/1 label per branch for sample `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a label row is narrower than the branch count.
-    pub fn pretrain(&mut self, xs: &[Vec<f32>], vuln_labels: &[Vec<u8>]) {
-        assert_eq!(xs.len(), vuln_labels.len(), "sample/label mismatch");
-        // Train each branch in turn (trunk shared and unfrozen).
-        let cfg = self.config.train;
-        for (b, &head) in self.vuln_heads.iter().enumerate() {
-            let labels: Vec<u8> = vuln_labels
-                .iter()
-                .map(|row| {
-                    assert!(row.len() > b, "vulnerability label row too short");
-                    row[b]
-                })
-                .collect();
-            let mut store = std::mem::take(&mut self.store);
-            train_binary(&mut store, xs, &labels, &cfg, &[], |t, s, batch| {
-                self.logits(head, t, s, batch)
-            });
-            self.store = store;
-        }
-    }
-
+impl Model for EscortNet {
     /// Phase 2: transfer to phishing — attach a fresh branch and train it
     /// with the trunk **frozen**, as ESCORT handles new vulnerability types.
-    pub fn fit_transfer(&mut self, xs: &[Vec<f32>], y: &[u8]) {
+    fn fit(&mut self, rows: &[FeatureRow<'_>], labels: &[u8]) {
+        let xs = dense_views(rows);
         let head = Linear::new(&mut self.store, self.config.trunk2, 1, &mut self.rng);
         self.phishing_head = Some(head);
         let cfg = self.config.train;
         let mut store = std::mem::take(&mut self.store);
         train_binary(
             &mut store,
-            xs,
-            y,
+            &xs,
+            labels,
             &cfg,
             &self.trunk_params,
             |t, s, batch| self.logits(head, t, s, batch),
@@ -155,57 +140,79 @@ impl EscortNet {
         self.store = store;
     }
 
-    /// Phishing probability per embedded sample.
-    ///
     /// # Panics
     ///
-    /// Panics if called before [`EscortNet::fit_transfer`].
-    pub fn predict_proba(&self, xs: &[Vec<f32>]) -> Vec<f32> {
-        let head = self.phishing_head.expect("predict before fit_transfer");
-        predict_binary_batch(&self.store, xs, PREDICT_BATCH, |t, s, batch| {
+    /// Panics if called before [`Model::fit`].
+    fn predict_proba(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
+        let xs = dense_views(rows);
+        let head = self.phishing_head.expect("predict before fit");
+        predict_binary_batch(&self.store, &xs, PREDICT_BATCH, |t, s, batch| {
             self.logits(head, t, s, batch)
         })
     }
 
-    /// Total trainable scalar parameters.
-    pub fn parameter_count(&self) -> usize {
+    fn parameter_count(&self) -> usize {
         self.store.scalar_count()
     }
 
-    /// Serializes the fitted parameter tensors plus whether the phishing
-    /// transfer branch has been attached.
-    pub fn export_state(&self) -> Vec<u8> {
-        let mut w = phishinghook_artifact::ByteWriter::new();
+    /// Phase 1: multi-label pre-training of trunk + vulnerability branches,
+    /// one branch at a time over the shared, unfrozen trunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a label row is narrower than the branch count.
+    fn pretrain(&mut self, rows: &[FeatureRow<'_>], aux: &[Vec<u8>]) {
+        assert_eq!(rows.len(), aux.len(), "sample/label mismatch");
+        let xs = dense_views(rows);
+        let cfg = self.config.train;
+        for (b, &head) in self.vuln_heads.iter().enumerate() {
+            let labels: Vec<u8> = aux
+                .iter()
+                .map(|row| {
+                    assert!(row.len() > b, "vulnerability label row too short");
+                    row[b]
+                })
+                .collect();
+            let mut store = std::mem::take(&mut self.store);
+            train_binary(&mut store, &xs, &labels, &cfg, &[], |t, s, batch| {
+                self.logits(head, t, s, batch)
+            });
+            self.store = store;
+        }
+    }
+
+    fn wants_pretraining(&self) -> bool {
+        true
+    }
+
+    /// The fitted parameter tensors plus whether the phishing transfer
+    /// branch has been attached.
+    fn export_state(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
         w.put_u8(u8::from(self.phishing_head.is_some()));
         w.put_bytes(&self.store.export_tensors());
         w.into_bytes()
     }
 
     /// Restores state exported from a same-configured model that has been
-    /// through [`EscortNet::fit_transfer`]. The phishing branch is attached
-    /// here first (same structural path as training), then every tensor —
-    /// trunk, vulnerability branches, transfer head — is overwritten with
-    /// the exported values.
+    /// through [`Model::fit`]. The phishing branch is attached here first
+    /// (same structural path as training), then every tensor — trunk,
+    /// vulnerability branches, transfer head — is overwritten with the
+    /// exported values.
     ///
     /// # Errors
     ///
     /// [`ArtifactError::Mismatch`] when the state carries no phishing head
-    /// (exported before `fit_transfer`: such a model could never predict),
-    /// plus tensor shape/count mismatches from the parameter store.
-    ///
-    /// [`ArtifactError::Mismatch`]: phishinghook_artifact::ArtifactError::Mismatch
-    pub fn import_state(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<(), phishinghook_artifact::ArtifactError> {
-        use phishinghook_artifact::{ArtifactError, ByteReader};
+    /// (exported before `fit`: such a model could never predict), plus
+    /// tensor shape/count mismatches from the parameter store.
+    fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError> {
         let mut r = ByteReader::new(bytes);
         let has_head = r.take_u8()? != 0;
         let tensors = r.take_bytes()?.to_vec();
         r.expect_exhausted("escort state")?;
         if !has_head {
             return Err(ArtifactError::Mismatch(
-                "escort state carries no phishing head (exported before fit_transfer)".into(),
+                "escort state carries no phishing head (exported before fit)".into(),
             ));
         }
         if self.phishing_head.is_none() {
@@ -219,6 +226,10 @@ impl EscortNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn dense(xs: &[Vec<f32>]) -> Vec<FeatureRow<'_>> {
+        xs.iter().map(|v| FeatureRow::Dense(v)).collect()
+    }
 
     fn toy() -> EscortConfig {
         EscortConfig {
@@ -238,15 +249,16 @@ mod tests {
     fn transfer_keeps_trunk_frozen() {
         let mut model = EscortNet::new(toy());
         let xs: Vec<Vec<f32>> = (0..20).map(|i| vec![(i % 4) as f32; 6]).collect();
+        let rows = dense(&xs);
         let vuln: Vec<Vec<u8>> = (0..20).map(|i| vec![(i % 2) as u8, 0]).collect();
-        model.pretrain(&xs, &vuln);
+        model.pretrain(&rows, &vuln);
         let trunk_before: Vec<Vec<f32>> = model
             .trunk_params
             .iter()
             .map(|&p| model.store.value(p).data().to_vec())
             .collect();
         let phishing: Vec<u8> = (0..20).map(|i| ((i / 2) % 2) as u8).collect();
-        model.fit_transfer(&xs, &phishing);
+        model.fit(&rows, &phishing);
         let trunk_after: Vec<Vec<f32>> = model
             .trunk_params
             .iter()
@@ -269,9 +281,10 @@ mod tests {
             .collect();
         let labels: Vec<u8> = (0..30).map(|i| (i % 2) as u8).collect();
         let vuln: Vec<Vec<u8>> = labels.iter().map(|&l| vec![l, 1 - l]).collect();
-        model.pretrain(&xs, &vuln);
-        model.fit_transfer(&xs, &labels);
-        let probs = model.predict_proba(&xs);
+        let rows = dense(&xs);
+        model.pretrain(&rows, &vuln);
+        model.fit(&rows, &labels);
+        let probs = model.predict_proba(&rows);
         let acc = probs
             .iter()
             .zip(&labels)
@@ -287,18 +300,18 @@ mod tests {
         let mut pretrained = EscortNet::new(toy());
         let xs: Vec<Vec<f32>> = (0..8).map(|i| vec![(i % 4) as f32; 6]).collect();
         let vuln: Vec<Vec<u8>> = (0..8).map(|i| vec![(i % 2) as u8, 0]).collect();
-        pretrained.pretrain(&xs, &vuln);
+        pretrained.pretrain(&dense(&xs), &vuln);
         let mut fresh = EscortNet::new(toy());
         assert!(matches!(
             fresh.import_state(&pretrained.export_state()),
-            Err(phishinghook_artifact::ArtifactError::Mismatch(_))
+            Err(ArtifactError::Mismatch(_))
         ));
     }
 
     #[test]
-    #[should_panic(expected = "predict before fit_transfer")]
+    #[should_panic(expected = "predict before fit")]
     fn predict_requires_transfer() {
         let model = EscortNet::new(toy());
-        model.predict_proba(&[vec![0.0; 6]]);
+        model.predict_proba(&[FeatureRow::Dense(&[0.0; 6])]);
     }
 }

@@ -11,9 +11,12 @@
 //! bit-identical tape-free forward of `phishinghook-nn` over every window
 //! of a [`PREDICT_BATCH`] chunk at once.
 
+use crate::model::{window_views, Model};
 use crate::trainer::{
     aggregate_window_probs, label_windows, train_binary, TrainConfig, PREDICT_BATCH,
 };
+use phishinghook_artifact::ArtifactError;
+use phishinghook_features::FeatureRow;
 use phishinghook_linalg::transcend::sigmoid;
 use phishinghook_nn::{
     mean_pool, BlockInference, LayerNorm, Linear, ParamId, ParamStore, Tape, Tensor,
@@ -59,13 +62,15 @@ impl Default for Gpt2Config {
 ///
 /// Inputs are per-contract *window lists* (one window for the α variant,
 /// several for β), as produced by
-/// `phishinghook_features::OpcodeTokenizer::encode`.
+/// `phishinghook_features::OpcodeTokenizer::encode`, fed as
+/// [`FeatureRow::Windows`] rows.
 ///
 /// # Examples
 ///
 /// ```
+/// use phishinghook_features::FeatureRow;
 /// use phishinghook_models::gpt2::{Gpt2Classifier, Gpt2Config};
-/// use phishinghook_models::TrainConfig;
+/// use phishinghook_models::{Model, TrainConfig};
 ///
 /// let cfg = Gpt2Config {
 ///     vocab: 16, context: 6, dim: 8, heads: 2, depth: 1,
@@ -77,8 +82,9 @@ impl Default for Gpt2Config {
 ///     .map(|i| vec![vec![2 + 7 * (i % 2) as u32, 3, 4, 5, 0, 0]])
 ///     .collect();
 /// let ys: Vec<u8> = (0..16).map(|i| (i % 2) as u8).collect();
-/// model.fit(&xs, &ys);
-/// let p = model.predict_proba(&xs);
+/// let rows: Vec<FeatureRow> = xs.iter().map(|w| FeatureRow::Windows(w)).collect();
+/// model.fit(&rows, &ys);
+/// let p = model.predict_proba(&rows);
 /// assert!(p[1] > p[0]);
 /// ```
 #[derive(Debug)]
@@ -182,12 +188,14 @@ impl Gpt2Classifier {
         self.head.forward_rows(&self.store, &pooled, &mut logits);
         logits
     }
+}
 
-    /// Trains on per-contract window lists with 0/1 labels. Every window
-    /// inherits its contract's label (standard chunked fine-tuning), capped
-    /// at `max_train_windows` windows per contract.
-    pub fn fit(&mut self, xs: &[Vec<Vec<u32>>], y: &[u8]) {
-        let (windows, labels) = label_windows(xs, y, self.config.max_train_windows);
+impl Model for Gpt2Classifier {
+    /// Every window inherits its contract's label (standard chunked
+    /// fine-tuning), capped at `max_train_windows` windows per contract.
+    fn fit(&mut self, rows: &[FeatureRow<'_>], labels: &[u8]) {
+        let contracts = window_views(rows);
+        let (windows, labels) = label_windows(&contracts, labels, self.config.max_train_windows);
         let cfg = self.config.train;
         let mut store = std::mem::take(&mut self.store);
         train_binary(&mut store, &windows, &labels, &cfg, &[], |t, s, batch| {
@@ -196,13 +204,13 @@ impl Gpt2Classifier {
         self.store = store;
     }
 
-    /// Phishing probability per contract: the mean of its windows'
-    /// probabilities. All windows are scored in chunks of
-    /// [`PREDICT_BATCH`] by the tape-free forward; every window's logit is
-    /// independent of its chunk-mates, so a contract's score does not
-    /// depend on the other contracts in `xs`.
-    pub fn predict_proba(&self, xs: &[Vec<Vec<u32>>]) -> Vec<f32> {
-        let windows: Vec<&Vec<u32>> = xs.iter().flatten().collect();
+    /// A contract's score is the mean of its windows' probabilities. All
+    /// windows are scored in chunks of [`PREDICT_BATCH`] by the tape-free
+    /// forward; every window's logit is independent of its chunk-mates, so
+    /// a contract's score does not depend on the other contracts in `rows`.
+    fn predict_proba(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
+        let contracts = window_views(rows);
+        let windows: Vec<&Vec<u32>> = contracts.iter().flat_map(|c| c.iter()).collect();
         let blocks: Vec<BlockInference> = self
             .blocks
             .iter()
@@ -213,29 +221,18 @@ impl Gpt2Classifier {
             .flat_map(|chunk| self.infer_logits(&blocks, chunk))
             .map(sigmoid)
             .collect();
-        aggregate_window_probs(xs, &probs)
+        aggregate_window_probs(&contracts, &probs)
     }
 
-    /// Total trainable scalar parameters.
-    pub fn parameter_count(&self) -> usize {
+    fn parameter_count(&self) -> usize {
         self.store.scalar_count()
     }
 
-    /// Serializes the fitted parameter tensors (flat, bit-exact).
-    pub fn export_state(&self) -> Vec<u8> {
+    fn export_state(&self) -> Vec<u8> {
         self.store.export_tensors()
     }
 
-    /// Restores parameters exported from a same-configured model, after
-    /// which predictions are bit-identical to the exporter's.
-    ///
-    /// # Errors
-    ///
-    /// See [`phishinghook_nn::ParamStore::import_tensors`].
-    pub fn import_state(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<(), phishinghook_artifact::ArtifactError> {
+    fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError> {
         self.store.import_tensors(bytes)
     }
 }
@@ -260,6 +257,10 @@ mod tests {
         }
     }
 
+    fn as_windows(xs: &[Vec<Vec<u32>>]) -> Vec<FeatureRow<'_>> {
+        xs.iter().map(|w| FeatureRow::Windows(w)).collect()
+    }
+
     #[test]
     fn learns_leading_token_alpha() {
         let mut model = Gpt2Classifier::new(toy());
@@ -267,8 +268,9 @@ mod tests {
             .map(|i| vec![vec![5 + 9 * (i % 2) as u32, 3, 3, 3, 0, 0, 0, 0]])
             .collect();
         let ys: Vec<u8> = (0..30).map(|i| (i % 2) as u8).collect();
-        model.fit(&xs, &ys);
-        let probs = model.predict_proba(&xs);
+        let rows = as_windows(&xs);
+        model.fit(&rows, &ys);
+        let probs = model.predict_proba(&rows);
         let acc = probs
             .iter()
             .zip(&ys)
@@ -281,7 +283,8 @@ mod tests {
     fn beta_averages_windows() {
         let model = Gpt2Classifier::new(toy());
         // Multi-window sample: prediction is a well-defined average.
-        let p = model.predict_proba(&[vec![vec![1; 8], vec![2; 8], vec![3; 4]]]);
+        let windows = [vec![1; 8], vec![2; 8], vec![3; 4]];
+        let p = model.predict_proba(&[FeatureRow::Windows(&windows)]);
         assert_eq!(p.len(), 1);
         assert!((0.0..=1.0).contains(&p[0]));
     }
@@ -320,14 +323,15 @@ mod tests {
             .collect();
         assert!(xs.iter().map(Vec::len).sum::<usize>() > 2 * PREDICT_BATCH);
         let ys: Vec<u8> = (0..70).map(|i| (i % 2) as u8).collect();
+        let rows = as_windows(&xs);
         let mut model = Gpt2Classifier::new(cfg);
-        model.fit(&xs, &ys);
+        model.fit(&rows, &ys);
         let windows: Vec<&Vec<u32>> = xs.iter().flatten().collect();
         let tape = predict_binary_batch(&model.store, &windows, PREDICT_BATCH, |t, s, batch| {
             model.logits(t, s, batch)
         });
-        let want = aggregate_window_probs(&xs, &tape);
-        let got = model.predict_proba(&xs);
+        let want = aggregate_window_probs(&window_views(&rows), &tape);
+        let got = model.predict_proba(&rows);
         let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));
     }
@@ -335,6 +339,6 @@ mod tests {
     #[test]
     fn empty_window_list_predicts_prior() {
         let model = Gpt2Classifier::new(toy());
-        assert_eq!(model.predict_proba(&[vec![]]), vec![0.5]);
+        assert_eq!(model.predict_proba(&[FeatureRow::Windows(&[])]), vec![0.5]);
     }
 }

@@ -20,7 +20,10 @@
 //! classical classifiers of `phishinghook_ml` — implement the unified
 //! [`Model`] trait ([`model`]): one `fit`/`predict_proba` protocol over
 //! borrowed `FeatureRow` views, which is what the evaluation engine and the
-//! serving `Detector` dispatch through.
+//! serving `Detector` dispatch through. The trait is each deep model's only
+//! interface besides its `new(config)`: training, scoring and state
+//! persistence all go through it, and the rows' slices reach the forward
+//! pass without being copied.
 
 #![warn(missing_docs)]
 

@@ -7,6 +7,12 @@
 //! Dispatch is dynamic, so the whole sixteen-model zoo fits behind
 //! `Box<dyn Model>` and one factory.
 //!
+//! [`Model`] is each model's only public interface. The six deep models
+//! implement it in their own modules, borrowing their representation's
+//! slices out of the rows (no row is copied on its way in); the classical
+//! classifiers reach it through [`DenseClassifier`], which packs the rows
+//! into the design matrix they consume.
+//!
 //! ESCORT's two-phase transfer protocol is preserved through the optional
 //! [`Model::pretrain`] hook rather than leaking a special case into every
 //! caller.
@@ -27,7 +33,6 @@
 //! assert!(model.predict_proba(&rows[1..])[0] >= 0.5);
 //! ```
 
-use crate::{EcaEfficientNet, EscortNet, Gpt2Classifier, ScsGuard, T5Classifier, ViT};
 use phishinghook_artifact::ArtifactError;
 use phishinghook_features::FeatureRow;
 use phishinghook_linalg::Matrix;
@@ -76,14 +81,6 @@ pub trait Model: Send + Sync {
         false
     }
 
-    /// Hard 0/1 predictions (probability ≥ 0.5 ⇒ class 1).
-    fn predict(&self, rows: &[FeatureRow<'_>]) -> Vec<u8> {
-        self.predict_proba(rows)
-            .into_iter()
-            .map(|p| u8::from(p >= 0.5))
-            .collect()
-    }
-
     /// Serializes the fitted state (parameter tensors for the deep models,
     /// trees/weights/neighbours for the classical ones) as an opaque blob.
     /// Configuration is *not* included — the persistence layer rebuilds a
@@ -104,16 +101,44 @@ pub trait Model: Send + Sync {
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError>;
 }
 
-/// Gathers dense rows into owned vectors.
+/// Borrows the slice of every dense row.
 ///
 /// # Panics
 ///
 /// Panics if a row is not [`FeatureRow::Dense`].
-pub fn dense_rows(rows: &[FeatureRow<'_>]) -> Vec<Vec<f32>> {
+pub(crate) fn dense_views<'a>(rows: &[FeatureRow<'a>]) -> Vec<&'a [f32]> {
     rows.iter()
-        .map(|r| match r {
-            FeatureRow::Dense(v) => v.to_vec(),
+        .map(|r| match *r {
+            FeatureRow::Dense(v) => v,
             _ => panic!("model expects dense feature rows"),
+        })
+        .collect()
+}
+
+/// Borrows the id sequence of every id row.
+///
+/// # Panics
+///
+/// Panics if a row is not [`FeatureRow::Ids`].
+pub(crate) fn id_views<'a>(rows: &[FeatureRow<'a>]) -> Vec<&'a [u32]> {
+    rows.iter()
+        .map(|r| match *r {
+            FeatureRow::Ids(v) => v,
+            _ => panic!("model expects id feature rows"),
+        })
+        .collect()
+}
+
+/// Borrows the window list of every window row.
+///
+/// # Panics
+///
+/// Panics if a row is not [`FeatureRow::Windows`].
+pub(crate) fn window_views<'a>(rows: &[FeatureRow<'a>]) -> Vec<&'a [Vec<u32>]> {
+    rows.iter()
+        .map(|r| match *r {
+            FeatureRow::Windows(w) => w,
+            _ => panic!("model expects window feature rows"),
         })
         .collect()
 }
@@ -137,34 +162,6 @@ pub fn dense_matrix(rows: &[FeatureRow<'_>]) -> Matrix {
         }
     }
     Matrix::from_vec(rows.len(), width, data)
-}
-
-/// Gathers id rows into owned sequences.
-///
-/// # Panics
-///
-/// Panics if a row is not [`FeatureRow::Ids`].
-pub fn id_rows(rows: &[FeatureRow<'_>]) -> Vec<Vec<u32>> {
-    rows.iter()
-        .map(|r| match r {
-            FeatureRow::Ids(v) => v.to_vec(),
-            _ => panic!("model expects id feature rows"),
-        })
-        .collect()
-}
-
-/// Gathers window rows into owned per-sample window lists.
-///
-/// # Panics
-///
-/// Panics if a row is not [`FeatureRow::Windows`].
-pub fn window_rows(rows: &[FeatureRow<'_>]) -> Vec<Vec<Vec<u32>>> {
-    rows.iter()
-        .map(|r| match r {
-            FeatureRow::Windows(w) => w.to_vec(),
-            _ => panic!("model expects window feature rows"),
-        })
-        .collect()
 }
 
 /// Adapter lifting any [`Classifier`] (the seven histogram similarity
@@ -203,151 +200,13 @@ impl Model for DenseClassifier {
     }
 }
 
-impl Model for ViT {
-    fn fit(&mut self, rows: &[FeatureRow<'_>], labels: &[u8]) {
-        ViT::fit(self, &dense_rows(rows), labels);
-    }
-
-    fn predict_proba(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
-        ViT::predict_proba(self, &dense_rows(rows))
-    }
-
-    fn parameter_count(&self) -> usize {
-        ViT::parameter_count(self)
-    }
-
-    fn export_state(&self) -> Vec<u8> {
-        ViT::export_state(self)
-    }
-
-    fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError> {
-        ViT::import_state(self, bytes)
-    }
-}
-
-impl Model for EcaEfficientNet {
-    fn fit(&mut self, rows: &[FeatureRow<'_>], labels: &[u8]) {
-        EcaEfficientNet::fit(self, &dense_rows(rows), labels);
-    }
-
-    fn predict_proba(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
-        EcaEfficientNet::predict_proba(self, &dense_rows(rows))
-    }
-
-    fn parameter_count(&self) -> usize {
-        EcaEfficientNet::parameter_count(self)
-    }
-
-    fn export_state(&self) -> Vec<u8> {
-        EcaEfficientNet::export_state(self)
-    }
-
-    fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError> {
-        EcaEfficientNet::import_state(self, bytes)
-    }
-}
-
-impl Model for ScsGuard {
-    fn fit(&mut self, rows: &[FeatureRow<'_>], labels: &[u8]) {
-        ScsGuard::fit(self, &id_rows(rows), labels);
-    }
-
-    fn predict_proba(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
-        ScsGuard::predict_proba(self, &id_rows(rows))
-    }
-
-    fn parameter_count(&self) -> usize {
-        ScsGuard::parameter_count(self)
-    }
-
-    fn export_state(&self) -> Vec<u8> {
-        ScsGuard::export_state(self)
-    }
-
-    fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError> {
-        ScsGuard::import_state(self, bytes)
-    }
-}
-
-impl Model for Gpt2Classifier {
-    fn fit(&mut self, rows: &[FeatureRow<'_>], labels: &[u8]) {
-        Gpt2Classifier::fit(self, &window_rows(rows), labels);
-    }
-
-    fn predict_proba(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
-        Gpt2Classifier::predict_proba(self, &window_rows(rows))
-    }
-
-    fn parameter_count(&self) -> usize {
-        Gpt2Classifier::parameter_count(self)
-    }
-
-    fn export_state(&self) -> Vec<u8> {
-        Gpt2Classifier::export_state(self)
-    }
-
-    fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError> {
-        Gpt2Classifier::import_state(self, bytes)
-    }
-}
-
-impl Model for T5Classifier {
-    fn fit(&mut self, rows: &[FeatureRow<'_>], labels: &[u8]) {
-        T5Classifier::fit(self, &window_rows(rows), labels);
-    }
-
-    fn predict_proba(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
-        T5Classifier::predict_proba(self, &window_rows(rows))
-    }
-
-    fn parameter_count(&self) -> usize {
-        T5Classifier::parameter_count(self)
-    }
-
-    fn export_state(&self) -> Vec<u8> {
-        T5Classifier::export_state(self)
-    }
-
-    fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError> {
-        T5Classifier::import_state(self, bytes)
-    }
-}
-
-impl Model for EscortNet {
-    fn fit(&mut self, rows: &[FeatureRow<'_>], labels: &[u8]) {
-        self.fit_transfer(&dense_rows(rows), labels);
-    }
-
-    fn predict_proba(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
-        EscortNet::predict_proba(self, &dense_rows(rows))
-    }
-
-    fn parameter_count(&self) -> usize {
-        EscortNet::parameter_count(self)
-    }
-
-    fn export_state(&self) -> Vec<u8> {
-        EscortNet::export_state(self)
-    }
-
-    fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError> {
-        EscortNet::import_state(self, bytes)
-    }
-
-    fn pretrain(&mut self, rows: &[FeatureRow<'_>], aux: &[Vec<u8>]) {
-        EscortNet::pretrain(self, &dense_rows(rows), aux);
-    }
-
-    fn wants_pretraining(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gpt2::Gpt2Config;
     use crate::scsguard::ScsGuardConfig;
-    use crate::TrainConfig;
+    use crate::vit::ViTConfig;
+    use crate::{Gpt2Classifier, ScsGuard, TrainConfig, ViT};
     use phishinghook_ml::LogisticRegression;
 
     fn dense<'a>(data: &'a [Vec<f32>]) -> Vec<FeatureRow<'a>> {
@@ -364,35 +223,13 @@ mod tests {
         )));
         model.fit(&rows, &labels);
         assert_eq!(model.parameter_count(), 0);
-        let pred = model.predict(&rows);
-        let correct = pred.iter().zip(&labels).filter(|(p, l)| p == l).count();
+        let probs = model.predict_proba(&rows);
+        let correct = probs
+            .iter()
+            .zip(&labels)
+            .filter(|(p, &l)| (**p >= 0.5) == (l == 1))
+            .count();
         assert!(correct >= 18, "{correct}/20");
-    }
-
-    #[test]
-    fn trait_dispatch_matches_inherent_calls() {
-        // Same seed, same inputs: the trait adapter must be a pure
-        // pass-through around the inherent protocol.
-        let xs: Vec<Vec<u32>> = (0..12).map(|i| vec![(i % 3) as u32; 6]).collect();
-        let labels: Vec<u8> = (0..12).map(|i| u8::from(i % 3 == 0)).collect();
-        let cfg = ScsGuardConfig {
-            vocab: 8,
-            train: TrainConfig {
-                epochs: 2,
-                ..TrainConfig::default()
-            },
-            ..ScsGuardConfig::default()
-        };
-
-        let mut direct = ScsGuard::new(cfg);
-        ScsGuard::fit(&mut direct, &xs, &labels);
-        let direct_probs = ScsGuard::predict_proba(&direct, &xs);
-
-        let rows: Vec<FeatureRow<'_>> = xs.iter().map(|v| FeatureRow::Ids(v)).collect();
-        let mut via_trait: Box<dyn Model> = Box::new(ScsGuard::new(cfg));
-        via_trait.fit(&rows, &labels);
-        assert_eq!(via_trait.predict_proba(&rows), direct_probs);
-        assert!(via_trait.parameter_count() > 0);
     }
 
     #[test]
@@ -421,14 +258,14 @@ mod tests {
             },
             ..ScsGuardConfig::default()
         };
-        let id_rows_owned: Vec<FeatureRow<'_>> = xs.iter().map(|v| FeatureRow::Ids(v)).collect();
+        let deep_rows: Vec<FeatureRow<'_>> = xs.iter().map(|v| FeatureRow::Ids(v)).collect();
         let mut deep: Box<dyn Model> = Box::new(ScsGuard::new(cfg));
-        deep.fit(&id_rows_owned, &id_labels);
+        deep.fit(&deep_rows, &id_labels);
         let mut deep_fresh: Box<dyn Model> = Box::new(ScsGuard::new(cfg));
         deep_fresh.import_state(&deep.export_state()).unwrap();
         assert_eq!(
-            deep_fresh.predict_proba(&id_rows_owned),
-            deep.predict_proba(&id_rows_owned)
+            deep_fresh.predict_proba(&deep_rows),
+            deep.predict_proba(&deep_rows)
         );
 
         // Cross-model state is rejected, not silently absorbed.
@@ -442,6 +279,47 @@ mod tests {
         let rows = vec![FeatureRow::Ids(&ids)];
         let mut model = DenseClassifier::new(Box::new(LogisticRegression::with_epochs(10)));
         model.fit(&rows, &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "model expects dense feature rows")]
+    fn dense_deep_model_rejects_id_rows() {
+        let ids = vec![1u32; 3 * 8 * 8];
+        let mut model: Box<dyn Model> = Box::new(ViT::new(ViTConfig {
+            side: 8,
+            patch: 4,
+            dim: 8,
+            heads: 2,
+            depth: 1,
+            train: TrainConfig::default(),
+        }));
+        model.fit(&[FeatureRow::Ids(&ids)], &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "model expects id feature rows")]
+    fn scsguard_rejects_window_rows() {
+        let windows = vec![vec![1u32, 2, 3]];
+        let model: Box<dyn Model> = Box::new(ScsGuard::new(ScsGuardConfig {
+            vocab: 8,
+            ..ScsGuardConfig::default()
+        }));
+        model.predict_proba(&[FeatureRow::Windows(&windows)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "model expects window feature rows")]
+    fn gpt2_rejects_dense_rows() {
+        let dense_row = [0.5f32; 8];
+        let mut model: Box<dyn Model> = Box::new(Gpt2Classifier::new(Gpt2Config {
+            vocab: 8,
+            context: 4,
+            dim: 8,
+            heads: 2,
+            depth: 1,
+            ..Gpt2Config::default()
+        }));
+        model.fit(&[FeatureRow::Dense(&dense_row)], &[1]);
     }
 
     #[test]

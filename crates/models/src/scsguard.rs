@@ -7,7 +7,10 @@
 //! layer that models sequential patterns in the data. Finally, a fully
 //! connected linear layer generates the logits." (§IV-B)
 
+use crate::model::{id_views, Model};
 use crate::trainer::{predict_binary_batch, train_binary, TrainConfig, PREDICT_BATCH};
+use phishinghook_artifact::ArtifactError;
+use phishinghook_features::FeatureRow;
 use phishinghook_nn::{Gru, Linear, MultiHeadAttention, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,12 +42,14 @@ impl Default for ScsGuardConfig {
     }
 }
 
-/// The SCSGuard scam-detection network over bigram id sequences.
+/// The SCSGuard scam-detection network over bigram id sequences, fed as
+/// [`FeatureRow::Ids`] rows.
 ///
 /// # Examples
 ///
 /// ```
-/// use phishinghook_models::{ScsGuard, TrainConfig};
+/// use phishinghook_features::FeatureRow;
+/// use phishinghook_models::{Model, ScsGuard, TrainConfig};
 /// use phishinghook_models::scsguard::ScsGuardConfig;
 ///
 /// let cfg = ScsGuardConfig {
@@ -56,8 +61,9 @@ impl Default for ScsGuardConfig {
 /// // Token 3 at the front means phishing in this toy task.
 /// let xs: Vec<Vec<u32>> = (0..20).map(|i| vec![3 * (i % 2) as u32, 5, 7, 0]).collect();
 /// let ys: Vec<u8> = (0..20).map(|i| (i % 2) as u8).collect();
-/// model.fit(&xs, &ys);
-/// let probs = model.predict_proba(&xs);
+/// let rows: Vec<FeatureRow> = xs.iter().map(|v| FeatureRow::Ids(v)).collect();
+/// model.fit(&rows, &ys);
+/// let probs = model.predict_proba(&rows);
 /// assert!(probs[1] > probs[0]);
 /// ```
 #[derive(Debug)]
@@ -98,7 +104,7 @@ impl ScsGuard {
     /// sequential, so each sequence records its own subgraph over an
     /// embedding-table leaf recorded once per batch; the per-sequence
     /// logits are stacked.
-    fn logits(&self, t: &mut Tape, s: &ParamStore, batch: &[&Vec<u32>]) -> Var {
+    fn logits(&self, t: &mut Tape, s: &ParamStore, batch: &[&&[u32]]) -> Var {
         let table = t.param(s, self.embed);
         let logits: Vec<Var> = batch
             .iter()
@@ -112,48 +118,35 @@ impl ScsGuard {
             .collect();
         t.stack_rows(&logits)
     }
+}
 
-    /// Trains on bigram id sequences with 0/1 labels.
-    ///
-    /// # Panics
-    ///
-    /// Panics on empty or mismatched inputs.
-    pub fn fit(&mut self, xs: &[Vec<u32>], y: &[u8]) {
+impl Model for ScsGuard {
+    fn fit(&mut self, rows: &[FeatureRow<'_>], labels: &[u8]) {
+        let seqs = id_views(rows);
         let cfg = self.config.train;
         let mut store = std::mem::take(&mut self.store);
-        train_binary(&mut store, xs, y, &cfg, &[], |t, s, batch| {
+        train_binary(&mut store, &seqs, labels, &cfg, &[], |t, s, batch| {
             self.logits(t, s, batch)
         });
         self.store = store;
     }
 
-    /// Phishing probability per sequence.
-    pub fn predict_proba(&self, xs: &[Vec<u32>]) -> Vec<f32> {
-        predict_binary_batch(&self.store, xs, PREDICT_BATCH, |t, s, batch| {
+    fn predict_proba(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
+        let seqs = id_views(rows);
+        predict_binary_batch(&self.store, &seqs, PREDICT_BATCH, |t, s, batch| {
             self.logits(t, s, batch)
         })
     }
 
-    /// Total trainable scalar parameters.
-    pub fn parameter_count(&self) -> usize {
+    fn parameter_count(&self) -> usize {
         self.store.scalar_count()
     }
 
-    /// Serializes the fitted parameter tensors (flat, bit-exact).
-    pub fn export_state(&self) -> Vec<u8> {
+    fn export_state(&self) -> Vec<u8> {
         self.store.export_tensors()
     }
 
-    /// Restores parameters exported from a same-configured model, after
-    /// which predictions are bit-identical to the exporter's.
-    ///
-    /// # Errors
-    ///
-    /// See [`phishinghook_nn::ParamStore::import_tensors`].
-    pub fn import_state(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<(), phishinghook_artifact::ArtifactError> {
+    fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError> {
         self.store.import_tensors(bytes)
     }
 }
@@ -190,8 +183,9 @@ mod tests {
             })
             .collect();
         let ys: Vec<u8> = (0..40).map(|i| (i % 2) as u8).collect();
-        model.fit(&xs, &ys);
-        let probs = model.predict_proba(&xs);
+        let rows: Vec<FeatureRow<'_>> = xs.iter().map(|v| FeatureRow::Ids(v)).collect();
+        model.fit(&rows, &ys);
+        let probs = model.predict_proba(&rows);
         let acc = probs
             .iter()
             .zip(&ys)
@@ -204,7 +198,7 @@ mod tests {
     fn out_of_vocab_ids_are_clamped() {
         let model = ScsGuard::new(toy_config());
         // Id beyond vocab must not panic (clamped to the last row).
-        let probs = model.predict_proba(&[vec![9999, 1, 2]]);
+        let probs = model.predict_proba(&[FeatureRow::Ids(&[9999, 1, 2])]);
         assert!(probs[0].is_finite());
     }
 

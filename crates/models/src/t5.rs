@@ -7,10 +7,13 @@
 //! (sliding window) data policies follow the same contract as
 //! [`crate::Gpt2Classifier`].
 
+use crate::model::{window_views, Model};
 use crate::trainer::{
     aggregate_window_probs, label_windows, predict_binary_batch, train_binary, TrainConfig,
     PREDICT_BATCH,
 };
+use phishinghook_artifact::ArtifactError;
+use phishinghook_features::FeatureRow;
 use phishinghook_nn::{
     LayerNorm, Linear, MultiHeadAttention, ParamId, ParamStore, Tape, Tensor, TransformerBlock, Var,
 };
@@ -50,13 +53,15 @@ impl Default for T5Config {
     }
 }
 
-/// Encoder–decoder transformer classifier over tokenized opcode windows.
+/// Encoder–decoder transformer classifier over tokenized opcode windows,
+/// fed as [`FeatureRow::Windows`] rows.
 ///
 /// # Examples
 ///
 /// ```
+/// use phishinghook_features::FeatureRow;
 /// use phishinghook_models::t5::{T5Classifier, T5Config};
-/// use phishinghook_models::TrainConfig;
+/// use phishinghook_models::{Model, TrainConfig};
 ///
 /// let cfg = T5Config {
 ///     vocab: 16, context: 6, dim: 8, heads: 2, depth: 1,
@@ -68,8 +73,9 @@ impl Default for T5Config {
 ///     .map(|i| vec![vec![2 + 7 * (i % 2) as u32, 3, 4, 5, 0, 0]])
 ///     .collect();
 /// let ys: Vec<u8> = (0..16).map(|i| (i % 2) as u8).collect();
-/// model.fit(&xs, &ys);
-/// let p = model.predict_proba(&xs);
+/// let rows: Vec<FeatureRow> = xs.iter().map(|w| FeatureRow::Windows(w)).collect();
+/// model.fit(&rows, &ys);
+/// let p = model.predict_proba(&rows);
 /// assert!(p[1] > p[0]);
 /// ```
 #[derive(Debug)]
@@ -151,11 +157,14 @@ impl T5Classifier {
             .collect();
         t.stack_rows(&logits)
     }
+}
 
-    /// Trains on per-contract window lists with 0/1 labels (every window
-    /// inherits its contract's label, capped at `max_train_windows`).
-    pub fn fit(&mut self, xs: &[Vec<Vec<u32>>], y: &[u8]) {
-        let (windows, labels) = label_windows(xs, y, self.config.max_train_windows);
+impl Model for T5Classifier {
+    /// Every window inherits its contract's label, capped at
+    /// `max_train_windows` windows per contract.
+    fn fit(&mut self, rows: &[FeatureRow<'_>], labels: &[u8]) {
+        let contracts = window_views(rows);
+        let (windows, labels) = label_windows(&contracts, labels, self.config.max_train_windows);
         let cfg = self.config.train;
         let mut store = std::mem::take(&mut self.store);
         train_binary(&mut store, &windows, &labels, &cfg, &[], |t, s, batch| {
@@ -164,37 +173,27 @@ impl T5Classifier {
         self.store = store;
     }
 
-    /// Phishing probability per contract (mean over windows), scored in
-    /// window mini-batches of [`PREDICT_BATCH`]; a contract's score does
-    /// not depend on the other contracts in `xs`.
-    pub fn predict_proba(&self, xs: &[Vec<Vec<u32>>]) -> Vec<f32> {
-        let windows: Vec<&Vec<u32>> = xs.iter().flatten().collect();
+    /// A contract's score is the mean over its windows, scored in window
+    /// mini-batches of [`PREDICT_BATCH`]; it does not depend on the other
+    /// contracts in `rows`.
+    fn predict_proba(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
+        let contracts = window_views(rows);
+        let windows: Vec<&Vec<u32>> = contracts.iter().flat_map(|c| c.iter()).collect();
         let probs = predict_binary_batch(&self.store, &windows, PREDICT_BATCH, |t, s, batch| {
             self.logits(t, s, batch)
         });
-        aggregate_window_probs(xs, &probs)
+        aggregate_window_probs(&contracts, &probs)
     }
 
-    /// Total trainable scalar parameters.
-    pub fn parameter_count(&self) -> usize {
+    fn parameter_count(&self) -> usize {
         self.store.scalar_count()
     }
 
-    /// Serializes the fitted parameter tensors (flat, bit-exact).
-    pub fn export_state(&self) -> Vec<u8> {
+    fn export_state(&self) -> Vec<u8> {
         self.store.export_tensors()
     }
 
-    /// Restores parameters exported from a same-configured model, after
-    /// which predictions are bit-identical to the exporter's.
-    ///
-    /// # Errors
-    ///
-    /// See [`phishinghook_nn::ParamStore::import_tensors`].
-    pub fn import_state(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<(), phishinghook_artifact::ArtifactError> {
+    fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError> {
         self.store.import_tensors(bytes)
     }
 }
@@ -226,8 +225,9 @@ mod tests {
             .map(|i| vec![vec![4, 6 + 11 * (i % 2) as u32, 2, 2, 0, 0, 0, 0]])
             .collect();
         let ys: Vec<u8> = (0..30).map(|i| (i % 2) as u8).collect();
-        model.fit(&xs, &ys);
-        let probs = model.predict_proba(&xs);
+        let rows: Vec<FeatureRow<'_>> = xs.iter().map(|w| FeatureRow::Windows(w)).collect();
+        model.fit(&rows, &ys);
+        let probs = model.predict_proba(&rows);
         let acc = probs
             .iter()
             .zip(&ys)
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn handles_short_windows() {
         let model = T5Classifier::new(toy());
-        let p = model.predict_proba(&[vec![vec![1, 2, 3]]]);
+        let p = model.predict_proba(&[FeatureRow::Windows(&[vec![1, 2, 3]])]);
         assert!(p[0].is_finite());
     }
 }

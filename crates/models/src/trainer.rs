@@ -266,11 +266,12 @@ pub fn train_binary_per_sample<S>(
 /// # Panics
 ///
 /// Panics on an empty batch or ragged sample widths.
-pub fn batch_input(tape: &mut Tape, batch: &[&Vec<f32>]) -> Var {
+pub fn batch_input<X: AsRef<[f32]>>(tape: &mut Tape, batch: &[&X]) -> Var {
     assert!(!batch.is_empty(), "cannot batch zero samples");
-    let d = batch[0].len();
+    let d = batch[0].as_ref().len();
     let mut data = Vec::with_capacity(batch.len() * d);
     for x in batch {
+        let x = x.as_ref();
         assert_eq!(x.len(), d, "ragged batch rows");
         data.extend_from_slice(x);
     }
@@ -281,13 +282,13 @@ pub fn batch_input(tape: &mut Tape, batch: &[&Vec<f32>]) -> Var {
 /// contract's first `cap` windows carries the contract's label (chunked
 /// fine-tuning). Shared by the GPT-2 and T5 trainers.
 pub(crate) fn label_windows<'a>(
-    xs: &'a [Vec<Vec<u32>>],
+    xs: &[&'a [Vec<u32>]],
     y: &[u8],
     cap: usize,
 ) -> (Vec<&'a Vec<u32>>, Vec<u8>) {
     xs.iter()
         .zip(y)
-        .flat_map(|(windows, &label)| windows.iter().take(cap).map(move |w| (w, label)))
+        .flat_map(|(&windows, &label)| windows.iter().take(cap).map(move |w| (w, label)))
         .unzip()
 }
 
@@ -300,10 +301,10 @@ pub(crate) fn label_windows<'a>(
 /// # Panics
 ///
 /// Panics if `probs` is shorter than the total window count.
-pub fn aggregate_window_probs(xs: &[Vec<Vec<u32>>], probs: &[f32]) -> Vec<f32> {
+pub fn aggregate_window_probs(xs: &[&[Vec<u32>]], probs: &[f32]) -> Vec<f32> {
     let mut out = Vec::with_capacity(xs.len());
     let mut cursor = probs.iter();
-    for windows in xs {
+    for &windows in xs {
         if windows.is_empty() {
             out.push(0.5);
             continue;

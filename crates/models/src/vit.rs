@@ -6,7 +6,10 @@
 //! blocks, classification head on the class token — at CPU scale
 //! (32×32 images, patch 8, small width), trained from scratch.
 
+use crate::model::{dense_views, Model};
 use crate::trainer::{predict_binary_batch, train_binary, TrainConfig, PREDICT_BATCH};
+use phishinghook_artifact::ArtifactError;
+use phishinghook_features::FeatureRow;
 use phishinghook_nn::{
     LayerNorm, Linear, ParamId, ParamStore, Tape, Tensor, TransformerBlock, Var,
 };
@@ -43,13 +46,15 @@ impl Default for ViTConfig {
     }
 }
 
-/// A small Vision Transformer over channel-first RGB images.
+/// A small Vision Transformer over channel-first RGB images, fed as
+/// [`FeatureRow::Dense`] rows of `3 · side²` floats.
 ///
 /// # Examples
 ///
 /// ```
+/// use phishinghook_features::FeatureRow;
 /// use phishinghook_models::vit::{ViT, ViTConfig};
-/// use phishinghook_models::TrainConfig;
+/// use phishinghook_models::{Model, TrainConfig};
 ///
 /// let cfg = ViTConfig {
 ///     side: 8, patch: 4, dim: 8, heads: 2, depth: 1,
@@ -59,8 +64,9 @@ impl Default for ViTConfig {
 /// // Left-bright vs right-bright images (patterns survive layer norm).
 /// let left: Vec<f32> = (0..192).map(|i| if (i % 8) < 4 { 0.9 } else { 0.1 }).collect();
 /// let right: Vec<f32> = (0..192).map(|i| if (i % 8) < 4 { 0.1 } else { 0.9 }).collect();
-/// model.fit(&[left.clone(), right.clone()], &[1, 0]);
-/// let p = model.predict_proba(&[left, right]);
+/// let rows = [FeatureRow::Dense(&left), FeatureRow::Dense(&right)];
+/// model.fit(&rows, &[1, 0]);
+/// let p = model.predict_proba(&rows);
 /// assert!(p[0] > p[1]);
 /// ```
 #[derive(Debug)]
@@ -135,7 +141,7 @@ impl ViT {
     /// subgraph (attention is quadratic in sequence length, so samples are
     /// not concatenated) over class-token and positional leaves recorded
     /// once per batch; the class logits are stacked.
-    fn logits(&self, t: &mut Tape, s: &ParamStore, batch: &[&Vec<f32>]) -> Var {
+    fn logits(&self, t: &mut Tape, s: &ParamStore, batch: &[&&[f32]]) -> Var {
         let cls = t.param(s, self.cls_token);
         let pos = t.param(s, self.pos_embed);
         let logits: Vec<Var> = batch
@@ -155,44 +161,35 @@ impl ViT {
             .collect();
         t.stack_rows(&logits)
     }
+}
 
-    /// Trains on channel-first image vectors (`3 · side²` floats each).
-    pub fn fit(&mut self, images: &[Vec<f32>], y: &[u8]) {
+impl Model for ViT {
+    fn fit(&mut self, rows: &[FeatureRow<'_>], labels: &[u8]) {
+        let images = dense_views(rows);
         let cfg = self.config.train;
         let mut store = std::mem::take(&mut self.store);
-        train_binary(&mut store, images, y, &cfg, &[], |t, s, batch| {
+        train_binary(&mut store, &images, labels, &cfg, &[], |t, s, batch| {
             self.logits(t, s, batch)
         });
         self.store = store;
     }
 
-    /// Phishing probability per image.
-    pub fn predict_proba(&self, images: &[Vec<f32>]) -> Vec<f32> {
-        predict_binary_batch(&self.store, images, PREDICT_BATCH, |t, s, batch| {
+    fn predict_proba(&self, rows: &[FeatureRow<'_>]) -> Vec<f32> {
+        let images = dense_views(rows);
+        predict_binary_batch(&self.store, &images, PREDICT_BATCH, |t, s, batch| {
             self.logits(t, s, batch)
         })
     }
 
-    /// Total trainable scalar parameters.
-    pub fn parameter_count(&self) -> usize {
+    fn parameter_count(&self) -> usize {
         self.store.scalar_count()
     }
 
-    /// Serializes the fitted parameter tensors (flat, bit-exact).
-    pub fn export_state(&self) -> Vec<u8> {
+    fn export_state(&self) -> Vec<u8> {
         self.store.export_tensors()
     }
 
-    /// Restores parameters exported from a same-configured model, after
-    /// which predictions are bit-identical to the exporter's.
-    ///
-    /// # Errors
-    ///
-    /// See [`phishinghook_nn::ParamStore::import_tensors`].
-    pub fn import_state(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<(), phishinghook_artifact::ArtifactError> {
+    fn import_state(&mut self, bytes: &[u8]) -> Result<(), ArtifactError> {
         self.store.import_tensors(bytes)
     }
 }
@@ -253,8 +250,9 @@ mod tests {
             xs.push(img);
             ys.push((i % 2) as u8);
         }
-        model.fit(&xs, &ys);
-        let probs = model.predict_proba(&xs);
+        let rows: Vec<FeatureRow<'_>> = xs.iter().map(|v| FeatureRow::Dense(v)).collect();
+        model.fit(&rows, &ys);
+        let probs = model.predict_proba(&rows);
         let acc = probs
             .iter()
             .zip(&ys)

@@ -15,6 +15,7 @@
 //! mini-batch its windows land in.
 
 use phishinghook_artifact::checksum;
+use phishinghook_features::FeatureRow;
 use phishinghook_models::eca_net::EcaNetConfig;
 use phishinghook_models::escort::EscortConfig;
 use phishinghook_models::gpt2::Gpt2Config;
@@ -23,7 +24,7 @@ use phishinghook_models::t5::T5Config;
 use phishinghook_models::trainer::PREDICT_BATCH;
 use phishinghook_models::vit::ViTConfig;
 use phishinghook_models::{
-    EcaEfficientNet, EscortNet, Gpt2Classifier, ScsGuard, T5Classifier, TrainConfig, ViT,
+    EcaEfficientNet, EscortNet, Gpt2Classifier, Model, ScsGuard, T5Classifier, TrainConfig, ViT,
 };
 
 /// Deterministic input generator (64-bit LCG), independent of any RNG crate.
@@ -99,6 +100,14 @@ fn dense_corpus(n: usize, width: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
+fn as_dense(xs: &[Vec<f32>]) -> Vec<FeatureRow<'_>> {
+    xs.iter().map(|v| FeatureRow::Dense(v)).collect()
+}
+
+fn as_windows(xs: &[Vec<Vec<u32>>]) -> Vec<FeatureRow<'_>> {
+    xs.iter().map(|w| FeatureRow::Windows(w)).collect()
+}
+
 fn prob_digest(probs: &[f32]) -> u64 {
     let bytes: Vec<u8> = probs
         .iter()
@@ -161,8 +170,9 @@ fn scsguard_training_is_pinned() {
         hidden: 8,
         train: toy_train(2, 16),
     });
-    model.fit(&xs, &ys);
-    let probs = model.predict_proba(&xs);
+    let rows: Vec<FeatureRow<'_>> = xs.iter().map(|v| FeatureRow::Ids(v)).collect();
+    model.fit(&rows, &ys);
+    let probs = model.predict_proba(&rows);
     assert_digests(
         "SCSGuard",
         &model.export_state(),
@@ -185,9 +195,10 @@ fn escort_training_is_pinned() {
         vuln_branches: 2,
         train: toy_train(3, 16),
     });
-    model.pretrain(&xs, &vuln);
-    model.fit_transfer(&xs, &ys);
-    let probs = model.predict_proba(&xs);
+    let rows = as_dense(&xs);
+    model.pretrain(&rows, &vuln);
+    model.fit(&rows, &ys);
+    let probs = model.predict_proba(&rows);
     assert_digests(
         "ESCORT",
         &model.export_state(),
@@ -208,8 +219,9 @@ fn vit_training_is_pinned() {
         depth: 1,
         train: toy_train(2, 8),
     });
-    model.fit(&xs, &ys);
-    let probs = model.predict_proba(&xs);
+    let rows = as_dense(&xs);
+    model.fit(&rows, &ys);
+    let probs = model.predict_proba(&rows);
     assert_digests(
         "ViT",
         &model.export_state(),
@@ -230,8 +242,9 @@ fn eca_training_is_pinned() {
         eca_kernel: 3,
         train: toy_train(2, 8),
     });
-    model.fit(&xs, &ys);
-    let probs = model.predict_proba(&xs);
+    let rows = as_dense(&xs);
+    model.fit(&rows, &ys);
+    let probs = model.predict_proba(&rows);
     assert_digests(
         "ECA+EfficientNet",
         &model.export_state(),
@@ -245,8 +258,9 @@ fn gpt2_training_is_pinned() {
     let xs = window_corpus(50, 8, 32);
     let ys = labels(xs.len());
     let mut model = Gpt2Classifier::new(gpt2_config());
-    model.fit(&xs, &ys);
-    let probs = model.predict_proba(&xs);
+    let rows = as_windows(&xs);
+    model.fit(&rows, &ys);
+    let probs = model.predict_proba(&rows);
     assert_digests(
         "GPT-2",
         &model.export_state(),
@@ -260,8 +274,9 @@ fn t5_training_is_pinned() {
     let xs = window_corpus(50, 8, 32);
     let ys = labels(xs.len());
     let mut model = T5Classifier::new(t5_config());
-    model.fit(&xs, &ys);
-    let probs = model.predict_proba(&xs);
+    let rows = as_windows(&xs);
+    model.fit(&rows, &ys);
+    let probs = model.predict_proba(&rows);
     assert_digests(
         "T5",
         &model.export_state(),
@@ -308,10 +323,11 @@ fn assert_window_aggregation(
 fn window_aggregation_is_invariant_to_mini_batch_boundaries() {
     let xs = window_corpus(50, 8, 32);
     let ys = labels(xs.len());
+    let rows = as_windows(&xs);
     let mut gpt2 = Gpt2Classifier::new(gpt2_config());
-    gpt2.fit(&xs, &ys);
-    assert_window_aggregation("GPT-2", &xs, |c| gpt2.predict_proba(c));
+    gpt2.fit(&rows, &ys);
+    assert_window_aggregation("GPT-2", &xs, |c| gpt2.predict_proba(&as_windows(c)));
     let mut t5 = T5Classifier::new(t5_config());
-    t5.fit(&xs, &ys);
-    assert_window_aggregation("T5", &xs, |c| t5.predict_proba(c));
+    t5.fit(&rows, &ys);
+    assert_window_aggregation("T5", &xs, |c| t5.predict_proba(&as_windows(c)));
 }
