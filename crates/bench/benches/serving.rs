@@ -24,23 +24,31 @@
 //!   confirmer alone, both directly and behind the queue. The cascade
 //!   must hold ≥3× the deep-only throughput (≥1.5× smoke) on both paths,
 //!   and its held-out AUC must stay within 0.01 of the deep model's.
+//! * **memo** — the server's per-generation verdict memo on a stream of
+//!   distinct contracts, where it can only cost: keying, lookup, dedupe,
+//!   filing and reply assembly around the cascade's `score_codes`, in the
+//!   server's batches. Its time as a share of `score_codes` on the same
+//!   stream must stay ≤2% on a full run; every run asserts that the memo
+//!   path hands back exactly the verdicts `score_codes` gave.
 //!
 //! Every fleet is timed from a barrier that releases its already-spawned
 //! clients, and reports the median of [`FLEET_SAMPLES`] interleaved runs.
 //! The cascade is trained only after the queue sweep, so the allocator
 //! and cache pressure of its two extra models stays out of the queue
-//! timings. Full runs write `BENCH_serve.json` (the direct variants) and
-//! `BENCH_latency.json` (the queue tiers and the cascade fleet).
+//! timings. Full runs write `BENCH_serve.json` (the direct variants and
+//! the memo row) and `BENCH_latency.json` (the queue tiers and the
+//! cascade fleet).
 
 use phishinghook::json::Value;
 use phishinghook::prelude::*;
-use phishinghook_bench::harness::{best_of, obj, pick, write_baseline};
+use phishinghook_bench::harness::{best_of, obj, pick, smoke, write_baseline};
 use phishinghook_evm::{Bytecode, CacheBatch, DisasmCache};
 use phishinghook_serve::queue::DEFAULT_MAX_BATCH;
-use phishinghook_serve::{MicroBatcher, QueueConfig};
+use phishinghook_serve::{MicroBatcher, QueueConfig, VerdictMemo};
 use phishinghook_synth::{generate_contract, Difficulty, Family};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -59,6 +67,10 @@ const TIERS: [usize; 4] = [1, 8, 32, DEFAULT_MAX_BATCH];
 
 /// How far below the deep model's held-out AUC the cascade may sit.
 const CASCADE_AUC_SLACK: f64 = 0.01;
+
+/// Most the memo may add to scoring a stream with no repeats, as a share
+/// of `score_codes` (full runs only).
+const MEMO_OVERHEAD_CEILING: f64 = 0.02;
 
 /// Throughput floor (batched/single) for the forest variant. The batched
 /// call's structural win is the worker pool: with one worker the fused
@@ -90,6 +102,22 @@ fn fresh_contracts(n: usize) -> Vec<Bytecode> {
             )
         })
         .collect()
+}
+
+/// `n` pairwise-distinct fresh contracts: a stream on which the verdict
+/// memo never hits.
+fn distinct_contracts(n: usize) -> Vec<Bytecode> {
+    let mut rng = StdRng::seed_from_u64(0x3E30);
+    let mut seen = HashSet::with_capacity(n);
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let family = Family::ALL[out.len() % Family::ALL.len()];
+        let code = generate_contract(family, Month(5), &Difficulty::default(), &mut rng);
+        if seen.insert(code.clone()) {
+            out.push(code);
+        }
+    }
+    out
 }
 
 fn dataset(seed: u64) -> Dataset {
@@ -217,6 +245,79 @@ fn cascade_record(cascade: &CascadeDetector, codes: &[Bytecode]) -> Value {
         ("holdout_auc_deep", Value::Num(deep_auc)),
         ("holdout_auc_cascade", Value::Num(cascade_auc)),
         ("auc_slack", Value::Num(CASCADE_AUC_SLACK)),
+    ])
+}
+
+/// The memo row: what the server's ingress adds around scoring when no
+/// contract repeats. Each pass walks the stream in the queue's default
+/// batches in the route's order, from an empty memo: decode the batch's
+/// hex (untimed, as the request parser does), plan (timed), score the
+/// misses with `score_codes` (timed apart), then file and assemble
+/// (timed). Each side keeps its fastest pass.
+fn memo_record(cascade: &CascadeDetector, stream: &[Bytecode]) -> Value {
+    let hexes: Vec<Vec<String>> = stream
+        .chunks(DEFAULT_MAX_BATCH)
+        .map(|batch| batch.iter().map(Bytecode::to_hex).collect())
+        .collect();
+    let direct: Vec<CascadeVerdict> = stream
+        .chunks(DEFAULT_MAX_BATCH)
+        .flat_map(|batch| cascade.score_codes(batch))
+        .collect();
+    let (mut memo_s, mut score_s) = (f64::INFINITY, f64::INFINITY);
+    let mut served = Vec::with_capacity(stream.len());
+    for pass in 0..WARMUP_ITERS + pick(15, 9) {
+        let memo = VerdictMemo::default();
+        let (mut memo_pass, mut score_pass) = (Duration::ZERO, Duration::ZERO);
+        served.clear();
+        for hex in &hexes {
+            let codes: Vec<Bytecode> = hex.iter().map(|h| Bytecode::from_hex(h).unwrap()).collect();
+            let n = codes.len();
+            let t0 = Instant::now();
+            let mut plan = memo.plan(codes);
+            let misses = plan.take_misses();
+            let t1 = Instant::now();
+            let verdicts = cascade.score_codes(&misses);
+            let t2 = Instant::now();
+            memo.file(plan.miss_keys(), &verdicts);
+            served.extend(plan.finish(&verdicts));
+            let t3 = Instant::now();
+            assert_eq!(misses.len(), n, "the stream repeats a contract");
+            memo_pass += (t1 - t0) + (t3 - t2);
+            score_pass += t2 - t1;
+        }
+        if pass >= WARMUP_ITERS {
+            memo_s = memo_s.min(memo_pass.as_secs_f64());
+            score_s = score_s.min(score_pass.as_secs_f64());
+        }
+    }
+    assert_eq!(
+        served, direct,
+        "the memo path must hand back exactly the verdicts score_codes gave"
+    );
+    let n = stream.len();
+    let share = memo_s / score_s;
+    println!(
+        "  memo on {n} distinct contracts: {:.0} ns/contract vs score_codes {:.0} ns/contract \
+         ({:.2}% overhead, ceiling {:.0}%)",
+        memo_s / n as f64 * 1e9,
+        score_s / n as f64 * 1e9,
+        share * 100.0,
+        MEMO_OVERHEAD_CEILING * 100.0,
+    );
+    assert!(
+        smoke() || share <= MEMO_OVERHEAD_CEILING,
+        "memo overhead regression: {:.2}% of score_codes on a stream with no repeats \
+         (ceiling {:.0}%)",
+        share * 100.0,
+        MEMO_OVERHEAD_CEILING * 100.0,
+    );
+    obj(vec![
+        ("contracts", Value::Num(n as f64)),
+        ("batch", Value::Num(DEFAULT_MAX_BATCH as f64)),
+        ("score_codes_ms", Value::Num(score_s * 1e3)),
+        ("memo_ms", Value::Num(memo_s * 1e3)),
+        ("overhead_share", Value::Num(share)),
+        ("asserted_ceiling", Value::Num(MEMO_OVERHEAD_CEILING)),
     ])
 }
 
@@ -516,13 +617,19 @@ fn main() {
     let cascade_rec = cascade_record(&cascade, &codes);
     latency.push(("cascade", cascade_fleet(&cascade, &codes, clients)));
 
+    println!("serving: verdict memo");
+    let memo_rec = memo_record(&cascade, &distinct_contracts(pick(4096, 1024)));
+
     write_baseline(
         "BENCH_serve.json",
         "serving",
-        vec![(
-            "variants",
-            Value::Arr(vec![forest_rec, escort_rec, cascade_rec]),
-        )],
+        vec![
+            (
+                "variants",
+                Value::Arr(vec![forest_rec, escort_rec, cascade_rec]),
+            ),
+            ("memo", memo_rec),
+        ],
     );
     write_baseline("BENCH_latency.json", "serving", latency);
 }

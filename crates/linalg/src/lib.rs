@@ -26,4 +26,4 @@ pub mod transcend;
 pub mod vecops;
 
 pub use matrix::Matrix;
-pub use vecops::{argmax, argsort, dot, l2_norm, mean, softmax_in_place, std_dev, variance};
+pub use vecops::{argmax, argsort, dot, mean, softmax_in_place, std_dev, variance};

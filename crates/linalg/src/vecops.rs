@@ -16,11 +16,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     crate::gemm::dot(a, b)
 }
 
-/// Euclidean norm.
-pub fn l2_norm(a: &[f32]) -> f32 {
-    a.iter().map(|x| x * x).sum::<f32>().sqrt()
-}
-
 /// Arithmetic mean; `0.0` for an empty slice.
 pub fn mean(a: &[f32]) -> f32 {
     if a.is_empty() {

@@ -12,6 +12,10 @@
 //!  TCP conns ──► http::read_request (length-capped parse)
 //!                      │ Bytecode
 //!                      ▼
+//!             memo::VerdictMemo of the live generation
+//!                      │ hits answered at once; the distinct
+//!                      │ misses go on in one submission
+//!                      ▼
 //!             queue::MicroBatcher (bounded; full ⇒ 429 + Retry-After)
 //!                      │ up to QueueConfig::max_batch jobs / wake,
 //!                      │ time-boxed by QueueConfig::batch_wait
@@ -48,13 +52,18 @@
 
 pub mod health;
 pub mod http;
+pub mod memo;
 pub mod queue;
 pub mod reload;
 pub mod server;
 pub mod swap;
 
+#[cfg(test)]
+mod reuse_tests;
+
 pub use health::{HealthSnapshot, HealthState, DEFAULT_BREAKER_THRESHOLD};
 pub use http::{Limits, Request};
+pub use memo::{ReuseStats, VerdictMemo};
 pub use queue::{MicroBatcher, QueueConfig, QueueHooks, QueueStats, SubmitError};
 pub use reload::{ArtifactWatchLoop, ReloadConfig, DEFAULT_RELOAD_RETRIES};
 pub use server::{Server, ServerConfig};

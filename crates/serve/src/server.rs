@@ -4,16 +4,27 @@
 //! Endpoints (all JSON over HTTP/1.1, keep-alive):
 //!
 //! * `POST /predict` — `{"bytecode":"0x…"}` → `{"model", "probability",
-//!   "escalated", "phishing"}` for one contract. The request rides the
+//!   "escalated", "phishing"}` for one contract. Unless the live
+//!   generation has already scored these bytes, the request rides the
 //!   queue, so concurrent callers are coalesced into one batched model
 //!   call without ever waiting more than the configured `batch_wait`.
 //! * `POST /predict_batch` — `{"contracts":["0x…", …]}` → the same fields
 //!   as arrays in input order, admitted to the queue atomically.
 //! * `GET /healthz` — liveness, the served model's identity, the live
-//!   queue knobs, breaker counters and routing counters.
+//!   queue knobs, breaker counters, routing counters and reuse counters.
 //!
 //! Flat and cascade models share every route and reply shape; a flat
 //! model's `escalated` is always `false`.
+//!
+//! Both predict routes answer through the live generation's
+//! [`VerdictMemo`](crate::memo::VerdictMemo): a contract whose bytes that
+//! generation has already scored gets the filed verdict at once, and only
+//! the request's distinct misses ride the queue, in one submission. A
+//! verdict is filed only while the generation that was live when the
+//! request arrived is still live, so no generation's memo holds another
+//! generation's verdict. A request that straddles an install can still
+//! mix generations across its contracts, as a request whose jobs the
+//! queue splits over two batches always could.
 //!
 //! Failure semantics are part of the API: a full queue answers `429 Too
 //! Many Requests` with a `Retry-After` hint (never a hang, never a
@@ -23,6 +34,7 @@
 
 use crate::health::{HealthState, DEFAULT_BREAKER_THRESHOLD};
 use crate::http::{read_request, write_response, Limits};
+use crate::memo::ReuseStats;
 use crate::queue::{MicroBatcher, QueueConfig, QueueHooks, SubmitError};
 use crate::swap::{ModelSlot, ServedModel};
 use phishinghook::json::Value;
@@ -66,11 +78,14 @@ impl Default for ServerConfig {
 struct Inner {
     slot: Arc<ModelSlot>,
     queue: MicroBatcher<Arc<ModelSlot>>,
-    /// Routing counters: contracts scored and contracts escalated to a
-    /// cascade's confirmer. They belong to the server, not any one
-    /// generation, so they survive hot swaps.
+    /// Routing counters: contracts served and contracts escalated to a
+    /// cascade's confirmer, reused verdicts included. They belong to the
+    /// server, not any one generation, so they survive hot swaps.
     screened: AtomicU64,
     escalated: AtomicU64,
+    /// Reuse counters (see [`ReuseStats`]), cumulative like the above.
+    reuse_hits: AtomicU64,
+    reuse_misses: AtomicU64,
     health: Arc<HealthState>,
     limits: Limits,
     read_timeout: Duration,
@@ -136,6 +151,8 @@ impl Server {
             slot,
             screened: AtomicU64::new(0),
             escalated: AtomicU64::new(0),
+            reuse_hits: AtomicU64::new(0),
+            reuse_misses: AtomicU64::new(0),
             health,
             limits: cfg.limits,
             read_timeout: cfg.read_timeout,
@@ -192,8 +209,9 @@ impl Server {
     /// call scores on `model`; batches already in flight finish on
     /// the previous model and no request is dropped. A cascade's stages,
     /// calibrators and band move in one install, so no batch can pair an
-    /// old screen with a new confirmer. Returns the generation that was
-    /// replaced.
+    /// old screen with a new confirmer. The new generation starts with an
+    /// empty verdict memo, so it re-scores every repeat once. Returns the
+    /// generation that was replaced.
     pub fn install(&self, model: impl Into<ServedModel>, generation: u64) -> u64 {
         self.inner.slot.install(Arc::new(model.into()), generation)
     }
@@ -220,15 +238,22 @@ impl Server {
         self.inner.slot.model()
     }
 
-    /// Cumulative routing counters `(screened, escalated)`: contracts
-    /// scored since the server started, and how many of those a cascade
-    /// routed to its deep confirmer (a flat model never escalates).
+    /// Cumulative routing counters `(screened, escalated)`: verdicts
+    /// served since the server started, and how many of those came from
+    /// a cascade's deep confirmer (a flat model never escalates). A
+    /// verdict answered from the memo counts as it did when first scored.
     /// Counters survive hot swaps.
     pub fn routing_counters(&self) -> (u64, u64) {
         (
             self.inner.screened.load(Ordering::Relaxed),
             self.inner.escalated.load(Ordering::Relaxed),
         )
+    }
+
+    /// Cumulative reuse counters and the live memo's size. Every served
+    /// contract is either a hit or one of the misses the queue scored.
+    pub fn reuse_stats(&self) -> ReuseStats {
+        reuse_stats(&self.inner)
     }
 
     /// Stops accepting connections, lets in-flight exchanges finish, and
@@ -346,8 +371,17 @@ fn tally(inner: &Inner, verdicts: &[CascadeVerdict]) {
     }
 }
 
+fn reuse_stats(inner: &Inner) -> ReuseStats {
+    ReuseStats {
+        hits: inner.reuse_hits.load(Ordering::Relaxed),
+        misses: inner.reuse_misses.load(Ordering::Relaxed),
+        entries: inner.slot.live().memo.len(),
+    }
+}
+
 /// The health report: liveness, model identity, queue knobs, breaker
-/// counters and routing counters.
+/// counters, routing counters (every served verdict, reused ones
+/// included) and reuse counters.
 fn healthz(inner: &Inner) -> Value {
     let cfg = inner.queue.config();
     let health = inner.health.snapshot();
@@ -357,6 +391,7 @@ fn healthz(inner: &Inner) -> Value {
         inner.screened.load(Ordering::Relaxed),
         inner.escalated.load(Ordering::Relaxed),
     );
+    let reuse = reuse_stats(inner);
     let num = |n: u64| Value::Num(n as f64);
     Value::Obj(vec![
         (
@@ -398,6 +433,9 @@ fn healthz(inner: &Inner) -> Value {
                 escalated as f64 / screened as f64
             }),
         ),
+        ("reuse_hits".into(), num(reuse.hits)),
+        ("reuse_misses".into(), num(reuse.misses)),
+        ("reuse_entries".into(), num(reuse.entries as u64)),
     ])
 }
 
@@ -451,19 +489,32 @@ fn route(inner: &Inner, method: &str, target: &str, body: &[u8]) -> Reply {
                     Err(reply) => return reply,
                 }
             };
-            let label = inner.slot.model().label();
-            match inner.queue.submit_many(codes) {
-                Ok(verdicts) => {
-                    tally(inner, &verdicts);
-                    let doc = if target == "/predict" {
-                        verdict_json(label, &verdicts[0])
-                    } else {
-                        verdicts_json(label, &verdicts)
-                    };
-                    Reply::ok(doc.render().into_bytes())
-                }
-                Err(e) => submit_error_reply(e),
+            let live = inner.slot.live();
+            let mut plan = live.memo.plan(codes);
+            let scored = match inner.queue.submit_many(plan.take_misses()) {
+                Ok(scored) => scored,
+                Err(e) => return submit_error_reply(e),
+            };
+            // An install since the snapshot may have scored the misses on
+            // the new model: file them only while the snapshot is live.
+            if !scored.is_empty() && inner.slot.memo_is_live(&live.memo) {
+                live.memo.file(plan.miss_keys(), &scored);
             }
+            inner
+                .reuse_hits
+                .fetch_add(plan.hits() as u64, Ordering::Relaxed);
+            inner
+                .reuse_misses
+                .fetch_add(scored.len() as u64, Ordering::Relaxed);
+            let verdicts = plan.finish(&scored);
+            tally(inner, &verdicts);
+            let label = live.model.label();
+            let doc = if target == "/predict" {
+                verdict_json(label, &verdicts[0])
+            } else {
+                verdicts_json(label, &verdicts)
+            };
+            Reply::ok(doc.render().into_bytes())
         }
         (_, "/predict") | (_, "/predict_batch") | (_, "/healthz") => {
             Reply::error(405, "Method Not Allowed", "unsupported method")

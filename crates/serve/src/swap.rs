@@ -2,13 +2,16 @@
 //! workers score through, swappable under a live server, and the one
 //! model type every server fronts.
 //!
-//! A [`ModelSlot`] holds the live model `Arc` plus its artifact
-//! generation behind one lock. Queue workers implement their batched
-//! scoring through the slot's [`CodeScorer`] impl, which **snapshots the
-//! `Arc` once per batch**: a concurrent [`ModelSlot::install`] swaps the
-//! live model for subsequent batches while every in-flight batch finishes
-//! on the model it started with — no torn batches, no dropped requests,
-//! and bit-parity with solo scoring within each generation.
+//! A [`ModelSlot`] holds the live model `Arc`, its artifact generation
+//! and that generation's [`VerdictMemo`] behind one lock. Queue workers
+//! implement their batched scoring through the slot's [`CodeScorer`]
+//! impl, which **snapshots the `Arc` once per batch**: a concurrent
+//! [`ModelSlot::install`] swaps the live model for subsequent batches
+//! while every in-flight batch finishes on the model it started with — no
+//! torn batches, no dropped requests, and bit-parity with solo scoring
+//! within each generation. Every install starts an empty memo, so a
+//! verdict reused at the server's ingress always comes from the
+//! generation that is live.
 //!
 //! [`ServedModel`] is what a server's slot holds: a flat [`Detector`] or
 //! a two-stage [`CascadeDetector`]. It is the only place in the crate
@@ -19,6 +22,7 @@
 //! republish the artifact atomically on disk, decode it, then
 //! [`Server::install`](crate::Server::install) the new generation here.
 
+use crate::memo::VerdictMemo;
 use phishinghook::{
     ArtifactError, CascadeDetector, CascadeVerdict, CodeScorer, Detector, StageScore,
 };
@@ -42,6 +46,10 @@ pub enum ServedModel {
     /// A cheap calibrated screen routing uncertain contracts to a deep
     /// confirmer.
     Cascade(Arc<CascadeDetector>),
+    /// A scripted scorer the crate's own tests serve, to force
+    /// interleavings and panics a trained model never shows.
+    #[cfg(test)]
+    Stub(Arc<dyn CodeScorer<Output = CascadeVerdict>>),
 }
 
 impl ServedModel {
@@ -66,6 +74,8 @@ impl ServedModel {
         match self {
             ServedModel::Flat(detector) => detector.kind().id(),
             ServedModel::Cascade(_) => "cascade",
+            #[cfg(test)]
+            ServedModel::Stub(_) => "stub",
         }
     }
 
@@ -79,6 +89,8 @@ impl ServedModel {
                 cascade.screen().kind().id(),
                 Some(cascade.confirm().kind().id()),
             ),
+            #[cfg(test)]
+            ServedModel::Stub(_) => ("stub", None),
         }
     }
 }
@@ -111,6 +123,8 @@ impl fmt::Display for ServedModel {
                 cascade.band().1,
                 cascade.escalate_budget() * 100.0
             ),
+            #[cfg(test)]
+            ServedModel::Stub(_) => write!(f, "stub"),
         }
     }
 }
@@ -141,6 +155,39 @@ impl CodeScorer for ServedModel {
                     .collect()
             }
             ServedModel::Cascade(cascade) => cascade.score_codes(codes),
+            #[cfg(test)]
+            ServedModel::Stub(stub) => stub.score_many(codes),
+        }
+    }
+}
+
+/// One generation as a [`ModelSlot`] holds it: the model, its artifact
+/// generation and its verdict memo, swapped together.
+pub(crate) struct LiveModel<S: CodeScorer> {
+    /// The generation's scorer.
+    pub model: Arc<S>,
+    /// The artifact generation.
+    pub generation: u64,
+    /// The verdicts this generation has scored, keyed by code.
+    pub memo: Arc<VerdictMemo<S::Output>>,
+}
+
+impl<S: CodeScorer> LiveModel<S> {
+    fn fresh(model: Arc<S>, generation: u64) -> Self {
+        LiveModel {
+            model,
+            generation,
+            memo: Arc::default(),
+        }
+    }
+}
+
+impl<S: CodeScorer> Clone for LiveModel<S> {
+    fn clone(&self) -> Self {
+        LiveModel {
+            model: Arc::clone(&self.model),
+            generation: self.generation,
+            memo: Arc::clone(&self.memo),
         }
     }
 }
@@ -149,9 +196,9 @@ impl CodeScorer for ServedModel {
 /// queue and the retrain loop. Generic over the scorer; a server's slot
 /// holds a [`ServedModel`].
 pub struct ModelSlot<S: CodeScorer = ServedModel> {
-    /// The live model and its generation, swapped together so a reader
-    /// never pairs a new model with an old generation number.
-    live: Mutex<(Arc<S>, u64)>,
+    /// The live model, generation and memo, swapped together so a reader
+    /// never pairs a new model with an old generation number or memo.
+    live: Mutex<LiveModel<S>>,
     started: Instant,
 }
 
@@ -160,7 +207,7 @@ impl<S: CodeScorer> ModelSlot<S> {
     /// (use 0 for a model loaded outside any publish directory).
     pub fn new(scorer: Arc<S>, generation: u64) -> Self {
         ModelSlot {
-            live: Mutex::new((scorer, generation)),
+            live: Mutex::new(LiveModel::fresh(scorer, generation)),
             started: Instant::now(),
         }
     }
@@ -170,7 +217,21 @@ impl<S: CodeScorer> ModelSlot<S> {
     /// it, regardless of later installs.
     pub fn snapshot(&self) -> (Arc<S>, u64) {
         let live = self.live.lock().unwrap();
-        (Arc::clone(&live.0), live.1)
+        (Arc::clone(&live.model), live.generation)
+    }
+
+    /// The whole live generation, memo included.
+    pub(crate) fn live(&self) -> LiveModel<S> {
+        self.live.lock().expect("model slot lock poisoned").clone()
+    }
+
+    /// `true` while `memo` belongs to the live generation: no install has
+    /// happened since it was snapshotted.
+    pub(crate) fn memo_is_live(&self, memo: &Arc<VerdictMemo<S::Output>>) -> bool {
+        Arc::ptr_eq(
+            &self.live.lock().expect("model slot lock poisoned").memo,
+            memo,
+        )
     }
 
     /// The live scorer.
@@ -180,17 +241,20 @@ impl<S: CodeScorer> ModelSlot<S> {
 
     /// The live artifact generation.
     pub fn generation(&self) -> u64 {
-        self.live.lock().unwrap().1
+        self.live.lock().unwrap().generation
     }
 
-    /// Swaps in a new model generation and returns the generation it
-    /// replaced. Takes effect for every batch that snapshots after this
-    /// call; batches already scoring finish on the old model.
+    /// Swaps in a new model generation, with an empty memo, and returns
+    /// the generation it replaced. Takes effect for every batch that
+    /// snapshots after this call; batches already scoring finish on the
+    /// old model.
     pub fn install(&self, scorer: Arc<S>, generation: u64) -> u64 {
-        let mut live = self.live.lock().unwrap();
-        let previous = live.1;
-        *live = (scorer, generation);
-        previous
+        let fresh = LiveModel::fresh(scorer, generation);
+        let mut live = self.live.lock().expect("model slot lock poisoned");
+        let replaced = std::mem::replace(&mut *live, fresh);
+        // The replaced generation, memo and all, is freed after unlocking.
+        drop(live);
+        replaced.generation
     }
 
     /// Time since the slot (and hence the server around it) was created.

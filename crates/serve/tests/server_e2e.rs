@@ -247,10 +247,15 @@ fn served_scores_match_the_detector_bit_for_bit() {
     let (status, _) = send(addr, b"POST /predict HTTP/1.1\r\nHost: e2e\r\n\r\n");
     assert_eq!(status, 411);
 
-    let stats = server.queue_stats();
-    assert!(
-        stats.scored >= 2 * contracts.len() as u64,
-        "every accepted contract went through the queue: {stats:?}"
+    // Accepted: the solo, batched and concurrent passes over the
+    // contracts, plus the two keep-alive exchanges. Each went through the
+    // queue or was answered from the memo, never both.
+    let accepted = 3 * contracts.len() as u64 + 2;
+    let (stats, reuse) = (server.queue_stats(), server.reuse_stats());
+    assert_eq!(
+        stats.scored + reuse.hits,
+        accepted,
+        "every accepted contract was scored by the queue or reused: {stats:?} {reuse:?}"
     );
 
     // Shutdown finishes in-flight work and stops accepting.

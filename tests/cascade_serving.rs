@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn context(seed: u64) -> EvalContext {
@@ -242,6 +242,9 @@ fn hot_swap_hammer_never_serves_a_mixed_generation_pair() {
 
     const CLIENTS: usize = 4;
     const ROUNDS: usize = 40;
+    // Each client runs its first half on A, then waits for the install,
+    // so both generations are always served however the threads run.
+    let installed = Arc::new(Barrier::new(CLIENTS + 1));
     let progress = Arc::new(AtomicUsize::new(0));
     let from_a = Arc::new(AtomicUsize::new(0));
     let from_b = Arc::new(AtomicUsize::new(0));
@@ -251,11 +254,15 @@ fn hot_swap_hammer_never_serves_a_mixed_generation_pair() {
             let codes = codes.clone();
             let table_a = table_a.clone();
             let table_b = table_b.clone();
+            let installed = Arc::clone(&installed);
             let progress = Arc::clone(&progress);
             let from_a = Arc::clone(&from_a);
             let from_b = Arc::clone(&from_b);
             std::thread::spawn(move || {
                 for round in 0..ROUNDS {
+                    if round == ROUNDS / 2 {
+                        installed.wait();
+                    }
                     // Mix single submits and micro-batches of 3.
                     let start = (client * 5 + round) % codes.len();
                     let picks: Vec<usize> = if round % 2 == 0 {
@@ -283,12 +290,15 @@ fn hot_swap_hammer_never_serves_a_mixed_generation_pair() {
         })
         .collect();
 
-    // Swap mid-hammer: wait until the clients are warm, then install.
-    while progress.load(Ordering::Relaxed) < CLIENTS * ROUNDS / 2 {
+    // Swap mid-hammer: once a quarter of the rounds are done, install
+    // while the slower clients' first halves are still in flight, then
+    // release the clients waiting at their second half.
+    while progress.load(Ordering::Relaxed) < CLIENTS * ROUNDS / 4 {
         std::thread::sleep(Duration::from_millis(1));
     }
     let replaced = slot.install(Arc::clone(&gen_b), 2);
     assert_eq!(replaced, 1);
+    installed.wait();
     for h in handles {
         h.join().expect("client panicked");
     }
@@ -429,6 +439,9 @@ fn cascade_http_server_serves_verdicts_and_routing_counters() {
             "recoveries",
             "reload_attempts",
             "reload_failures",
+            "reuse_entries",
+            "reuse_hits",
+            "reuse_misses",
             "screen_model",
             "status",
             "uptime_seconds",
