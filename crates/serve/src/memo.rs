@@ -75,60 +75,42 @@ fn sip_round(v: &mut [u64; 4]) {
     v[2] = v[2].rotate_left(32);
 }
 
-/// A SipHash state in its 128-bit output mode.
-#[derive(Clone, Copy)]
-struct Sip([u64; 4]);
-
-impl Sip {
-    fn new(k0: u64, k1: u64) -> Sip {
-        Sip([
-            k0 ^ 0x736f_6d65_7073_6575,
-            k1 ^ 0x646f_7261_6e64_6f6d ^ 0xee,
-            k0 ^ 0x6c79_6765_6e65_7261,
-            k1 ^ 0x7465_6462_7974_6573,
-        ])
-    }
-
-    /// Absorbs the little-endian word at `bytes[at..at + 8]`.
-    #[inline(always)]
-    fn compress<const C: usize>(&mut self, bytes: &[u8], at: usize) {
-        let m = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("an 8-byte word"));
-        self.0[3] ^= m;
-        for _ in 0..C {
-            sip_round(&mut self.0);
-        }
-        self.0[0] ^= m;
-    }
-
-    /// Absorbs `bytes` from byte `at` (a multiple of 8) to the end, then
-    /// the length-tagged last word, and finalizes.
-    fn finish<const C: usize, const D: usize>(mut self, bytes: &[u8], mut at: usize) -> u128 {
-        while at + 8 <= bytes.len() {
-            self.compress::<C>(bytes, at);
-            at += 8;
-        }
-        let mut last = [0u8; 8];
-        last[..bytes.len() - at].copy_from_slice(&bytes[at..]);
-        last[7] = bytes.len() as u8;
-        self.compress::<C>(&last, 0);
-        let v = &mut self.0;
-        v[2] ^= 0xee;
-        for _ in 0..D {
-            sip_round(v);
-        }
-        let lo = v[0] ^ v[1] ^ v[2] ^ v[3];
-        v[1] ^= 0xdd;
-        for _ in 0..D {
-            sip_round(v);
-        }
-        let hi = v[0] ^ v[1] ^ v[2] ^ v[3];
-        u128::from(lo) | (u128::from(hi) << 64)
-    }
-}
-
 /// SipHash-c-d of `bytes` under `(k0, k1)` in its 128-bit output mode.
 fn siphash128<const C: usize, const D: usize>(k0: u64, k1: u64, bytes: &[u8]) -> u128 {
-    Sip::new(k0, k1).finish::<C, D>(bytes, 0)
+    let mut v = [
+        k0 ^ 0x736f_6d65_7073_6575,
+        k1 ^ 0x646f_7261_6e64_6f6d ^ 0xee,
+        k0 ^ 0x6c79_6765_6e65_7261,
+        k1 ^ 0x7465_6462_7974_6573,
+    ];
+    let mut compress = |m: u64| {
+        v[3] ^= m;
+        for _ in 0..C {
+            sip_round(&mut v);
+        }
+        v[0] ^= m;
+    };
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    for word in words {
+        compress(u64::from_le_bytes(word.try_into().expect("an 8-byte word")));
+    }
+    // The last word carries the tail bytes and the length's low byte.
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    last[7] = bytes.len() as u8;
+    compress(u64::from_le_bytes(last));
+    v[2] ^= 0xee;
+    for _ in 0..D {
+        sip_round(&mut v);
+    }
+    let lo = v[0] ^ v[1] ^ v[2] ^ v[3];
+    v[1] ^= 0xdd;
+    for _ in 0..D {
+        sip_round(&mut v);
+    }
+    let hi = v[0] ^ v[1] ^ v[2] ^ v[3];
+    u128::from(lo) | (u128::from(hi) << 64)
 }
 
 /// The memo key of a contract's code bytes: keyed SipHash-1-3-128 under
@@ -136,28 +118,6 @@ fn siphash128<const C: usize, const D: usize>(k0: u64, k1: u64, bytes: &[u8]) ->
 pub fn code_key(bytes: &[u8]) -> CodeKey {
     let (k0, k1) = process_key();
     siphash128::<1, 3>(k0, k1, bytes)
-}
-
-/// [`code_key`] of every code, in order. Codes are hashed two at a time
-/// in lockstep: SipHash is one serial chain of rounds per message, so two
-/// independent chains keep the core's spare execution units busy.
-pub(crate) fn code_keys(codes: &[Bytecode]) -> Vec<CodeKey> {
-    let (k0, k1) = process_key();
-    let mut keys = Vec::with_capacity(codes.len());
-    let mut pairs = codes.chunks_exact(2);
-    for pair in &mut pairs {
-        let (a, b) = (pair[0].as_bytes(), pair[1].as_bytes());
-        let (mut sa, mut sb) = (Sip::new(k0, k1), Sip::new(k0, k1));
-        let common = a.len().min(b.len()) / 8 * 8;
-        for at in (0..common).step_by(8) {
-            sa.compress::<1>(a, at);
-            sb.compress::<1>(b, at);
-        }
-        keys.push(sa.finish::<1, 3>(a, common));
-        keys.push(sb.finish::<1, 3>(b, common));
-    }
-    keys.extend(pairs.remainder().iter().map(|c| code_key(c.as_bytes())));
-    keys
 }
 
 /// The table's hasher: a [`CodeKey`] is already a keyed pseudo-random
@@ -172,10 +132,8 @@ impl Hasher for KeyHasher {
         self.0
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a CodeKey hashes through write_u128 alone")
     }
 
     fn write_u128(&mut self, key: u128) {
@@ -253,30 +211,24 @@ impl<O: Copy> VerdictMemo<O> {
     /// Keys `codes`, answers what the memo holds and dedupes the rest.
     /// The keys are computed before the lock is taken.
     pub fn plan(&self, codes: Vec<Bytecode>) -> ReusePlan<O> {
-        let keys = code_keys(&codes);
+        let keys: Vec<CodeKey> = codes.iter().map(|c| code_key(c.as_bytes())).collect();
         let mut answers = Vec::with_capacity(codes.len());
         let mut misses = Vec::with_capacity(codes.len());
         let mut miss_keys = Vec::with_capacity(codes.len());
-        // Open addressing over at least twice as many slots as codes: each
-        // slot holds the index of a distinct miss, or `usize::MAX`.
-        let mut first_seen = vec![usize::MAX; (2 * codes.len()).next_power_of_two()];
-        let mask = first_seen.len() - 1;
+        // Each distinct miss's index among the misses.
+        let mut first_seen = KeyMap::with_capacity_and_hasher(codes.len(), Default::default());
         let map = self.map.lock().expect("memo lock poisoned");
         for (code, key) in codes.into_iter().zip(keys) {
             if let Some(&verdict) = map.get(&key) {
                 answers.push(Ok(verdict));
                 continue;
             }
-            let mut at = key as usize & mask;
-            while first_seen[at] != usize::MAX && miss_keys[first_seen[at]] != key {
-                at = (at + 1) & mask;
-            }
-            if first_seen[at] == usize::MAX {
-                first_seen[at] = miss_keys.len();
+            let miss = *first_seen.entry(key).or_insert_with(|| {
                 miss_keys.push(key);
                 misses.push(code);
-            }
-            answers.push(Err(first_seen[at]));
+                miss_keys.len() - 1
+            });
+            answers.push(Err(miss));
         }
         ReusePlan {
             answers,
@@ -372,19 +324,6 @@ mod tests {
                 assert_ne!(code_key(a), code_key(b), "{a:?} vs {b:?}");
             }
         }
-    }
-
-    #[test]
-    fn lockstep_keys_match_one_at_a_time() {
-        // Lengths around word boundaries, pairs of equal and unequal
-        // length, and an odd count so one code is hashed alone.
-        let codes: Vec<Bytecode> = [0, 1, 7, 8, 9, 16, 17, 40, 3, 64, 65]
-            .iter()
-            .map(|&n| Bytecode::new((0..n).map(|i| (i * 37 + n) as u8).collect::<Vec<u8>>()))
-            .collect();
-        let one_at_a_time: Vec<CodeKey> = codes.iter().map(|c| code_key(c.as_bytes())).collect();
-        assert_eq!(code_keys(&codes), one_at_a_time);
-        assert_eq!(code_keys(&codes[1..]), one_at_a_time[1..]);
     }
 
     #[test]

@@ -147,6 +147,10 @@ fn served_scores_match_the_detector_bit_for_bit() {
         );
     }
 
+    // Each pass below starts from an empty verdict memo, so its contracts
+    // go through the queue rather than being answered by the last pass.
+    assert_eq!(server.install(Arc::clone(&detector), 1), 0);
+
     // Batch endpoint: order-preserving, bit-identical to score_codes.
     let hexes: Vec<String> = contracts
         .iter()
@@ -170,6 +174,7 @@ fn served_scores_match_the_detector_bit_for_bit() {
 
     // Concurrent clients coalesce through the queue; each still gets its
     // own exact score back.
+    assert_eq!(server.install(Arc::clone(&detector), 2), 1);
     let direct = detector.score_codes(&contracts);
     std::thread::scope(|s| {
         let handles: Vec<_> = contracts
@@ -247,15 +252,18 @@ fn served_scores_match_the_detector_bit_for_bit() {
     let (status, _) = send(addr, b"POST /predict HTTP/1.1\r\nHost: e2e\r\n\r\n");
     assert_eq!(status, 411);
 
-    // Accepted: the solo, batched and concurrent passes over the
-    // contracts, plus the two keep-alive exchanges. Each went through the
-    // queue or was answered from the memo, never both.
-    let accepted = 3 * contracts.len() as u64 + 2;
+    // Every contract of the solo, batched and concurrent passes went
+    // through the queue; the two keep-alive repeats were answered from
+    // the memo. Together that is every accepted contract.
     let (stats, reuse) = (server.queue_stats(), server.reuse_stats());
     assert_eq!(
-        stats.scored + reuse.hits,
-        accepted,
-        "every accepted contract was scored by the queue or reused: {stats:?} {reuse:?}"
+        stats.scored,
+        3 * contracts.len() as u64,
+        "every pass went through the queue: {stats:?} {reuse:?}"
+    );
+    assert_eq!(
+        reuse.hits, 2,
+        "the keep-alive repeats were reused: {reuse:?}"
     );
 
     // Shutdown finishes in-flight work and stops accepting.
